@@ -36,14 +36,11 @@ public:
   Direction direction() const override { return Direction::Forward; }
   Meet meet() const override { return Meet::All; }
   size_t numBits() const override { return Pats.size(); }
-  void gen(BlockId, size_t, const Instr &I, BitVector &Out) const override {
-    Out = Pats.makeVector();
+  void effect(BlockId, size_t, const Instr &I, LocalEffect &E) const override {
+    E.killMask(Pats.defMask(I.definedVar()));
     size_t Idx = Pats.occurrence(I);
     if (Idx != AssignPatternTable::npos)
-      Out.set(Idx);
-  }
-  void kill(BlockId, size_t, const Instr &I, BitVector &Out) const override {
-    Pats.killedBy(I, Out);
+      E.gen(Idx);
   }
 
 private:

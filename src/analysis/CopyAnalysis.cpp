@@ -10,14 +10,23 @@ using namespace am;
 
 void CopyUniverse::build(const FlowGraph &G) {
   Copies.clear();
+  Occ.clear();
   for (BlockId B = 0; B < G.numBlocks(); ++B) {
     for (const Instr &I : G.block(B).Instrs) {
-      if (!I.isAssign() || I.Rhs.isNonTrivial() || !I.Rhs.A.isVar() ||
-          I.Rhs.A.Var == I.Lhs)
-        continue;
-      if (occurrence(I) == npos)
+      size_t Idx = occurrence(I);
+      if (Idx == npos && I.isAssign() && !I.Rhs.isNonTrivial() &&
+          I.Rhs.A.isVar() && I.Rhs.A.Var != I.Lhs) {
+        Idx = Copies.size();
         Copies.push_back({I.Lhs, I.Rhs.A.Var});
+      }
+      Occ.push(Idx == npos ? NoCopy : static_cast<uint32_t>(Idx));
     }
+    Occ.endBlock();
+  }
+  Kill.reset(G.Vars.size(), Copies.size());
+  for (size_t Idx = 0; Idx < Copies.size(); ++Idx) {
+    Kill.set(Copies[Idx].Dst, Idx);
+    Kill.set(Copies[Idx].Src, Idx);
   }
 }
 
@@ -30,16 +39,6 @@ size_t CopyUniverse::occurrence(const Instr &I) const {
   return npos;
 }
 
-void CopyUniverse::killedBy(const Instr &I, BitVector &Out) const {
-  Out = makeVector();
-  VarId Def = I.definedVar();
-  if (!isValid(Def))
-    return;
-  for (size_t Idx = 0; Idx < Copies.size(); ++Idx)
-    if (Copies[Idx].Dst == Def || Copies[Idx].Src == Def)
-      Out.set(Idx);
-}
-
 namespace {
 
 class ReachingCopiesProblem : public DataflowProblem {
@@ -50,15 +49,12 @@ public:
   Meet meet() const override { return Meet::All; }
   size_t numBits() const override { return U.size(); }
 
-  void gen(BlockId, size_t, const Instr &I, BitVector &Out) const override {
-    Out = U.makeVector();
-    size_t Idx = U.occurrence(I);
-    if (Idx != CopyUniverse::npos)
-      Out.set(Idx);
-  }
-
-  void kill(BlockId, size_t, const Instr &I, BitVector &Out) const override {
-    U.killedBy(I, Out);
+  void effect(BlockId B, size_t Idx, const Instr &I,
+              LocalEffect &E) const override {
+    E.killMask(U.killMask(I.definedVar()));
+    size_t Copy = U.occurrenceAt(B, Idx);
+    if (Copy != CopyUniverse::npos)
+      E.gen(Copy);
   }
 
 private:

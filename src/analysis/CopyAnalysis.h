@@ -16,6 +16,7 @@
 #define AM_ANALYSIS_COPYANALYSIS_H
 
 #include "dfa/Dataflow.h"
+#include "ir/Patterns.h"
 
 #include <memory>
 #include <vector>
@@ -36,17 +37,29 @@ public:
   /// Index of the copy pattern \p I is an occurrence of, or npos.
   size_t occurrence(const Instr &I) const;
 
-  /// Copies invalidated by \p I (either side modified).
-  void killedBy(const Instr &I, BitVector &Out) const;
+  /// occurrence() of instruction \p Idx of block \p B in the graph the
+  /// universe was built from, recorded by build().
+  size_t occurrenceAt(BlockId B, size_t Idx) const {
+    uint32_t Copy = Occ.at(B, Idx);
+    return Copy == NoCopy ? npos : Copy;
+  }
+
+  /// Copies a definition of \p V invalidates (either side is V); null
+  /// when there are none.
+  const BitVector *killMask(VarId V) const { return Kill.get(V); }
 
   BitVector makeVector() const { return BitVector(Copies.size()); }
 
 private:
+  static constexpr uint32_t NoCopy = static_cast<uint32_t>(-1);
+
   struct Copy {
     VarId Dst;
     VarId Src;
   };
   std::vector<Copy> Copies;
+  PerInstr<uint32_t> Occ; // occurrence per instruction
+  VarMasks Kill;
 };
 
 /// Forward all-path reaching-copies facts.

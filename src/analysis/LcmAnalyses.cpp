@@ -19,12 +19,10 @@ public:
   Meet meet() const override { return Meet::All; }
   size_t numBits() const override { return E.size(); }
 
-  void gen(BlockId, size_t, const Instr &I, BitVector &Out) const override {
-    E.computedBy(I, Out);
-  }
-
-  void kill(BlockId, size_t, const Instr &I, BitVector &Out) const override {
-    E.killedBy(I, Out);
+  void effect(BlockId B, size_t Idx, const Instr &I,
+              LocalEffect &Eff) const override {
+    Eff.killMask(E.useMask(I.definedVar()));
+    E.forEachComputedAt(B, Idx, [&](size_t Expr) { Eff.gen(Expr); });
   }
 
 private:
@@ -42,15 +40,14 @@ public:
   Meet meet() const override { return Meet::All; }
   size_t numBits() const override { return E.size(); }
 
-  void gen(BlockId, size_t, const Instr &I, BitVector &Out) const override {
-    E.computedBy(I, Out);
-    BitVector Killed = E.makeVector();
-    E.killedBy(I, Killed);
-    Out.andNot(Killed);
-  }
-
-  void kill(BlockId, size_t, const Instr &I, BitVector &Out) const override {
-    E.killedBy(I, Out);
+  void effect(BlockId B, size_t Idx, const Instr &I,
+              LocalEffect &Eff) const override {
+    const BitVector *Killed = E.useMask(I.definedVar());
+    Eff.killMask(Killed);
+    E.forEachComputedAt(B, Idx, [&](size_t Expr) {
+      if (!Killed || !Killed->test(Expr))
+        Eff.gen(Expr);
+    });
   }
 
 private:
@@ -71,21 +68,14 @@ LcmAnalysis LcmAnalysis::run(const FlowGraph &G,
   A.Ant = solve(G, *A.AntProblem);
   A.Av = solve(G, *A.AvProblem);
 
-  // Local predicates.
-  size_t Bits = Exprs.size();
-  A.Antloc.assign(G.numBlocks(), BitVector(Bits));
-  A.Transp.assign(G.numBlocks(), BitVector(Bits, true));
-  BitVector Comp(Bits), Killed(Bits);
+  // Local predicates: ANTLOC and ¬TRANSP are the gen and kill sides of
+  // the block's composed anticipability transfer.
+  A.Antloc.resize(G.numBlocks());
+  A.Transp.resize(G.numBlocks());
+  LocalEffect E;
   for (BlockId B = 0; B < G.numBlocks(); ++B) {
-    BitVector KilledSoFar(Bits);
-    for (const Instr &I : G.block(B).Instrs) {
-      Exprs.computedBy(I, Comp);
-      Comp.andNot(KilledSoFar);
-      A.Antloc[B] |= Comp;
-      Exprs.killedBy(I, Killed);
-      KilledSoFar |= Killed;
-    }
-    A.Transp[B] = ~KilledSoFar;
+    composeBlock(*A.AntProblem, G, B, E, A.Antloc[B], A.Transp[B]);
+    A.Transp[B].flipAll();
   }
 
   // LATER / LATERIN (greatest fixpoint over edges, with a virtual entry
@@ -93,6 +83,7 @@ LcmAnalysis LcmAnalysis::run(const FlowGraph &G,
   // no further "up").  With that edge, LATERIN(s) = ANTIN(s), so
   // up-exposed originals in s are never deleted and placement is lazily
   // delayed to first uses — no insertions at the entry of s are needed.
+  size_t Bits = Exprs.size();
   A.LaterVirtual = A.antIn(G.start());
   A.LaterIn.assign(G.numBlocks(), BitVector(Bits, true));
   A.Later.resize(G.numBlocks());

@@ -18,16 +18,11 @@ public:
   Meet meet() const override { return Meet::Any; }
   size_t numBits() const override { return NumVars; }
 
-  void gen(BlockId, size_t, const Instr &I, BitVector &Out) const override {
-    Out = BitVector(NumVars);
-    I.forEachUsedVar([&](VarId V) { Out.set(index(V)); });
-  }
-
-  void kill(BlockId, size_t, const Instr &I, BitVector &Out) const override {
-    Out = BitVector(NumVars);
+  void effect(BlockId, size_t, const Instr &I, LocalEffect &E) const override {
     VarId Def = I.definedVar();
     if (isValid(Def))
-      Out.set(index(Def));
+      E.kill(index(Def));
+    I.forEachUsedVar([&](VarId V) { E.gen(index(V)); });
   }
 
 private:

@@ -36,6 +36,9 @@ public:
     return Result.instrFacts(B);
   }
 
+  /// The block-level solution, for BlockWalker scans.
+  const DataflowResult &result() const { return Result; }
+
 private:
   std::unique_ptr<DataflowProblem> Problem;
   DataflowResult Result;

@@ -24,47 +24,14 @@ public:
   Meet meet() const override { return Meet::All; }
   size_t numBits() const override { return Pats.size(); }
 
-  void gen(BlockId, size_t, const Instr &I, BitVector &Out) const override {
-    Out.clearAndResize(Pats.size());
-    size_t Idx = Pats.occurrence(I);
+  void effect(BlockId B, size_t Idx, const Instr &I,
+              LocalEffect &E) const override {
+    E.killMask(Pats.defMask(I.definedVar()));
     // Only patterns `v := t` with v not an operand of t can be redundant
     // (Table 2 precondition).
-    if (Idx != AssignPatternTable::npos && Pats.redundancyEligible().test(Idx))
-      Out.set(Idx);
-  }
-
-  void kill(BlockId, size_t, const Instr &I, BitVector &Out) const override {
-    Pats.killedBy(I, Out);
-  }
-
-private:
-  const AssignPatternTable &Pats;
-};
-
-//===----------------------------------------------------------------------===//
-// Table 1: N-HOISTABLE = LOC-HOISTABLE + X-HOISTABLE · ¬LOC-BLOCKED,
-// decomposed to instruction granularity (gen at occurrences, kill at
-// blockers; the within-block composition reproduces the candidate rule:
-// only occurrences not preceded by a blocker count).
-//===----------------------------------------------------------------------===//
-
-class HoistabilityProblem : public DataflowProblem {
-public:
-  HoistabilityProblem(const AssignPatternTable &Pats) : Pats(Pats) {}
-
-  Direction direction() const override { return Direction::Backward; }
-  Meet meet() const override { return Meet::All; }
-  size_t numBits() const override { return Pats.size(); }
-
-  void gen(BlockId, size_t, const Instr &I, BitVector &Out) const override {
-    Out.clearAndResize(Pats.size());
-    size_t Idx = Pats.occurrence(I);
-    if (Idx != AssignPatternTable::npos)
-      Out.set(Idx);
-  }
-
-  void kill(BlockId, size_t, const Instr &I, BitVector &Out) const override {
-    Pats.blockedBy(I, Out);
+    size_t Pat = Pats.occurrenceAt(B, Idx);
+    if (Pat != AssignPatternTable::npos && Pats.redundancyEligible().test(Pat))
+      E.gen(Pat);
   }
 
 private:
@@ -84,17 +51,12 @@ public:
   Meet meet() const override { return Meet::All; }
   size_t numBits() const override { return U.size(); }
 
-  void gen(BlockId, size_t, const Instr &I, BitVector &Out) const override {
-    U.isInst(I, Out);
-  }
-
-  void kill(BlockId, size_t, const Instr &I, BitVector &Out) const override {
-    // thread_local (not a member): kill() is invoked concurrently from
-    // the transfer-composition workers, which share one problem instance.
-    static thread_local BitVector Tmp;
-    U.used(I, Out);
-    U.blocked(I, Tmp);
-    Out |= Tmp;
+  void effect(BlockId, size_t, const Instr &I, LocalEffect &E) const override {
+    U.forEachUsed(I, [&](size_t T) { E.kill(T); });
+    E.killMask(U.blockedMask(I.definedVar()));
+    size_t T = U.instanceOf(I);
+    if (T != FlushUniverse::npos)
+      E.gen(T);
   }
 
 private:
@@ -112,12 +74,11 @@ public:
   Meet meet() const override { return Meet::Any; }
   size_t numBits() const override { return U.size(); }
 
-  void gen(BlockId, size_t, const Instr &I, BitVector &Out) const override {
-    U.used(I, Out);
-  }
-
-  void kill(BlockId, size_t, const Instr &I, BitVector &Out) const override {
-    U.isInst(I, Out);
+  void effect(BlockId, size_t, const Instr &I, LocalEffect &E) const override {
+    size_t T = U.instanceOf(I);
+    if (T != FlushUniverse::npos)
+      E.kill(T);
+    U.forEachUsed(I, [&](size_t Used) { E.gen(Used); });
   }
 
 private:
@@ -127,16 +88,28 @@ private:
 } // namespace
 
 //===----------------------------------------------------------------------===//
+// BlockingProblem
+//===----------------------------------------------------------------------===//
+
+void BlockingProblem::effect(BlockId B, size_t Idx, const Instr &I,
+                             LocalEffect &E) const {
+  // A modification of x or of an operand of t blocks x := t, and so does
+  // a use of x.
+  E.killMask(Pats.defMask(I.definedVar()));
+  I.forEachUsedVar([&](VarId U) { E.killMask(Pats.lhsMask(U)); });
+  size_t Pat = Pats.occurrenceAt(B, Idx);
+  if (Pat != AssignPatternTable::npos)
+    E.gen(Pat);
+}
+
+//===----------------------------------------------------------------------===//
 // RedundancyAnalysis
 //===----------------------------------------------------------------------===//
 
 RedundancyAnalysis RedundancyAnalysis::run(const FlowGraph &G,
                                            const AssignPatternTable &Pats) {
-  AM_PROF_SCOPE("analysis.redundancy");
-  RedundancyAnalysis A;
-  A.Problem = std::make_unique<RedundancyProblem>(Pats);
-  A.Result = solve(G, *A.Problem, SolverKind::Worklist);
-  return A;
+  DataflowSolver Solver;
+  return run(G, Pats, Solver, /*PatsGen=*/0);
 }
 
 RedundancyAnalysis RedundancyAnalysis::run(const FlowGraph &G,
@@ -154,25 +127,6 @@ RedundancyAnalysis RedundancyAnalysis::run(const FlowGraph &G,
 // HoistLocalPredicates
 //===----------------------------------------------------------------------===//
 
-void HoistLocalPredicates::computeBlock(const FlowGraph &G,
-                                        const AssignPatternTable &Pats,
-                                        BlockId B, BitVector &Scratch) {
-  size_t Bits = Pats.size();
-  BitVector &Hoistable = LocHoistable[B];
-  BitVector &BlockedSoFar = LocBlocked[B];
-  Hoistable.clearAndResize(Bits);
-  BlockedSoFar.clearAndResize(Bits);
-  for (const Instr &I : G.block(B).Instrs) {
-    // A hoisting candidate is an occurrence not preceded (within the
-    // block) by an instruction blocking it.
-    size_t Idx = Pats.occurrence(I);
-    if (Idx != AssignPatternTable::npos && !BlockedSoFar.test(Idx))
-      Hoistable.set(Idx);
-    Pats.blockedBy(I, Scratch);
-    BlockedSoFar |= Scratch;
-  }
-}
-
 void HoistLocalPredicates::refresh(const FlowGraph &G,
                                    const AssignPatternTable &Pats,
                                    uint64_t PatsGen) {
@@ -182,19 +136,23 @@ void HoistLocalPredicates::refresh(const FlowGraph &G,
                      LocBlocked.size() <= NumBlocks;
   LocBlocked.resize(NumBlocks);
   LocHoistable.resize(NumBlocks);
+  // LOC-HOISTABLE and LOC-BLOCKED are the gen and kill sides of the
+  // block's composed hoistability transfer.
+  BlockingProblem P(Pats, Direction::Backward);
   if (!Incremental) {
     // Full rebuild: each block's predicates depend only on that block's
     // instructions and the (const) pattern table, so contiguous block
-    // ranges go to the pool with one scratch vector per range.
+    // ranges go to the pool with one scratch effect per range.
     threads::pool().parallelRanges(NumBlocks, [&](size_t Begin, size_t End) {
-      BitVector Scratch;
+      LocalEffect E;
       for (size_t B = Begin; B < End; ++B)
-        computeBlock(G, Pats, static_cast<BlockId>(B), Scratch);
+        composeBlock(P, G, static_cast<BlockId>(B), E, LocHoistable[B],
+                     LocBlocked[B]);
     });
   } else {
     for (BlockId B = 0; B < NumBlocks; ++B) {
       if (G.blockTick(B) > RefreshTick)
-        computeBlock(G, Pats, B, Tmp);
+        composeBlock(P, G, B, Effect, LocHoistable[B], LocBlocked[B]);
     }
   }
   CachedG = &G;
@@ -210,14 +168,10 @@ void HoistLocalPredicates::refresh(const FlowGraph &G,
 
 HoistabilityAnalysis HoistabilityAnalysis::run(const FlowGraph &G,
                                                const AssignPatternTable &Pats) {
-  AM_PROF_SCOPE("analysis.hoistability");
-  HoistabilityAnalysis A;
-  A.G = &G;
-  A.Problem = std::make_unique<HoistabilityProblem>(Pats);
-  A.Result = solve(G, *A.Problem, SolverKind::Worklist);
-  A.OwnedLocals = std::make_unique<HoistLocalPredicates>();
-  A.OwnedLocals->refresh(G, Pats, /*PatsGen=*/0);
-  A.Locals = A.OwnedLocals.get();
+  DataflowSolver Solver;
+  auto Locals = std::make_unique<HoistLocalPredicates>();
+  HoistabilityAnalysis A = run(G, Pats, Solver, *Locals, /*PatsGen=*/0);
+  A.OwnedLocals = std::move(Locals);
   return A;
 }
 
@@ -229,33 +183,32 @@ HoistabilityAnalysis HoistabilityAnalysis::run(const FlowGraph &G,
   AM_PROF_SCOPE("analysis.hoistability");
   HoistabilityAnalysis A;
   A.G = &G;
-  A.Problem = std::make_unique<HoistabilityProblem>(Pats);
+  A.Problem = std::make_unique<BlockingProblem>(Pats, Direction::Backward);
   A.Result = Solver.solve(G, *A.Problem, SolverKind::Worklist, PatsGen);
   Locals.refresh(G, Pats, PatsGen);
   A.Locals = &Locals;
   return A;
 }
 
-BitVector HoistabilityAnalysis::entryInsert(BlockId B) const {
-  BitVector Insert = entryHoistable(B);
-  if (B == G->start())
+void HoistabilityAnalysis::entryInsert(BlockId B, BitVector &Out) const {
+  Out = entryHoistable(B);
+  if (B == G->start() || Out.none())
     // The start node has no predecessors: its entry is the hoisting
     // frontier for everything still hoistable there.
-    return Insert;
-  BitVector AnyPredStops(Insert.size());
-  for (BlockId P : G->block(B).Preds) {
-    BitVector NotHoistable = exitHoistable(P);
-    NotHoistable.flipAll();
-    AnyPredStops |= NotHoistable;
+    return;
+  // N-INSERT = N-HOISTABLE* · ∃pred ¬X-HOISTABLE*.
+  const auto &Preds = G->block(B).Preds;
+  for (size_t W = 0, E = Out.numWords(); W != E; ++W) {
+    uint64_t AnyPredStops = 0;
+    for (BlockId P : Preds)
+      AnyPredStops |= ~exitHoistable(P).word(W);
+    Out.setWord(W, Out.word(W) & AnyPredStops);
   }
-  Insert &= AnyPredStops;
-  return Insert;
 }
 
-BitVector HoistabilityAnalysis::exitInsert(BlockId B) const {
-  BitVector Insert = exitHoistable(B);
-  Insert &= locBlocked(B);
-  return Insert;
+void HoistabilityAnalysis::exitInsert(BlockId B, BitVector &Out) const {
+  Out = exitHoistable(B);
+  Out &= locBlocked(B);
 }
 
 //===----------------------------------------------------------------------===//
@@ -280,6 +233,11 @@ void FlushUniverse::build(const FlowGraph &G) {
       Temps.push_back({I.Lhs, I.Rhs});
     }
   }
+  Blocked.reset(G.Vars.size(), Temps.size());
+  for (size_t Idx = 0; Idx < Temps.size(); ++Idx) {
+    Blocked.set(Temps[Idx].Var, Idx);
+    Temps[Idx].Expr.forEachVar([&](VarId V) { Blocked.set(V, Idx); });
+  }
 }
 
 size_t FlushUniverse::indexOfTemp(VarId V) const {
@@ -287,33 +245,13 @@ size_t FlushUniverse::indexOfTemp(VarId V) const {
   return Idx < VarToIdx.size() ? VarToIdx[Idx] : npos;
 }
 
-void FlushUniverse::isInst(const Instr &I, BitVector &Out) const {
-  Out.clearAndResize(Temps.size());
+size_t FlushUniverse::instanceOf(const Instr &I) const {
   if (!I.isAssign())
-    return;
+    return npos;
   size_t Idx = indexOfTemp(I.Lhs);
   if (Idx != npos && I.Rhs == Temps[Idx].Expr)
-    Out.set(Idx);
-}
-
-void FlushUniverse::used(const Instr &I, BitVector &Out) const {
-  Out.clearAndResize(Temps.size());
-  I.forEachUsedVar([&](VarId V) {
-    size_t Idx = indexOfTemp(V);
-    if (Idx != npos)
-      Out.set(Idx);
-  });
-}
-
-void FlushUniverse::blocked(const Instr &I, BitVector &Out) const {
-  Out.clearAndResize(Temps.size());
-  VarId Def = I.definedVar();
-  if (!isValid(Def))
-    return;
-  for (size_t Idx = 0; Idx < Temps.size(); ++Idx) {
-    if (Temps[Idx].Var == Def || Temps[Idx].Expr.usesVar(Def))
-      Out.set(Idx);
-  }
+    return Idx;
+  return npos;
 }
 
 //===----------------------------------------------------------------------===//
@@ -341,39 +279,63 @@ FlushAnalysis FlushAnalysis::run(const FlowGraph &G) {
 FlushAnalysis::BlockPlan FlushAnalysis::plan(BlockId B) const {
   const FlushUniverse &U = *UniversePtr;
   const auto &Instrs = G->block(B).Instrs;
-  DataflowResult::InstrFacts D = Delay.instrFacts(B);
-  DataflowResult::InstrFacts Us = Usable.instrFacts(B);
+  size_t N = Instrs.size();
+
+  // Forward delayability scan.  N-LATEST = N-DELAYABLE* · (USED +
+  // BLOCKED): exactly the delayable facts the instruction kills.
+  std::vector<std::pair<uint32_t, uint32_t>> Events; // (instr, temp)
+  BlockWalker DelayWalk(Delay);
+  DelayWalk.walk(B, [&](size_t Idx, const BitVector &NDelay,
+                        const LocalEffect &E) {
+    E.forEachKilled(NDelay, [&](size_t T) {
+      Events.push_back({static_cast<uint32_t>(Idx), static_cast<uint32_t>(T)});
+    });
+  });
+
+  // Backward usability scan over the N-LATEST points.  N-INIT = N-LATEST ·
+  // X-USABLE;  RECONSTRUCT = USED · N-LATEST · ¬X-USABLE (usability
+  // *after* the instruction: its own use does not justify an
+  // initialization by itself).
+  enum : uint8_t { Drop, Init, Rebuild };
+  std::vector<uint8_t> Kind(Events.size(), Drop);
+  if (!Events.empty()) {
+    size_t Next = Events.size();
+    BlockWalker UsableWalk(Usable);
+    UsableWalk.walk(B, [&](size_t Idx, const BitVector &XUsable,
+                           const LocalEffect &) {
+      for (; Next > 0 && Events[Next - 1].first == Idx; --Next) {
+        size_t T = Events[Next - 1].second;
+        if (XUsable.test(T))
+          Kind[Next - 1] = Init;
+        else if (Instrs[Idx].usesVar(U.temp(T)))
+          Kind[Next - 1] = Rebuild;
+      }
+    });
+  }
 
   BlockPlan Plan;
-  Plan.InitBefore.resize(Instrs.size());
-  Plan.Reconstruct.resize(Instrs.size());
-
-  BitVector Used = U.makeVector(), Blocked = U.makeVector();
-  for (size_t Idx = 0; Idx < Instrs.size(); ++Idx) {
-    U.used(Instrs[Idx], Used);
-    U.blocked(Instrs[Idx], Blocked);
-    // N-LATEST = N-DELAYABLE* · (USED + BLOCKED).
-    BitVector NLatest = D.Before[Idx];
-    NLatest &= (Used | Blocked);
-    // N-INIT = N-LATEST · X-USABLE;  RECONSTRUCT = USED · N-LATEST ·
-    // ¬X-USABLE (usability *after* the instruction: its own use does not
-    // justify an initialization by itself).
-    const BitVector &XUsable = Us.After[Idx];
-    Plan.InitBefore[Idx] = NLatest & XUsable;
-    Plan.Reconstruct[Idx] = Used & NLatest & ~XUsable;
+  Plan.InitBefore.reset(N, U.size());
+  Plan.Reconstruct.reset(N, U.size());
+  for (size_t Ev = 0; Ev < Events.size(); ++Ev) {
+    if (Kind[Ev] == Init)
+      Plan.InitBefore.add(Events[Ev].first, Events[Ev].second);
+    else if (Kind[Ev] == Rebuild)
+      Plan.Reconstruct.add(Events[Ev].first, Events[Ev].second);
   }
+  Plan.InitBefore.finish();
+  Plan.Reconstruct.finish();
 
   // X-LATEST = X-DELAYABLE* · ∃succ ¬N-DELAYABLE*, guarded by usability at
   // the exit so dead initializations vanish instead of being inserted.
-  BitVector InitAtExit = Delay.exit(B);
-  BitVector AnySuccStops(U.size());
-  for (BlockId S : G->block(B).Succs) {
-    BitVector NotDelay = Delay.entry(S);
-    NotDelay.flipAll();
-    AnySuccStops |= NotDelay;
+  Plan.InitAtExit = Delay.exit(B);
+  const BitVector &XUsable = Usable.exit(B);
+  const auto &Succs = G->block(B).Succs;
+  for (size_t W = 0, E = Plan.InitAtExit.numWords(); W != E; ++W) {
+    uint64_t AnySuccStops = 0;
+    for (BlockId S : Succs)
+      AnySuccStops |= ~Delay.entry(S).word(W);
+    Plan.InitAtExit.setWord(W, Plan.InitAtExit.word(W) & AnySuccStops &
+                                   XUsable.word(W));
   }
-  InitAtExit &= AnySuccStops;
-  InitAtExit &= Usable.exit(B);
-  Plan.InitAtExit = InitAtExit;
   return Plan;
 }

@@ -18,6 +18,9 @@
 ///    any-path, least), latestness, and the N-INIT / X-INIT / RECONSTRUCT
 ///    placement predicates.
 ///
+/// Each analysis keeps block-level solutions only; facts(), plan() and the
+/// insert predicates are thin adaptors over a BlockWalker scan of a block.
+///
 /// All results are computed against a frozen snapshot of the graph: callers
 /// must not mutate the graph while reading facts, and the referenced
 /// pattern tables must outlive the analysis object.
@@ -29,6 +32,7 @@
 
 #include "dfa/Dataflow.h"
 #include "ir/Patterns.h"
+#include "support/SparseRows.h"
 
 #include <memory>
 
@@ -61,6 +65,9 @@ public:
     return Result.instrFacts(B);
   }
 
+  /// The block-level solution, for BlockWalker scans.
+  const DataflowResult &result() const { return Result; }
+
   const BitVector &entry(BlockId B) const { return Result.entry(B); }
   const BitVector &exit(BlockId B) const { return Result.exit(B); }
 
@@ -76,10 +83,31 @@ private:
 // Table 1: hoistability
 //===----------------------------------------------------------------------===//
 
+/// Occurrences generate, blockers (Definition 3.2) kill.  Backward this is
+/// Table 1's N-HOISTABLE = LOC-HOISTABLE + X-HOISTABLE · ¬LOC-BLOCKED at
+/// instruction granularity (composing a block reproduces the candidate
+/// rule); forward it is PDE's sinking delayability.
+class BlockingProblem : public DataflowProblem {
+public:
+  BlockingProblem(const AssignPatternTable &Pats, Direction Dir)
+      : Pats(Pats), Dir(Dir) {}
+
+  Direction direction() const override { return Dir; }
+  Meet meet() const override { return Meet::All; }
+  size_t numBits() const override { return Pats.size(); }
+  void effect(BlockId B, size_t Idx, const Instr &I,
+              LocalEffect &E) const override;
+
+private:
+  const AssignPatternTable &Pats;
+  Direction Dir;
+};
+
 /// The hoistability analysis' block-local predicates (LOC-BLOCKED and
-/// LOC-HOISTABLE), cacheable across rounds of the AM fixpoint: a refresh
-/// recomputes only blocks the graph stamped dirty since the previous
-/// refresh, mirroring the solver's transfer cache one layer up.
+/// LOC-HOISTABLE: the kill and gen sides of the composed block transfer),
+/// cacheable across rounds of the AM fixpoint: a refresh recomputes only
+/// blocks the graph stamped dirty since the previous refresh, mirroring
+/// the solver's transfer cache one layer up.
 class HoistLocalPredicates {
 public:
   /// Brings the predicates up to date for \p G / \p Pats.  \p PatsGen
@@ -100,9 +128,6 @@ public:
   }
 
 private:
-  void computeBlock(const FlowGraph &G, const AssignPatternTable &Pats,
-                    BlockId B, BitVector &Scratch);
-
   std::vector<BitVector> LocBlocked;
   std::vector<BitVector> LocHoistable;
   const FlowGraph *CachedG = nullptr;
@@ -110,7 +135,7 @@ private:
   size_t CachedBits = 0;
   Tick RefreshTick = 0;
   bool Valid = false;
-  BitVector Tmp; // blockedBy scratch
+  LocalEffect Effect; // incremental-refresh scratch
 };
 
 /// Hoistability facts and insertion points.  A bit at a block boundary
@@ -145,12 +170,23 @@ public:
     return Locals->locHoistable(B);
   }
 
-  /// N-INSERT: patterns to insert at the entry of \p B.  The start node's
-  /// entry is the hoisting frontier when hoistability reaches it.
-  BitVector entryInsert(BlockId B) const;
+  /// N-INSERT: patterns to insert at the entry of \p B, written into
+  /// \p Out (caller scratch, reused without allocating).  The start
+  /// node's entry is the hoisting frontier when hoistability reaches it.
+  void entryInsert(BlockId B, BitVector &Out) const;
+  BitVector entryInsert(BlockId B) const {
+    BitVector Out;
+    entryInsert(B, Out);
+    return Out;
+  }
 
   /// X-INSERT: patterns to insert at the exit of \p B.
-  BitVector exitInsert(BlockId B) const;
+  void exitInsert(BlockId B, BitVector &Out) const;
+  BitVector exitInsert(BlockId B) const {
+    BitVector Out;
+    exitInsert(B, Out);
+    return Out;
+  }
 
   /// Serial of the dataflow solve these facts came from (for remarks).
   uint64_t solveSerial() const { return Result.SolveSerial; }
@@ -181,15 +217,24 @@ public:
   static constexpr size_t npos = static_cast<size_t>(-1);
   size_t indexOfTemp(VarId V) const;
 
-  /// IS-INST: the temporaries whose initialization \p I is an instance of.
-  void isInst(const Instr &I, BitVector &Out) const;
+  /// IS-INST: the temporary whose initialization \p I is an instance of,
+  /// or npos.
+  size_t instanceOf(const Instr &I) const;
 
-  /// USED: the temporaries \p I reads.
-  void used(const Instr &I, BitVector &Out) const;
+  /// USED: calls \p F(temp) for every temporary \p I reads (a temporary
+  /// read twice is reported twice).
+  template <typename Fn> void forEachUsed(const Instr &I, Fn F) const {
+    I.forEachUsedVar([&](VarId V) {
+      size_t Idx = indexOfTemp(V);
+      if (Idx != npos)
+        F(Idx);
+    });
+  }
 
-  /// BLOCKED: the temporaries h_e whose initialization cannot be moved
-  /// (sunk) across \p I: an operand of e or h_e itself is modified.
-  void blocked(const Instr &I, BitVector &Out) const;
+  /// BLOCKED by a definition of \p V: the temporaries h_e whose
+  /// initialization cannot be moved (sunk) across it — V is h_e itself
+  /// or an operand of e.  Null when there are none.
+  const BitVector *blockedMask(VarId V) const { return Blocked.get(V); }
 
   BitVector makeVector() const { return BitVector(Temps.size()); }
 
@@ -200,6 +245,7 @@ private:
   };
   std::vector<TempInfo> Temps;
   std::vector<size_t> VarToIdx; // dense var index -> temp index or npos
+  VarMasks Blocked;
 };
 
 /// Delayability + usability facts (Table 3) with the derived latestness
@@ -215,15 +261,17 @@ public:
   struct BlockPlan {
     /// For instruction i, temps whose init goes immediately before i
     /// (N-INIT).
-    std::vector<BitVector> InitBefore;
+    SparseRows InitBefore;
     /// Temps whose use in instruction i is reconstructed to the original
     /// expression (RECONSTRUCT).
-    std::vector<BitVector> Reconstruct;
+    SparseRows Reconstruct;
     /// Temps whose init goes at the block's exit (X-INIT).
     BitVector InitAtExit;
   };
 
-  /// Computes the full placement plan for block \p B.
+  /// Computes the placement plan for block \p B: a forward delayability
+  /// scan collects the N-LATEST points, a backward usability scan splits
+  /// them into N-INIT and RECONSTRUCT.
   BlockPlan plan(BlockId B) const;
 
   /// Raw delayability facts (greatest solution), for tests.

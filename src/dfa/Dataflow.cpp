@@ -97,6 +97,7 @@ DataflowSolver::~DataflowSolver() = default;
 
 void DataflowSolver::invalidate() {
   HaveSolution = false;
+  SolTransposed = false;
   SolG = nullptr;
   OrderG = nullptr;
   Cache.invalidate();
@@ -112,7 +113,8 @@ bool DataflowSolver::solutionValid(const FlowGraph &G,
   return HaveSolution && SolG == &G && SolStructTick == G.structTick() &&
          SolGen == ProblemGen && SolBits == P.numBits() &&
          SolForward == (P.direction() == Direction::Forward) &&
-         SolMeetAll == (P.meet() == Meet::All) && In.size() == G.numBlocks();
+         SolMeetAll == (P.meet() == Meet::All) &&
+         (SolTransposed || In.size() == G.numBlocks());
 }
 
 void DataflowSolver::refreshOrder(const FlowGraph &G, bool Forward) {
@@ -130,16 +132,27 @@ void DataflowSolver::refreshOrder(const FlowGraph &G, bool Forward) {
 
 DataflowResult DataflowSolver::snapshot(const FlowGraph &G,
                                         const DataflowProblem &P,
-                                        bool Forward) const {
+                                        bool Forward) {
   DataflowResult R;
   R.G = &G;
   R.Problem = &P;
+  if (!Recycled || Recycled.use_count() > 1)
+    Recycled = std::make_shared<DataflowResult::Solution>();
+  R.Sol = Recycled;
+  DataflowResult::Solution &S = *R.Sol;
+  if (SolTransposed) {
+    // The packed solution is the only copy: export straight into the
+    // result (meet side -> In, transferred side -> Out).
+    Engine->exportSolution(Forward ? S.Entry : S.Exit,
+                           Forward ? S.Exit : S.Entry);
+    return R;
+  }
   size_t NumBlocks = G.numBlocks();
-  R.Entry.resize(NumBlocks);
-  R.Exit.resize(NumBlocks);
+  S.Entry.resize(NumBlocks);
+  S.Exit.resize(NumBlocks);
   for (BlockId B = 0; B < NumBlocks; ++B) {
-    R.Entry[B] = Forward ? In[B] : Out[B];
-    R.Exit[B] = Forward ? Out[B] : In[B];
+    S.Entry[B] = Forward ? In[B] : Out[B];
+    S.Exit[B] = Forward ? Out[B] : In[B];
   }
   return R;
 }
@@ -177,6 +190,12 @@ DataflowResult DataflowSolver::solve(const FlowGraph &G,
                                                     : "worklist");
 
   bool PrevValid = solutionValid(G, P, ProblemGen);
+  SolveInfo Info;
+  Info.Serial = Serial;
+  Info.Bits = Bits;
+  Info.Blocks = NumBlocks;
+  Info.Forward = Forward;
+  Info.MeetAll = MeetAll;
 
   // Nothing changed since this solver's last converged solve of the same
   // problem: the cached solution is the answer.
@@ -185,13 +204,7 @@ DataflowResult DataflowSolver::solve(const FlowGraph &G,
     Span.arg("cached", 1);
     DataflowResult R = snapshot(G, P, Forward);
     R.SolveSerial = Serial;
-    SolveInfo Info;
-    Info.Serial = Serial;
-    Info.Bits = Bits;
-    Info.Blocks = NumBlocks;
     Info.P = SolveInfo::Path::Cached;
-    Info.Forward = Forward;
-    Info.MeetAll = MeetAll;
     notifyObserver(Info);
     return R;
   }
@@ -203,30 +216,6 @@ DataflowResult DataflowSolver::solve(const FlowGraph &G,
   BlockId BoundaryBlock = Forward ? G.start() : G.end();
 
   uint64_t BlocksProcessed = 0, Sweeps = 0;
-  bool Incremental = false;
-
-  // Dirty blocks' closure under the dependence direction, shared by both
-  // substrates' incremental restarts.
-  auto ComputeDirtyClosure = [&]() {
-    DirtyScratch.clear();
-    AffectedSet.clearAndResize(NumBlocks);
-    for (BlockId B = 0; B < NumBlocks; ++B) {
-      if (G.blockTick(B) > SolTick) {
-        AffectedSet.set(B);
-        DirtyScratch.push_back(B);
-      }
-    }
-    for (size_t Idx = 0; Idx < DirtyScratch.size(); ++Idx) {
-      BlockId B = DirtyScratch[Idx];
-      const auto &Deps = Forward ? G.block(B).Succs : G.block(B).Preds;
-      for (BlockId D : Deps) {
-        if (!AffectedSet.test(D)) {
-          AffectedSet.set(D);
-          DirtyScratch.push_back(D);
-        }
-      }
-    }
-  };
 
   // Substrate selection: never a function of the thread count (that
   // would make work counters scheduling-dependent), only of the layout
@@ -245,17 +234,41 @@ DataflowResult DataflowSolver::solve(const FlowGraph &G,
       break;
     }
   }
+  if (UseTransposed && !Engine)
+    Engine = std::make_unique<TransposedEngine>();
+
+  // Only the substrate that holds the previous solution can restart from
+  // it: the engine's packed copy, or the wide mirrors of a wide solve.
+  bool Incremental =
+      UseTransposed ? PrevValid && Engine->solutionValidFor(G, P, ProblemGen)
+                    : Kind == SolverKind::Worklist && PrevValid &&
+                          !SolTransposed;
+  if (Incremental) {
+    // The dirty blocks' closure under the dependence direction.
+    DirtyScratch.clear();
+    AffectedSet.clearAndResize(NumBlocks);
+    for (BlockId B = 0; B < NumBlocks; ++B) {
+      if (G.blockTick(B) > SolTick) {
+        AffectedSet.set(B);
+        DirtyScratch.push_back(B);
+      }
+    }
+    for (size_t Idx = 0; Idx < DirtyScratch.size(); ++Idx) {
+      BlockId B = DirtyScratch[Idx];
+      const auto &Deps = Forward ? G.block(B).Succs : G.block(B).Preds;
+      for (BlockId D : Deps) {
+        if (!AffectedSet.test(D)) {
+          AffectedSet.set(D);
+          DirtyScratch.push_back(D);
+        }
+      }
+    }
+    AM_STAT_INC(NumSolvesIncremental);
+    Span.arg("incremental", 1);
+    Span.arg("dirty_closure", DirtyScratch.size());
+  }
 
   if (UseTransposed) {
-    if (!Engine)
-      Engine = std::make_unique<TransposedEngine>();
-    Incremental = PrevValid && Engine->solutionValidFor(G, P, ProblemGen);
-    if (Incremental) {
-      ComputeDirtyClosure();
-      AM_STAT_INC(NumSolvesIncremental);
-      Span.arg("incremental", 1);
-      Span.arg("dirty_closure", DirtyScratch.size());
-    }
     Span.arg("layout", "transposed");
     Span.arg("slices", (Bits + 63) / 64);
     TransposedEngine::SolveRequest Req;
@@ -271,7 +284,6 @@ DataflowResult DataflowSolver::solve(const FlowGraph &G,
     Req.Incremental = Incremental;
     Req.Dirty = &DirtyScratch;
     BlocksProcessed = Engine->solve(Req);
-    Engine->exportSolution(In, Out);
   } else {
   // A wide-vector solve leaves the engine's packed solution behind the
   // mirrors below; drop it so a later transposed solve restarts full.
@@ -333,14 +345,9 @@ DataflowResult DataflowSolver::solve(const FlowGraph &G,
     }
   };
 
-  Incremental = Kind == SolverKind::Worklist && PrevValid;
   if (Incremental) {
     // Seed only the dirty blocks' dependence closure, reset to the
     // optimistic value; everything outside keeps its converged value.
-    ComputeDirtyClosure();
-    AM_STAT_INC(NumSolvesIncremental);
-    Span.arg("incremental", 1);
-    Span.arg("dirty_closure", DirtyScratch.size());
     Work.reset(Order.size());
     for (BlockId B : DirtyScratch) {
       In[B] = Init;
@@ -386,6 +393,7 @@ DataflowResult DataflowSolver::solve(const FlowGraph &G,
   SolBits = Bits;
   SolForward = Forward;
   SolMeetAll = MeetAll;
+  SolTransposed = UseTransposed;
   HaveSolution = true;
 
   // Every transfer evaluation touches the meet result, the transferred
@@ -410,16 +418,10 @@ DataflowResult DataflowSolver::solve(const FlowGraph &G,
   R.BlocksProcessed = BlocksProcessed;
   R.SolveSerial = Serial;
 
-  SolveInfo Info;
-  Info.Serial = Serial;
-  Info.Bits = Bits;
-  Info.Blocks = NumBlocks;
   Info.Sweeps = Sweeps;
   Info.BlocksProcessed = BlocksProcessed;
   Info.DirtyClosure = Incremental ? DirtyScratch.size() : 0;
   Info.P = Incremental ? SolveInfo::Path::Incremental : SolveInfo::Path::Full;
-  Info.Forward = Forward;
-  Info.MeetAll = MeetAll;
   notifyObserver(Info);
   return R;
 }
@@ -430,38 +432,64 @@ DataflowResult am::solve(const FlowGraph &G, const DataflowProblem &P,
   return Solver.solve(G, P, Kind);
 }
 
+void LocalEffect::apply(BitVector &V, BitVector *KillAcc) const {
+  // One pass over the words for all masks together: an instruction
+  // typically borrows one to four of them.
+  if (!KillMasks.empty()) {
+    uint64_t *VW = V.data();
+    uint64_t *KW = KillAcc ? KillAcc->data() : nullptr;
+    const uint64_t *M0 = KillMasks[0]->data();
+    size_t NumMasks = KillMasks.size();
+    for (size_t W = 0, E = V.numWords(); W != E; ++W) {
+      uint64_t K = M0[W];
+      for (size_t M = 1; M < NumMasks; ++M)
+        K |= KillMasks[M]->data()[W];
+      VW[W] &= ~K;
+      if (KW)
+        KW[W] |= K;
+    }
+  }
+  for (uint32_t B : KillBits) {
+    V.reset(B);
+    if (KillAcc)
+      KillAcc->set(B);
+  }
+  for (uint32_t B : Gen)
+    V.set(B);
+}
+
+void am::composeBlock(const DataflowProblem &P, const FlowGraph &G, BlockId B,
+                      LocalEffect &E, BitVector &Gen, BitVector &Kill) {
+  size_t Bits = P.numBits();
+  Gen.clearAndResize(Bits);
+  Kill.clearAndResize(Bits);
+  const auto &Instrs = G.block(B).Instrs;
+  size_t N = Instrs.size();
+  bool Forward = P.direction() == Direction::Forward;
+  // Applying a later effect g to the composed f gives
+  // gen' = g.gen | (gen & ~g.kill), kill' = kill | g.kill — which is
+  // exactly g applied to gen, with its kill set folded into kill.
+  for (size_t Step = 0; Step < N; ++Step) {
+    size_t Idx = Forward ? Step : N - 1 - Step;
+    E.clear();
+    P.effect(B, Idx, Instrs[Idx], E);
+    E.apply(Gen, &Kill);
+  }
+}
+
 DataflowResult::InstrFacts DataflowResult::instrFacts(BlockId B) const {
   assert(G && Problem && "result not produced by solve()");
-  const auto &Instrs = G->block(B).Instrs;
-  size_t N = Instrs.size();
-  size_t Bits = Problem->numBits();
+  size_t N = G->block(B).Instrs.size();
+  bool Forward = Problem->direction() == Direction::Forward;
   InstrFacts F;
   F.Before.resize(N);
   F.After.resize(N);
-  BitVector Gen(Bits), Kill(Bits);
-
-  if (Problem->direction() == Direction::Forward) {
-    BitVector Cur = Entry[B];
-    for (size_t Idx = 0; Idx < N; ++Idx) {
-      F.Before[Idx] = Cur;
-      Problem->gen(B, Idx, Instrs[Idx], Gen);
-      Problem->kill(B, Idx, Instrs[Idx], Kill);
-      Cur.andNot(Kill);
-      Cur |= Gen;
-      F.After[Idx] = Cur;
-    }
-    assert(N == 0 || F.After[N - 1] == Exit[B]);
-  } else {
-    BitVector Cur = Exit[B];
-    for (size_t Idx = N; Idx-- > 0;) {
-      F.After[Idx] = Cur;
-      Problem->gen(B, Idx, Instrs[Idx], Gen);
-      Problem->kill(B, Idx, Instrs[Idx], Kill);
-      Cur.andNot(Kill);
-      Cur |= Gen;
-      F.Before[Idx] = Cur;
-    }
-    assert(N == 0 || F.Before[0] == Entry[B]);
-  }
+  std::vector<BitVector> &InSide = Forward ? F.Before : F.After;
+  std::vector<BitVector> &OutSide = Forward ? F.After : F.Before;
+  BlockWalker W(*this);
+  W.walk(B, [&](size_t Idx, const BitVector &In, const LocalEffect &E) {
+    InSide[Idx] = OutSide[Idx] = In;
+    E.apply(OutSide[Idx]);
+  });
   return F;
 }

@@ -8,18 +8,22 @@
 /// A generic intra-procedural bit-vector dataflow framework.  Every
 /// analysis in the paper (Tables 1-3) and every baseline analysis (LCM,
 /// copy propagation, liveness) is an instance: a direction, a meet, a
-/// boundary value and per-instruction gen/kill transfer functions
+/// boundary value and one sparse local effect per instruction
 ///
 ///   forward:   X_i = gen_i | (N_i & ~kill_i)
 ///   backward:  N_i = gen_i | (X_i & ~kill_i)
 ///
-/// The solver composes the per-instruction transfers into one transfer per
+/// where gen_i is a few bit indices and kill_i a few bit indices plus
+/// per-variable masks cached once per universe build (LocalEffect).
+///
+/// The solver composes the per-instruction effects into one transfer per
 /// basic block (so the fixpoint iteration touches each block once per
 /// sweep) and iterates sweeps in (reverse-graph) reverse postorder until
 /// stabilization.  With an all-path meet it computes the *greatest*
 /// solution from an all-true initialization; with an any-path meet the
 /// *least* solution from all-false — matching the solutions the paper's
-/// equation systems call for.
+/// equation systems call for.  Instruction-level facts are not stored: a
+/// BlockWalker replays one block's effects over one running vector.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,6 +36,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 namespace am {
@@ -83,14 +88,18 @@ public:
   /// in the paper.
   virtual void boundary(BitVector &Out) const { Out = BitVector(numBits()); }
 
-  /// Bits generated by instruction \p I (block \p B, index \p InstrIdx).
-  virtual void gen(BlockId B, size_t InstrIdx, const Instr &I,
-                   BitVector &Out) const = 0;
-
-  /// Bits killed by instruction \p I.
-  virtual void kill(BlockId B, size_t InstrIdx, const Instr &I,
-                    BitVector &Out) const = 0;
+  /// Adds the local effect of instruction \p I (block \p B, index
+  /// \p InstrIdx) to \p E, which the caller has cleared.  Called
+  /// concurrently from transfer-composition workers, each with its own
+  /// \p E.
+  virtual void effect(BlockId B, size_t InstrIdx, const Instr &I,
+                      LocalEffect &E) const = 0;
 };
+
+/// Composes the effects of block \p B's instructions, in \p P's direction,
+/// into one transfer f(v) = Gen | (v & ~Kill).  \p E is scratch.
+void composeBlock(const DataflowProblem &P, const FlowGraph &G, BlockId B,
+                  LocalEffect &E, BitVector &Gen, BitVector &Kill);
 
 /// Fixpoint strategy.  Both compute the same (greatest/least) solution;
 /// they differ only in how work is scheduled — the paper's Section 4.5
@@ -105,14 +114,14 @@ enum class SolverKind {
 };
 
 /// Solution of a dataflow problem: a fact at the entry and exit of every
-/// basic block, with instruction-boundary facts materialized on demand.
+/// basic block.  Instruction-boundary facts are replayed by a BlockWalker.
 class DataflowResult {
 public:
   /// Fact at the block's entry (before its first instruction).
-  const BitVector &entry(BlockId B) const { return Entry[B]; }
+  const BitVector &entry(BlockId B) const { return Sol->Entry[B]; }
 
   /// Fact at the block's exit (after its last instruction).
-  const BitVector &exit(BlockId B) const { return Exit[B]; }
+  const BitVector &exit(BlockId B) const { return Sol->Exit[B]; }
 
   /// Facts at every instruction boundary of one block.  Before[i] is the
   /// fact immediately before instruction i, After[i] immediately after.
@@ -121,8 +130,8 @@ public:
     std::vector<BitVector> After;
   };
 
-  /// Recomputes the instruction-boundary facts of \p B by replaying the
-  /// block's transfer functions.
+  /// Materializes the instruction-boundary facts of \p B (a BlockWalker
+  /// replay).  For tests, listings and one-off queries; hot paths walk.
   InstrFacts instrFacts(BlockId B) const;
 
   /// Number of sweeps the solver performed (round-robin; the last sweep
@@ -143,11 +152,50 @@ public:
 
 private:
   friend class DataflowSolver;
+  friend class BlockWalker;
+
+  /// The per-block facts, shared with the solver that produced them; it
+  /// refills them in place once no result holds them (see snapshot()).
+  struct Solution {
+    std::vector<BitVector> Entry;
+    std::vector<BitVector> Exit;
+  };
 
   const FlowGraph *G = nullptr;
   const DataflowProblem *Problem = nullptr;
-  std::vector<BitVector> Entry;
-  std::vector<BitVector> Exit;
+  std::shared_ptr<Solution> Sol;
+};
+
+/// Replays one block of a solved problem instruction by instruction over
+/// a single running fact vector.  Its scratch is reused across blocks, so
+/// walking a whole graph does not allocate per block.
+class BlockWalker {
+public:
+  explicit BlockWalker(const DataflowResult &R) : R(&R) {}
+
+  /// Calls \p Visit(Idx, In, Effect) for every instruction of \p B in the
+  /// problem's direction (first to last for forward problems, last to
+  /// first for backward ones).  \p In is the fact on the instruction's
+  /// input side — immediately before it for forward problems, immediately
+  /// after it for backward ones — and \p Effect its local effect.
+  template <typename Fn> void walk(BlockId B, Fn &&Visit) {
+    const auto &Instrs = R->G->block(B).Instrs;
+    size_t N = Instrs.size();
+    bool Forward = R->Problem->direction() == Direction::Forward;
+    Cur = Forward ? R->entry(B) : R->exit(B);
+    for (size_t Step = 0; Step < N; ++Step) {
+      size_t Idx = Forward ? Step : N - 1 - Step;
+      E.clear();
+      R->Problem->effect(B, Idx, Instrs[Idx], E);
+      Visit(Idx, std::as_const(Cur), std::as_const(E));
+      E.apply(Cur);
+    }
+  }
+
+private:
+  const DataflowResult *R;
+  BitVector Cur;
+  LocalEffect E;
 };
 
 /// A reusable solver.  One solver instance owns all fixpoint scratch
@@ -173,7 +221,7 @@ private:
 /// Correctness contract: between two solves of one solver instance, every
 /// mutation of the graph must go through tick-stamping paths (touchBlock,
 /// addBlock, addEdge, touchEdges), and \p ProblemGen must change whenever
-/// the problem's gen/kill could answer differently for an *unchanged*
+/// the problem's effects could answer differently for an *unchanged*
 /// instruction.  Structural changes (blocks/edges) fall back to a full
 /// solve automatically.  A default-constructed solver has no cache, so
 /// its first solve is always a full solve.
@@ -203,7 +251,7 @@ private:
                      uint64_t ProblemGen) const;
   void refreshOrder(const FlowGraph &G, bool Forward);
   DataflowResult snapshot(const FlowGraph &G, const DataflowProblem &P,
-                          bool Forward) const;
+                          bool Forward);
 
   TransferCache Cache;
   WorklistRing Work;
@@ -220,9 +268,11 @@ private:
   bool OrderForward = true;
 
   // Previous converged solution ("In" = meet side, "Out" = transferred
-  // side) and the identity it is valid for.
+  // side) and the identity it is valid for.  After a transposed solve
+  // (SolTransposed) only the engine holds it and In/Out are stale.
   std::vector<BitVector> In, Out;
   bool HaveSolution = false;
+  bool SolTransposed = false;
   const FlowGraph *SolG = nullptr;
   Tick SolTick = 0;
   Tick SolStructTick = 0;
@@ -231,8 +281,10 @@ private:
   bool SolForward = true;
   bool SolMeetAll = true;
 
-  // Per-solve scratch, reused.
+  // Per-solve scratch, reused; Recycled is the last result's storage,
+  // refilled by the next snapshot once no result shares it.
   BitVector NewIn, NewOut, Boundary, Init, AffectedSet;
+  std::shared_ptr<DataflowResult::Solution> Recycled;
   std::vector<BlockId> DirtyScratch;
 };
 

@@ -11,42 +11,10 @@
 #include "support/ThreadPool.h"
 
 #include <algorithm>
+#include <cstring>
 #include <memory>
 
 using namespace am;
-
-namespace {
-
-/// Folds block \p B's per-instruction transfers into one composed
-/// gen/kill pair — the identical fold TransferCache::compose runs, so
-/// the packed transfers cannot drift from the wide-vector ones.
-/// \p At maps an instruction index to the instruction.
-template <typename InstrAt>
-void composeInto(const DataflowProblem &P, bool Forward, BlockId B,
-                 size_t NumInstrs, InstrAt &&At, BitVector &GenAcc,
-                 BitVector &KillAcc, BitVector &GenScratch,
-                 BitVector &KillScratch) {
-  size_t Bits = P.numBits();
-  GenAcc.clearAndResize(Bits);
-  KillAcc.clearAndResize(Bits);
-  auto Step = [&](size_t Idx) {
-    const Instr &I = At(Idx);
-    P.gen(B, Idx, I, GenScratch);
-    P.kill(B, Idx, I, KillScratch);
-    GenAcc.andNot(KillScratch);
-    GenAcc |= GenScratch;
-    KillAcc |= KillScratch;
-  };
-  if (Forward) {
-    for (size_t Idx = 0; Idx < NumInstrs; ++Idx)
-      Step(Idx);
-  } else {
-    for (size_t Idx = NumInstrs; Idx-- > 0;)
-      Step(Idx);
-  }
-}
-
-} // namespace
 
 //===----------------------------------------------------------------------===//
 // MultiPatternTransfers
@@ -84,17 +52,16 @@ bool MultiPatternTransfers::refresh(const FlowGraph &G,
   bool Incremental = Valid && CachedG == &G && CachedGen == ProblemGen &&
                      CachedBits == Bits && CachedForward == Forward &&
                      Lanes.rows() == NumPos + 1 && Lanes.bits() == Bits &&
-                     Flat.structAt() == G.structTick();
+                     CachedStruct == G.structTick();
 
   uint64_t Recomposed = 0;
   if (!Incremental) {
-    Flat.build(G);
     Recomposed = NumBlocks;
-    // One linear pass over the flat instruction stream, split into
+    // One pass over the blocks in iteration order, split into
     // contiguous *position* ranges across the pool (position I is block
     // Order[I]; unreachable blocks have no position and keep the dummy
     // row's identity transfer).  Rows are disjoint per position and the
-    // problem's gen/kill are const reads, so the split is free of shared
+    // problem's effects are const reads, so the split is free of shared
     // mutable state; scratch lives per range.  Composed transfers are
     // staged 64 rows at a time and flushed per tile so the packed
     // scatter writes each group region in contiguous bursts instead of
@@ -102,20 +69,13 @@ bool MultiPatternTransfers::refresh(const FlowGraph &G,
     threads::pool().parallelRanges(
         NumPos, [&](size_t Begin, size_t End) {
           constexpr size_t TileRows = 64;
-          BitVector GenS, KillS;
+          LocalEffect E;
           BitVector GenT[TileRows], KillT[TileRows];
           for (size_t TBase = Begin; TBase < End; TBase += TileRows) {
             size_t TEnd = TBase + TileRows < End ? TBase + TileRows : End;
-            for (size_t I = TBase; I < TEnd; ++I) {
-              BlockId B = Order[I];
-              FlatProgram::Span Sp = Flat.span(B);
-              composeInto(
-                  P, Forward, B, Sp.End - Sp.Begin,
-                  [&](size_t Idx) -> const Instr & {
-                    return *Flat.slot(Sp.Begin + Idx).I;
-                  },
-                  GenT[I - TBase], KillT[I - TBase], GenS, KillS);
-            }
+            for (size_t I = TBase; I < TEnd; ++I)
+              composeBlock(P, G, Order[I], E, GenT[I - TBase],
+                           KillT[I - TBase]);
             Lanes.setTransferTile(TBase, TEnd - TBase, GenT, KillT);
           }
         });
@@ -128,8 +88,8 @@ bool MultiPatternTransfers::refresh(const FlowGraph &G,
     DepPos.clear();
     for (size_t I = 0; I < NumPos; ++I) {
       BlockId B = Order[I];
-      FlatProgram::Edges ME = Forward ? Flat.preds(B) : Flat.succs(B);
-      FlatProgram::Edges DE = Forward ? Flat.succs(B) : Flat.preds(B);
+      const auto &ME = Forward ? G.block(B).Preds : G.block(B).Succs;
+      const auto &DE = Forward ? G.block(B).Succs : G.block(B).Preds;
       for (BlockId N : ME) {
         size_t Pos = PosOf(N);
         MeetPos.push_back(uint32_t(Pos == size_t(-1) ? NumPos : Pos));
@@ -148,12 +108,8 @@ bool MultiPatternTransfers::refresh(const FlowGraph &G,
         size_t Row = PosOf(B);
         if (Row == size_t(-1))
           continue;
-        const auto &Instrs = G.block(B).Instrs;
-        composeInto(
-            P, Forward, B, Instrs.size(),
-            [&](size_t Idx) -> const Instr & { return Instrs[Idx]; }, GenAcc,
-            KillAcc, GenScratch, KillScratch);
-        Lanes.setTransfer(Row, GenAcc, KillAcc);
+        composeBlock(P, G, B, Effect, GenAcc, KillAcc);
+        Lanes.setTransferTile(Row, 1, &GenAcc, &KillAcc);
         ++Recomposed;
       }
     }
@@ -161,6 +117,7 @@ bool MultiPatternTransfers::refresh(const FlowGraph &G,
   AM_STAT_ADD(NumRecomposed, Recomposed);
 
   CachedG = &G;
+  CachedStruct = G.structTick();
   CachedGen = ProblemGen;
   CachedBits = Bits;
   CachedForward = Forward;
@@ -180,15 +137,6 @@ bool TransposedEngine::solutionValidFor(const FlowGraph &G,
          SolBits == P.numBits() && SolRows == G.numBlocks() &&
          SolForward == (P.direction() == Direction::Forward) &&
          SolMeetAll == (P.meet() == Meet::All);
-}
-
-uint64_t TransposedEngine::drainGroup(size_t Gr, const SolveRequest &R,
-                                      size_t NumPos, size_t BoundaryPos) {
-  // The meet-operator branch selects the template instantiation; the
-  // direction is already folded into the position-space edge lists.
-  if (R.MeetAll)
-    return drainGroupImpl<true>(Gr, R, NumPos, BoundaryPos);
-  return drainGroupImpl<false>(Gr, R, NumPos, BoundaryPos);
 }
 
 template <bool MeetAll>
@@ -357,18 +305,22 @@ uint64_t TransposedEngine::solve(const SolveRequest &R) {
         WL.push(Pos);
       }
     } else {
-      // No seeding pushes: drainGroup runs the first cycle as a straight
+      // No seeding pushes: drainGroupImpl runs the first cycle as a straight
       // sweep over the iteration order and only the back-edge requeues
-      // enter the ring.  Row NumPos is the dummy, pinned at the initial
-      // value so meets from unreachable neighbors read the same words
-      // the wide solver would.
+      // enter the ring.  The sweep writes every in-plane row, so only the
+      // out plane — which meets read across back edges before the sweep
+      // reaches them — needs the optimistic value.  Row NumPos is the
+      // dummy, pinned at the initial value so meets from unreachable
+      // neighbors read the same words the wide solver would.
       for (size_t Row = 0; Row <= NumPos; ++Row)
-        for (size_t W = 0; W < GW; ++W) {
-          InP[Row * GW + W] = InitW[W];
+        for (size_t W = 0; W < GW; ++W)
           Out[Row * GW + W] = InitW[W];
-        }
     }
-    Processed[Gr] = drainGroup(Gr, R, NumPos, BoundaryPos);
+    // The meet operator selects the template instantiation; the direction
+    // is already folded into the position-space edge lists.
+    Processed[Gr] = R.MeetAll
+                        ? drainGroupImpl<true>(Gr, R, NumPos, BoundaryPos)
+                        : drainGroupImpl<false>(Gr, R, NumPos, BoundaryPos);
   };
 
   threads::ThreadPool &Pool = threads::pool();
@@ -401,6 +353,8 @@ void TransposedEngine::exportSolution(std::vector<BitVector> &In,
                                       std::vector<BitVector> &Out) const {
   const std::vector<BlockId> &Order = *SolOrder;
   size_t NumPos = Order.size();
+  // Rows already of the right width (a recycled solution) are
+  // overwritten in place below; only new rows are allocated.
   In.resize(SolRows);
   Out.resize(SolRows);
   for (size_t B = 0; B < SolRows; ++B) {
@@ -441,12 +395,14 @@ void TransposedEngine::exportSolution(std::vector<BitVector> &In,
       const uint64_t *InP = InM.groupRow(Gr);
       const uint64_t *OutP = OutM.groupRow(Gr);
       size_t WEnd = NumSlices - Gr * GW < GW ? NumSlices - Gr * GW : GW;
+      // Packed words keep the tail bits zero, so a raw copy preserves
+      // the BitVector invariant.
       for (size_t I = Base; I < End; ++I) {
         BlockId B = Order[I];
-        for (size_t W = 0; W < WEnd; ++W) {
-          In[B].setWord(Gr * GW + W, InP[I * GW + W]);
-          Out[B].setWord(Gr * GW + W, OutP[I * GW + W]);
-        }
+        std::memcpy(In[B].data() + Gr * GW, InP + I * GW,
+                    WEnd * sizeof(uint64_t));
+        std::memcpy(Out[B].data() + Gr * GW, OutP + I * GW,
+                    WEnd * sizeof(uint64_t));
       }
     }
   }

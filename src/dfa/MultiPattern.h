@@ -36,7 +36,6 @@
 #define AM_DFA_MULTIPATTERN_H
 
 #include "dfa/SolverCache.h"
-#include "ir/FlatProgram.h"
 #include "ir/FlowGraph.h"
 #include "support/Arena.h"
 #include "support/BitVector.h"
@@ -47,64 +46,6 @@
 namespace am {
 
 class DataflowProblem;
-
-/// Struct-of-arrays bit matrix: NumBits columns over NumRows rows,
-/// stored slice-major — slice k is a contiguous uint64_t[NumRows] run
-/// holding bit k*64..k*64+63 of every row.  One arena allocation backs
-/// the whole matrix; rows are plain offsets, so a slice fixpoint touches
-/// a dense array with no per-row indirection.
-class PackedBitMatrix {
-public:
-  size_t rows() const { return NumRows; }
-  size_t bits() const { return NumBits; }
-  size_t slices() const { return NumSlices; }
-
-  /// Resizes to \p Rows x \p Bits and zero-fills.  One bump allocation;
-  /// previous contents are dropped.
-  void reshape(size_t Rows, size_t Bits) {
-    NumRows = Rows;
-    NumBits = Bits;
-    NumSlices = (Bits + 63) / 64;
-    Mem.reset();
-    size_t Total = NumRows * NumSlices;
-    Data = Total ? Mem.allocate<uint64_t>(Total) : nullptr;
-    for (size_t I = 0; I < Total; ++I)
-      Data[I] = 0;
-  }
-
-  uint64_t *sliceRow(size_t S) { return Data + S * NumRows; }
-  const uint64_t *sliceRow(size_t S) const { return Data + S * NumRows; }
-
-  /// Mask of the valid (in-width) bits of slice \p S: all-ones except
-  /// for the partial final slice of a non-multiple-of-64 width.
-  uint64_t sliceMask(size_t S) const {
-    size_t Rem = NumBits % 64;
-    if (S + 1 == NumSlices && Rem != 0)
-      return (uint64_t(1) << Rem) - 1;
-    return ~uint64_t(0);
-  }
-
-  /// Scatters \p V (width bits()) across the slices of row \p Row.
-  void setRow(size_t Row, const BitVector &V) {
-    for (size_t S = 0; S < NumSlices; ++S)
-      Data[S * NumRows + Row] = V.word(S);
-  }
-
-  /// Gathers row \p Row into \p Out (resized to bits()).
-  void readRow(size_t Row, BitVector &Out) const {
-    if (Out.size() != NumBits)
-      Out.clearAndResize(NumBits);
-    for (size_t S = 0; S < NumSlices; ++S)
-      Out.setWord(S, Data[S * NumRows + Row]);
-  }
-
-private:
-  support::Arena Mem;
-  uint64_t *Data = nullptr;
-  size_t NumRows = 0;
-  size_t NumBits = 0;
-  size_t NumSlices = 0;
-};
 
 /// The transfer side of the solve-loop working set, interleaved and
 /// grouped: slices come in groups of GroupWidth, and per (group, row)
@@ -165,37 +106,32 @@ public:
     return ~uint64_t(0);
   }
 
-  /// Scatters a composed transfer (width bits()) into row \p Row's gen
-  /// and kill lanes.  Dead tail words of a partial final group stay zero
-  /// (the identity transfer).
-  void setTransfer(size_t Row, const BitVector &Gen, const BitVector &Kill) {
-    for (size_t Gr = 0; Gr < NumGroups; ++Gr) {
-      uint64_t *L = groupLanes(Gr) + Row * 2 * GroupWidth;
-      for (size_t W = 0; W < GroupWidth; ++W) {
-        size_t S = Gr * GroupWidth + W;
-        L[W] = S < NumSlices ? Gen.word(S) : 0;
-        L[GroupWidth + W] = S < NumSlices ? Kill.word(S) : 0;
-      }
-    }
-  }
-
   /// Tile flush: writes \p N consecutive rows starting at \p Row0 from
-  /// the staged transfers Gen[0..N) / Kill[0..N).  One setTransfer per
-  /// row touches every group region (a cache-line-sized write per group,
-  /// strided megabytes apart on large programs — the full rebuild spends
-  /// its time waiting on that scatter); flushing a tile walks the groups
-  /// in the outer loop instead, so each group region receives one
+  /// the staged transfers Gen[0..N) / Kill[0..N); dead tail words of a
+  /// partial final group stay zero (the identity transfer).  Writing row
+  /// by row would touch every group region (a cache-line-sized write per
+  /// group, strided megabytes apart on large programs — the full rebuild
+  /// spends its time waiting on that scatter); flushing a tile walks the
+  /// groups in the outer loop instead, so each group region receives one
   /// contiguous N-row burst while the staged vectors stay resident.
   void setTransferTile(size_t Row0, size_t N, const BitVector *Gen,
                        const BitVector *Kill) {
     for (size_t Gr = 0; Gr < NumGroups; ++Gr) {
       uint64_t *Base = groupLanes(Gr) + Row0 * 2 * GroupWidth;
+      size_t First = Gr * GroupWidth;
+      size_t Live = NumSlices - First < GroupWidth ? NumSlices - First
+                                                   : GroupWidth;
       for (size_t R = 0; R < N; ++R) {
         uint64_t *L = Base + R * 2 * GroupWidth;
-        for (size_t W = 0; W < GroupWidth; ++W) {
-          size_t S = Gr * GroupWidth + W;
-          L[W] = S < NumSlices ? Gen[R].word(S) : 0;
-          L[GroupWidth + W] = S < NumSlices ? Kill[R].word(S) : 0;
+        const uint64_t *G = Gen[R].data() + First;
+        const uint64_t *K = Kill[R].data() + First;
+        for (size_t W = 0; W < Live; ++W) {
+          L[W] = G[W];
+          L[GroupWidth + W] = K[W];
+        }
+        for (size_t W = Live; W < GroupWidth; ++W) {
+          L[W] = 0;
+          L[GroupWidth + W] = 0;
         }
       }
     }
@@ -229,7 +165,6 @@ public:
       Data[I] = 0;
   }
 
-  size_t rows() const { return NumRows; }
   uint64_t *groupRow(size_t Gr) { return Data + Gr * NumRows * GroupWidth; }
   const uint64_t *groupRow(size_t Gr) const {
     return Data + Gr * NumRows * GroupWidth;
@@ -244,11 +179,10 @@ private:
 
 /// The transposed analog of TransferCache: composed per-block gen/kill
 /// transfers stored as packed matrices, refreshed tick-incrementally.
-/// A full rebuild walks an arena-backed FlatProgram snapshot (one linear
-/// pass over the whole instruction stream, parallelized over block
+/// A full rebuild composes every position (parallelized over position
 /// ranges); an incremental refresh recomposes only tick-dirty blocks.
-/// Composition goes through the problem's own gen/kill, so the packed
-/// transfers agree bit-for-bit with the wide-vector path.
+/// Composition goes through composeBlock, the routine the wide-vector
+/// path uses, so the packed transfers agree with it bit for bit.
 class MultiPatternTransfers {
 public:
   /// Brings the gen/kill lanes of \p Lanes (the engine's interleaved
@@ -272,9 +206,6 @@ public:
                const std::vector<BlockId> &Order,
                const std::vector<size_t> &OrderIndex);
 
-  /// The flat snapshot backing the last refresh.
-  const FlatProgram &flat() const { return Flat; }
-
   /// Forgets the cached graph identity (next refresh is a full rebuild)
   /// — required before binding to a different graph, whose address and
   /// ticks could alias the cached ones.
@@ -293,16 +224,17 @@ public:
   const uint32_t *depPos() const { return DepPos.data(); }
 
 private:
-  FlatProgram Flat;
   std::vector<uint32_t> MeetOff, MeetPos, DepOff, DepPos;
   const FlowGraph *CachedG = nullptr;
+  Tick CachedStruct = 0; ///< structTick the edge lists were built at
   uint64_t CachedGen = 0;
   size_t CachedBits = 0;
   bool CachedForward = true;
   Tick RefreshTick = 0;
   bool Valid = false;
   // Scratch for the serial (incremental) compose path.
-  BitVector GenAcc, KillAcc, GenScratch, KillScratch;
+  BitVector GenAcc, KillAcc;
+  LocalEffect Effect;
 };
 
 /// The per-solver transposed engine: packed transfers, the packed
@@ -354,8 +286,6 @@ public:
   }
 
 private:
-  uint64_t drainGroup(size_t Gr, const SolveRequest &R, size_t NumPos,
-                      size_t BoundaryPos);
   template <bool MeetAll>
   uint64_t drainGroupImpl(size_t Gr, const SolveRequest &R, size_t NumPos,
                           size_t BoundaryPos);

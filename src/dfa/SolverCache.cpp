@@ -12,31 +12,8 @@ using namespace am;
 
 void TransferCache::compose(const FlowGraph &G, const DataflowProblem &P,
                             BlockId B) {
-  size_t Bits = P.numBits();
   BlockTransfer &T = Transfers[B];
-  T.Gen.clearAndResize(Bits);
-  T.Kill.clearAndResize(Bits);
-  const auto &Instrs = G.block(B).Instrs;
-
-  // Compose the per-instruction transfers in execution order (forward) or
-  // reverse execution order (backward): applying "later" transfer g to the
-  // composed f gives gen' = g.gen | (gen & ~g.kill), kill' = kill | g.kill.
-  auto Step = [&](size_t Idx) {
-    const Instr &I = Instrs[Idx];
-    P.gen(B, Idx, I, GenScratch);
-    P.kill(B, Idx, I, KillScratch);
-    T.Gen.andNot(KillScratch);
-    T.Gen |= GenScratch;
-    T.Kill |= KillScratch;
-  };
-
-  if (P.direction() == Direction::Forward) {
-    for (size_t Idx = 0; Idx < Instrs.size(); ++Idx)
-      Step(Idx);
-  } else {
-    for (size_t Idx = Instrs.size(); Idx-- > 0;)
-      Step(Idx);
-  }
+  composeBlock(P, G, B, Effect, T.Gen, T.Kill);
 }
 
 bool TransferCache::refresh(const FlowGraph &G, const DataflowProblem &P,

@@ -8,6 +8,8 @@
 /// State a DataflowSolver keeps alive between solves so that re-solving a
 /// lightly modified graph does not redo work:
 ///
+///  * LocalEffect — one instruction's transfer in sparse form, the unit
+///    every problem reports and every composer and walker applies;
 ///  * TransferCache — the per-block composed gen/kill transfers, stamped
 ///    with the graph tick they were composed at.  A refresh recomposes
 ///    only blocks the graph reports dirty since then (`dfa.transfers_
@@ -32,6 +34,56 @@
 namespace am {
 
 class DataflowProblem;
+
+/// The local effect of one instruction on a fact vector, in sparse form:
+///
+///   out = Gen | (in & ~(KillBits | KillMasks[0] | KillMasks[1] | ...))
+///
+/// The masks are borrowed from the problem's pattern table (cached once
+/// per universe build), so an effect never owns a full-width vector.  A
+/// caller reuses one LocalEffect across instructions: clear() keeps the
+/// capacity, so the steady state does not allocate.
+class LocalEffect {
+public:
+  void clear() {
+    Gen.clear();
+    KillBits.clear();
+    KillMasks.clear();
+  }
+
+  void gen(size_t Bit) { Gen.push_back(static_cast<uint32_t>(Bit)); }
+  void kill(size_t Bit) { KillBits.push_back(static_cast<uint32_t>(Bit)); }
+  /// Kills every bit of \p Mask; a null mask (a variable no pattern
+  /// mentions) kills nothing.
+  void killMask(const BitVector *Mask) {
+    if (Mask)
+      KillMasks.push_back(Mask);
+  }
+
+  /// The one transfer routine: V = effect(V).  With \p KillAcc the kill
+  /// set is also ORed into *KillAcc, which folds the effect onto a
+  /// composed transfer (V = gen side, KillAcc = kill side).
+  void apply(BitVector &V, BitVector *KillAcc = nullptr) const;
+
+  /// Calls \p F(bit), ascending, for every bit set in \p In that the
+  /// effect kills (the instruction is a stop point for that fact).
+  template <typename Fn> void forEachKilled(const BitVector &In, Fn F) const {
+    for (size_t W = 0, E = In.numWords(); W != E; ++W) {
+      uint64_t K = 0;
+      for (const BitVector *M : KillMasks)
+        K |= M->data()[W];
+      for (uint32_t B : KillBits)
+        if (B / 64 == W)
+          K |= uint64_t(1) << (B % 64);
+      for (uint64_t Hit = In.data()[W] & K; Hit; Hit &= Hit - 1)
+        F(W * 64 + static_cast<size_t>(__builtin_ctzll(Hit)));
+    }
+  }
+
+private:
+  std::vector<uint32_t> Gen, KillBits;
+  std::vector<const BitVector *> KillMasks;
+};
 
 /// One basic block's composed transfer: f(v) = Gen | (v & ~Kill).
 struct BlockTransfer {
@@ -62,9 +114,6 @@ public:
 
   const BlockTransfer &transfer(BlockId B) const { return Transfers[B]; }
 
-  /// Tick of the most recent refresh (the graph's modTick at that point).
-  Tick refreshedAt() const { return RefreshTick; }
-
   /// Forgets the cached graph identity so the next refresh rebuilds
   /// everything.  Required before reusing the cache for a *different*
   /// graph: a recycled allocation could otherwise alias CachedG with
@@ -85,9 +134,8 @@ private:
   Tick RefreshTick = 0;
   bool Valid = false;
   // Scratch for compose(); reused so steady-state recomposition does not
-  // allocate for the composed masks.
-  BitVector GenScratch;
-  BitVector KillScratch;
+  // allocate.
+  LocalEffect Effect;
 };
 
 /// A flat, index-ordered bucket ring over a solver iteration order of

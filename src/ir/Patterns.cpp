@@ -18,45 +18,38 @@ bool AssignPatternTable::build(const FlowGraph &G) {
   PrevPats.swap(Pats);
   Pats.clear();
   Index.clear();
+  Occ.clear();
 
-  // Collect patterns in deterministic first-occurrence order.
+  // Collect patterns in deterministic first-occurrence order, recording
+  // every instruction's occurrence on the way.
   for (BlockId B = 0; B < G.numBlocks(); ++B) {
     for (const Instr &I : G.block(B).Instrs) {
-      if (!I.isAssign() || I.Rhs.isVarAtom(I.Lhs))
-        continue;
-      if (indexOf(I.Lhs, I.Rhs) != npos)
-        continue;
-      size_t Idx = Pats.size();
-      Pats.push_back({I.Lhs, I.Rhs});
-      Index.emplace(hashAssignPat(I.Lhs, I.Rhs), Idx);
+      size_t Idx = npos;
+      if (I.isAssign() && !I.Rhs.isVarAtom(I.Lhs)) {
+        Idx = indexOf(I.Lhs, I.Rhs);
+        if (Idx == npos) {
+          Idx = Pats.size();
+          Pats.push_back({I.Lhs, I.Rhs});
+          Index.emplace(hashAssignPat(I.Lhs, I.Rhs), Idx);
+        }
+      }
+      Occ.push(Idx == npos ? NoPat : static_cast<uint32_t>(Idx));
     }
+    Occ.endBlock();
   }
 
-  // Per-variable pattern sets, reusing the vectors' existing storage.
-  size_t NumVars = G.Vars.size();
   size_t NumPats = Pats.size();
-  PatsWithLhs.resize(NumVars);
-  PatsUsingInRhs.resize(NumVars);
-  for (size_t V = 0; V < NumVars; ++V) {
-    PatsWithLhs[V].clearAndResize(NumPats);
-    PatsUsingInRhs[V].clearAndResize(NumPats);
-  }
+  DefMasks.reset(G.Vars.size(), NumPats);
+  LhsMasks.reset(G.Vars.size(), NumPats);
   RedundancyOk.clearAndResize(NumPats);
-  TempInit.assign(NumPats, false);
-  Empty.clearAndResize(NumPats);
 
   for (size_t Idx = 0; Idx < NumPats; ++Idx) {
     const AssignPat &P = Pats[Idx];
-    PatsWithLhs[index(P.Lhs)].set(Idx);
-    P.Rhs.forEachVar(
-        [&](VarId V) { PatsUsingInRhs[index(V)].set(Idx); });
+    DefMasks.set(P.Lhs, Idx);
+    LhsMasks.set(P.Lhs, Idx);
+    P.Rhs.forEachVar([&](VarId V) { DefMasks.set(V, Idx); });
     if (!P.Rhs.usesVar(P.Lhs))
       RedundancyOk.set(Idx);
-    if (G.Vars.isTemp(P.Lhs) && P.Rhs.isNonTrivial()) {
-      ExprId E = G.Exprs.lookup(P.Rhs);
-      if (isValid(E) && G.Vars.tempFor(P.Lhs) == E)
-        TempInit[Idx] = true;
-    }
   }
 
   return Pats != PrevPats;
@@ -76,65 +69,64 @@ size_t AssignPatternTable::occurrence(const Instr &I) const {
   return indexOf(I.Lhs, I.Rhs);
 }
 
-const BitVector &AssignPatternTable::lhsPats(VarId V) const {
-  size_t Idx = index(V);
-  return Idx < PatsWithLhs.size() ? PatsWithLhs[Idx] : Empty;
-}
-
-const BitVector &AssignPatternTable::rhsUsePats(VarId V) const {
-  size_t Idx = index(V);
-  return Idx < PatsUsingInRhs.size() ? PatsUsingInRhs[Idx] : Empty;
+bool AssignPatternTable::blocks(const Instr &I, size_t Pat) const {
+  const AssignPat &P = pattern(Pat);
+  VarId Def = I.definedVar();
+  if (isValid(Def) && (Def == P.Lhs || P.Rhs.usesVar(Def)))
+    return true;
+  return I.usesVar(P.Lhs);
 }
 
 void AssignPatternTable::blockedBy(const Instr &I, BitVector &Out) const {
-  Out = Empty;
-  // A modification of x or of an operand of t blocks x := t ...
-  VarId Def = I.definedVar();
-  if (isValid(Def)) {
-    Out |= lhsPats(Def);
-    Out |= rhsUsePats(Def);
-  }
+  killedBy(I, Out);
   // ... and so does a *use* of x.
-  I.forEachUsedVar([&](VarId U) { Out |= lhsPats(U); });
+  I.forEachUsedVar([&](VarId U) {
+    if (const BitVector *M = lhsMask(U))
+      Out |= *M;
+  });
 }
 
 void AssignPatternTable::killedBy(const Instr &I, BitVector &Out) const {
-  Out = Empty;
-  VarId Def = I.definedVar();
-  if (isValid(Def)) {
-    Out |= lhsPats(Def);
-    Out |= rhsUsePats(Def);
-  }
+  // A modification of x or of an operand of t kills (and blocks) x := t.
+  Out.clearAndResize(Pats.size());
+  if (const BitVector *M = defMask(I.definedVar()))
+    Out |= *M;
 }
 
-void ExprPatternTable::noteTerm(const Term &T) {
-  if (!T.isNonTrivial() || indexOf(T) != npos)
-    return;
-  size_t Idx = Terms.size();
-  Terms.push_back(T);
-  Index.emplace(hashTerm(T), Idx);
+uint32_t ExprPatternTable::noteTerm(const Term &T) {
+  if (!T.isNonTrivial())
+    return NoExpr;
+  size_t Idx = indexOf(T);
+  if (Idx == npos) {
+    Idx = Terms.size();
+    Terms.push_back(T);
+    Index.emplace(hashTerm(T), Idx);
+  }
+  return static_cast<uint32_t>(Idx);
 }
 
 void ExprPatternTable::build(const FlowGraph &G) {
   Terms.clear();
   Index.clear();
+  Comp.clear();
 
   for (BlockId B = 0; B < G.numBlocks(); ++B) {
     for (const Instr &I : G.block(B).Instrs) {
+      Computed C = {NoExpr, NoExpr};
       if (I.isAssign()) {
-        noteTerm(I.Rhs);
+        C[0] = noteTerm(I.Rhs);
       } else if (I.isBranch()) {
-        noteTerm(I.CondL);
-        noteTerm(I.CondR);
+        C[0] = noteTerm(I.CondL);
+        C[1] = noteTerm(I.CondR);
       }
+      Comp.push(C);
     }
+    Comp.endBlock();
   }
 
-  size_t NumVars = G.Vars.size();
-  PatsUsingVar.assign(NumVars, BitVector(Terms.size()));
-  Empty = BitVector(Terms.size());
+  UseMasks.reset(G.Vars.size(), Terms.size());
   for (size_t Idx = 0; Idx < Terms.size(); ++Idx)
-    Terms[Idx].forEachVar([&](VarId V) { PatsUsingVar[index(V)].set(Idx); });
+    Terms[Idx].forEachVar([&](VarId V) { UseMasks.set(V, Idx); });
 }
 
 size_t ExprPatternTable::indexOf(const Term &T) const {
@@ -147,13 +139,8 @@ size_t ExprPatternTable::indexOf(const Term &T) const {
   return npos;
 }
 
-const BitVector &ExprPatternTable::usePats(VarId V) const {
-  size_t Idx = index(V);
-  return Idx < PatsUsingVar.size() ? PatsUsingVar[Idx] : Empty;
-}
-
 void ExprPatternTable::computedBy(const Instr &I, BitVector &Out) const {
-  Out = Empty;
+  Out.clearAndResize(Terms.size());
   auto Note = [&](const Term &T) {
     size_t Idx = indexOf(T);
     if (Idx != npos)
@@ -168,8 +155,7 @@ void ExprPatternTable::computedBy(const Instr &I, BitVector &Out) const {
 }
 
 void ExprPatternTable::killedBy(const Instr &I, BitVector &Out) const {
-  Out = Empty;
-  VarId Def = I.definedVar();
-  if (isValid(Def))
-    Out |= usePats(Def);
+  Out.clearAndResize(Terms.size());
+  if (const BitVector *M = useMask(I.definedVar()))
+    Out |= *M;
 }

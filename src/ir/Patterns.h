@@ -17,6 +17,12 @@
 ///  * an instruction *kills* an expression pattern e if it modifies an
 ///    operand of e (classic availability/anticipability).
 ///
+/// Each relation is a union of per-variable masks, which a build caches
+/// once (VarMasks), so a dataflow effect borrows a few masks instead of
+/// writing a full-width vector per instruction.  A build also records
+/// each instruction's occurrence index (PerInstr), so the hash lookup
+/// runs once per instruction per build.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef AM_IR_PATTERNS_H
@@ -25,11 +31,74 @@
 #include "ir/FlowGraph.h"
 #include "support/BitVector.h"
 
+#include <array>
 #include <cstddef>
 #include <unordered_map>
 #include <vector>
 
 namespace am {
+
+/// Per-variable bit masks over a pattern universe, stored only for the
+/// variables some pattern mentions.  Rebuilding reuses the masks' storage.
+class VarMasks {
+public:
+  /// Drops every mask; later masks have \p NumBits bits.
+  void reset(size_t NumVars, size_t NumBits) {
+    Slot.assign(NumVars, npos);
+    Used = 0;
+    Bits = NumBits;
+  }
+
+  /// Sets bit \p Bit of \p V's mask, creating the mask on first use.
+  void set(VarId V, size_t Bit) {
+    uint32_t &S = Slot[index(V)];
+    if (S == npos) {
+      S = static_cast<uint32_t>(Used++);
+      if (Used > Masks.size())
+        Masks.emplace_back();
+      Masks[S].clearAndResize(Bits);
+    }
+    Masks[S].set(Bit);
+  }
+
+  /// \p V's mask, or null when no pattern mentions \p V.
+  const BitVector *get(VarId V) const {
+    size_t Idx = index(V);
+    if (Idx >= Slot.size() || Slot[Idx] == npos)
+      return nullptr;
+    return &Masks[Slot[Idx]];
+  }
+
+private:
+  static constexpr uint32_t npos = static_cast<uint32_t>(-1);
+  std::vector<uint32_t> Slot; // var -> mask index or npos
+  std::vector<BitVector> Masks;
+  size_t Used = 0;
+  size_t Bits = 0;
+};
+
+/// One value per instruction of the graph snapshot a table was built
+/// from, addressed by (block, instruction index).  Only valid until that
+/// graph is mutated — the same lifetime as the table's bit indices.
+template <typename T> class PerInstr {
+public:
+  void clear() {
+    Off.assign(1, 0);
+    Vals.clear();
+  }
+  void push(const T &V) { Vals.push_back(V); }
+  void endBlock() { Off.push_back(static_cast<uint32_t>(Vals.size())); }
+
+  const T &at(BlockId B, size_t Idx) const {
+    assert(B + 1 < Off.size() && Off[B] + Idx < Off[B + 1] &&
+           "instruction position outside the snapshot");
+    return Vals[Off[B] + Idx];
+  }
+
+private:
+  std::vector<uint32_t> Off{0}; // block -> first value
+  std::vector<T> Vals;
+};
 
 /// An assignment pattern `Lhs := Rhs` (a string pattern, not an occurrence).
 struct AssignPat {
@@ -70,6 +139,25 @@ public:
   /// \p I is not an assignment (or is an `x := x` pseudo-skip).
   size_t occurrence(const Instr &I) const;
 
+  /// occurrence() of instruction \p Idx of block \p B in the graph the
+  /// table was built from, recorded by build() — no lookup.
+  size_t occurrenceAt(BlockId B, size_t Idx) const {
+    uint32_t Pat = Occ.at(B, Idx);
+    return Pat == NoPat ? npos : Pat;
+  }
+
+  /// Patterns a definition of \p V modifies — `V := t` and every pattern
+  /// whose right-hand side reads V (not ASS-TRANSP, Table 2).  Null when
+  /// there are none.
+  const BitVector *defMask(VarId V) const { return DefMasks.get(V); }
+
+  /// Patterns with left-hand side \p V, which a *use* of V blocks.  Null
+  /// when there are none.
+  const BitVector *lhsMask(VarId V) const { return LhsMasks.get(V); }
+
+  /// True if \p I blocks the hoisting of pattern \p Pat.
+  bool blocks(const Instr &I, size_t Pat) const;
+
   /// Sets \p Out to the patterns whose *hoisting* \p I blocks.
   void blockedBy(const Instr &I, BitVector &Out) const;
 
@@ -80,26 +168,19 @@ public:
   /// redundancy analysis of Table 2 ranges over.
   const BitVector &redundancyEligible() const { return RedundancyOk; }
 
-  /// True if pattern \p Idx has the form `h_e := e` for the temporary
-  /// associated with expression pattern e (an *initialization*).
-  bool isTempInit(size_t Idx) const { return TempInit[Idx]; }
-
   /// Returns a fresh all-false fact vector of the right width.
   BitVector makeVector() const { return BitVector(Pats.size()); }
 
 private:
-  void notePatternVars(size_t Idx, const AssignPat &P);
-  const BitVector &lhsPats(VarId V) const;
-  const BitVector &rhsUsePats(VarId V) const;
+  static constexpr uint32_t NoPat = static_cast<uint32_t>(-1);
 
   std::vector<AssignPat> Pats;
   std::vector<AssignPat> PrevPats; // previous build, for change detection
   std::unordered_multimap<size_t, size_t> Index; // hash -> pattern idx
-  std::vector<BitVector> PatsWithLhs;            // var -> patterns with lhs var
-  std::vector<BitVector> PatsUsingInRhs;         // var -> patterns using var in rhs
+  PerInstr<uint32_t> Occ;                        // occurrence per instruction
+  VarMasks DefMasks;
+  VarMasks LhsMasks;
   BitVector RedundancyOk;
-  std::vector<bool> TempInit;
-  BitVector Empty;
 };
 
 /// Dense index over the expression patterns EP of one program snapshot
@@ -120,6 +201,21 @@ public:
 
   size_t indexOf(const Term &T) const;
 
+  /// Calls \p F(pattern) for every expression pattern instruction \p Idx
+  /// of block \p B computes (in the graph the table was built from;
+  /// recorded by build(), so no lookup).
+  template <typename Fn>
+  void forEachComputedAt(BlockId B, size_t Idx, Fn F) const {
+    const Computed &C = Comp.at(B, Idx);
+    for (uint32_t E : C)
+      if (E != NoExpr)
+        F(static_cast<size_t>(E));
+  }
+
+  /// Patterns with an operand \p V, which a definition of V kills.  Null
+  /// when there are none.
+  const BitVector *useMask(VarId V) const { return UseMasks.get(V); }
+
   /// Sets \p Out to the expression patterns computed by \p I (in its
   /// right-hand side or one of its condition operands).
   void computedBy(const Instr &I, BitVector &Out) const;
@@ -131,13 +227,15 @@ public:
   BitVector makeVector() const { return BitVector(Terms.size()); }
 
 private:
-  void noteTerm(const Term &T);
-  const BitVector &usePats(VarId V) const;
+  static constexpr uint32_t NoExpr = static_cast<uint32_t>(-1);
+  using Computed = std::array<uint32_t, 2>;
+
+  uint32_t noteTerm(const Term &T);
 
   std::vector<Term> Terms;
   std::unordered_multimap<size_t, size_t> Index;
-  std::vector<BitVector> PatsUsingVar; // var -> patterns with var operand
-  BitVector Empty;
+  PerInstr<Computed> Comp; // patterns computed per instruction
+  VarMasks UseMasks;
 };
 
 } // namespace am

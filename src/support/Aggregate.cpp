@@ -18,21 +18,23 @@ using namespace am::fleet;
 
 void Histogram::add(uint64_t V) {
   Buckets[stats::log2BucketIndex(V, NumBuckets)] += 1;
+  Min = Count == 0 ? V : std::min(Min, V);
+  Max = std::max(Max, V);
   ++Count;
-  if (V > Max)
-    Max = V;
 }
 
 void Histogram::merge(const Histogram &O) {
+  if (O.Count == 0)
+    return;
   for (size_t B = 0; B < NumBuckets; ++B)
     Buckets[B] += O.Buckets[B];
+  Min = Count == 0 ? O.Min : std::min(Min, O.Min);
+  Max = std::max(Max, O.Max);
   Count += O.Count;
-  if (O.Max > Max)
-    Max = O.Max;
 }
 
 uint64_t Histogram::percentile(double Q) const {
-  return stats::log2BucketPercentile(Buckets, NumBuckets, Count, Q, Max);
+  return stats::log2BucketPercentile(Buckets, NumBuckets, Count, Q, Min, Max);
 }
 
 void MetricAgg::add(uint64_t V) {

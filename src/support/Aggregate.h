@@ -46,15 +46,18 @@ public:
 
   uint64_t count() const { return Count; }
   uint64_t bucket(size_t I) const { return Buckets[I]; }
+  uint64_t minValue() const { return Min; }
   uint64_t maxValue() const { return Max; }
 
   /// Nearest-rank percentile: midpoint of the bucket holding the
-  /// ceil(Q*count)-th smallest value; 0 when empty.
+  /// ceil(Q*count)-th smallest value, clamped to [minValue(),
+  /// maxValue()] (exact for a single value); 0 when empty.
   uint64_t percentile(double Q) const;
 
 private:
   uint64_t Buckets[NumBuckets] = {};
   uint64_t Count = 0;
+  uint64_t Min = 0; ///< Valid when Count > 0.
   uint64_t Max = 0;
 };
 

@@ -80,7 +80,7 @@ public:
   //===--------------------------------------------------------------------===//
   // Word-granular access — the transposed ("bit-slice") solver views a
   // vector of patterns as its sequence of 64-pattern machine words, so it
-  // can gather word columns across many vectors into a PackedBitMatrix
+  // can gather word columns across many vectors into its packed matrices
   // and scatter solved columns back.  The unused-high-bits-are-zero
   // invariant is maintained by setWord; readers may rely on it.
   //===--------------------------------------------------------------------===//
@@ -114,6 +114,11 @@ public:
       return (uint64_t(1) << Rem) - 1;
     return ~uint64_t(0);
   }
+
+  /// The backing words, for word loops that fuse several operands.  A
+  /// writer must keep the bits beyond size() in the last word zero.
+  uint64_t *data() { return Words.data(); }
+  const uint64_t *data() const { return Words.data(); }
 
   /// Calls \p F(wordIdx, word) for every backing word in ascending order.
   template <typename Fn> void forEachWord(Fn F) const {

@@ -30,7 +30,7 @@ size_t stats::log2BucketIndex(uint64_t V, size_t NumBuckets) {
 
 uint64_t stats::log2BucketPercentile(const uint64_t *Buckets,
                                      size_t NumBuckets, uint64_t Count,
-                                     double Q, uint64_t MaxFallback) {
+                                     double Q, uint64_t Min, uint64_t Max) {
   if (Count == 0)
     return 0;
   if (Q < 0.0)
@@ -50,12 +50,12 @@ uint64_t stats::log2BucketPercentile(const uint64_t *Buckets,
     Seen += Buckets[B];
     if (Seen >= Rank) {
       // Bucket B covers [2^B, 2^{B+1}) (0 and 1 both land in bucket 0);
-      // report its midpoint.
+      // report its midpoint, kept inside the observed sample range.
       uint64_t Lo = static_cast<uint64_t>(1) << B;
-      return Lo + Lo / 2;
+      return std::clamp(Lo + Lo / 2, Min, std::max(Min, Max));
     }
   }
-  return MaxFallback;
+  return Max;
 }
 
 std::string stats::percentileLabel(double Q) {
@@ -98,7 +98,7 @@ uint64_t Timer::percentileNs(double Q) const {
     Snapshot[B] = Buckets[B].load(std::memory_order_relaxed);
   return log2BucketPercentile(Snapshot, NumBuckets,
                               Count.load(std::memory_order_relaxed), Q,
-                              maxNs());
+                              minNs(), maxNs());
 }
 
 void Timer::reset() {

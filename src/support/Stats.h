@@ -73,13 +73,16 @@ namespace am::stats {
 /// floor(log2(max(V, 1))), clamped to NumBuckets - 1.
 size_t log2BucketIndex(uint64_t V, size_t NumBuckets);
 
-/// Nearest-rank percentile estimated from a log2 bucket array: returns
-/// the midpoint of the bucket containing the ceil(Q*Count)-th smallest
-/// sample (Lo + Lo/2 for bucket lower bound Lo), \p MaxFallback when the
-/// rank lies past the populated buckets, and 0 when Count is 0.  \p Q is
-/// clamped to [0, 1].
+/// Nearest-rank percentile estimated from a log2 bucket array: the
+/// midpoint of the bucket containing the ceil(Q*Count)-th smallest sample
+/// (Lo + Lo/2 for bucket lower bound Lo), clamped to the exact sample
+/// range [\p Min, \p Max] — so it never leaves the observed range, and a
+/// single sample (Min == Max) reports its exact value.  \p Max is also
+/// the answer when the rank lies past the populated buckets; 0 when
+/// Count is 0.  \p Q is clamped to [0, 1].
 uint64_t log2BucketPercentile(const uint64_t *Buckets, size_t NumBuckets,
-                              uint64_t Count, double Q, uint64_t MaxFallback);
+                              uint64_t Count, double Q, uint64_t Min,
+                              uint64_t Max);
 
 /// Display label for a percentile: 0.5 -> "p50", 0.99 -> "p99",
 /// 0.999 -> "p99.9".

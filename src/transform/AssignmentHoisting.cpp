@@ -49,7 +49,7 @@ bool am::runAssignmentHoisting(FlowGraph &G, AmContext &Ctx,
   if (report::RecorderSession *Rec = report::RecorderSession::current())
     Rec->captureHoistability(G, Pats, Hoist, Rec->round());
 
-  BitVector Allowed(Pats.size(), true);
+  BitVector Allowed;
   if (Filter)
     Allowed = Filter(Pats);
 
@@ -60,18 +60,22 @@ bool am::runAssignmentHoisting(FlowGraph &G, AmContext &Ctx,
     std::vector<std::pair<size_t, BlockId>> FromPreds;
     std::vector<size_t> AtEntry;      // N-INSERT
     std::vector<bool> RemoveInstr;    // hoisting candidates
+    bool AnyRemove = false;
     std::vector<size_t> BeforeBranch; // X-INSERT, branch does not block
     std::vector<size_t> AtEnd;        // X-INSERT, no branch instruction
   };
   std::vector<BlockDecision> Decisions(G.numBlocks());
 
-  BitVector Tmp = Pats.makeVector();
+  AM_PROF_SCOPE("aht.insert");
+  BitVector EntryIns, ExitIns, Seen(Pats.size());
+  BitVector BlockedSoFar, Tmp; // remark payloads only
   for (BlockId B = 0; B < G.numBlocks(); ++B) {
     const BasicBlock &BB = G.block(B);
     BlockDecision &D = Decisions[B];
 
-    BitVector EntryIns = Hoist.entryInsert(B);
-    EntryIns &= Allowed;
+    Hoist.entryInsert(B, EntryIns);
+    if (Filter)
+      EntryIns &= Allowed;
     // Footnote 6: after edge splitting there are never entry insertions at
     // join nodes.
     assert((EntryIns.none() || BB.Preds.size() <= 1 || B == G.start()) &&
@@ -79,21 +83,26 @@ bool am::runAssignmentHoisting(FlowGraph &G, AmContext &Ctx,
     EntryIns.forEachSetBit([&](size_t Pat) { D.AtEntry.push_back(Pat); });
 
     // Hoisting candidates: occurrences not preceded by a blocker within
-    // their block.  The cached LOC-HOISTABLE predicate tells us whether
-    // the per-instruction scan can find anything at all.
+    // their block.  Every occurrence of `x := t` modifies x and so blocks
+    // its own pattern, which leaves the first occurrence as the only
+    // possible candidate — and it is one exactly when the cached
+    // LOC-HOISTABLE bit is set.  No per-instruction blocker scan needed.
     D.RemoveInstr.assign(BB.Instrs.size(), false);
-    Tmp = Hoist.locHoistable(B);
-    Tmp &= Allowed;
-    if (!Tmp.none()) {
-      BitVector BlockedSoFar = Pats.makeVector();
+    const BitVector &LocHoistable = Hoist.locHoistable(B);
+    bool Remarks = AM_REMARKS_ENABLED();
+    if (Filter ? LocHoistable.intersects(Allowed) : LocHoistable.any()) {
       // First in-block blocker per pattern, for Blocked remark payloads.
       std::vector<uint32_t> FirstBlocker;
-      if (AM_REMARKS_ENABLED())
+      if (Remarks) {
         FirstBlocker.assign(Pats.size(), 0);
+        BlockedSoFar.clearAndResize(Pats.size());
+      }
       for (size_t Idx = 0; Idx < BB.Instrs.size(); ++Idx) {
-        size_t Pat = Pats.occurrence(BB.Instrs[Idx]);
-        if (Pat != AssignPatternTable::npos && Allowed.test(Pat)) {
-          bool Blocked = BlockedSoFar.test(Pat);
+        size_t Pat = Pats.occurrenceAt(B, Idx);
+        if (Pat != AssignPatternTable::npos &&
+            (!Filter || Allowed.test(Pat))) {
+          bool Blocked = Seen.test(Pat) || !LocHoistable.test(Pat);
+          Seen.set(Pat);
           if (Blocked)
             if (fault::FaultInjector *FI = fault::FaultInjector::current())
               // aht-skip-block: skip one blockage check, hoisting the
@@ -101,7 +110,8 @@ bool am::runAssignmentHoisting(FlowGraph &G, AmContext &Ctx,
               Blocked = !FI->fire(fault::FaultClass::AhtSkipBlockage);
           if (!Blocked) {
             D.RemoveInstr[Idx] = true;
-          } else if (AM_REMARKS_ENABLED()) {
+            D.AnyRemove = true;
+          } else if (Remarks) {
             // The occurrence stays put this round: something earlier in
             // the block blocks its pattern.  Informational (non-terminal)
             // and true whether or not the block's rebuild commits, so it
@@ -116,28 +126,31 @@ bool am::runAssignmentHoisting(FlowGraph &G, AmContext &Ctx,
               R.Var = G.Vars.name(BB.Instrs[Idx].Lhs);
             R.Solve = Hoist.solveSerial();
             R.fact("LOC-BLOCKED", "1");
-            if (!FirstBlocker.empty() && FirstBlocker[Pat] != 0)
+            if (FirstBlocker[Pat] != 0)
               R.fact("blocked_by", "#" + std::to_string(FirstBlocker[Pat]));
             remarks::Sink::get().add(std::move(R));
           }
         }
-        if (AM_REMARKS_ENABLED()) {
+        if (Remarks) {
           Pats.blockedBy(BB.Instrs[Idx], Tmp);
           Tmp.forEachSetBit([&](size_t BPat) {
             if (!BlockedSoFar.test(BPat) && FirstBlocker[BPat] == 0)
               FirstBlocker[BPat] = BB.Instrs[Idx].Id;
           });
           BlockedSoFar |= Tmp;
-        } else {
-          Pats.blockedBy(BB.Instrs[Idx], Tmp);
-          BlockedSoFar |= Tmp;
         }
+      }
+      for (size_t Idx = 0; Idx < BB.Instrs.size(); ++Idx) {
+        size_t Pat = Pats.occurrenceAt(B, Idx);
+        if (Pat != AssignPatternTable::npos)
+          Seen.reset(Pat);
       }
     }
 
     // Exit insertions.
-    BitVector ExitIns = Hoist.exitInsert(B);
-    ExitIns &= Allowed;
+    Hoist.exitInsert(B, ExitIns);
+    if (Filter)
+      ExitIns &= Allowed;
     if (ExitIns.none())
       continue;
     const Instr *Br = BB.branchInstr();
@@ -145,10 +158,8 @@ bool am::runAssignmentHoisting(FlowGraph &G, AmContext &Ctx,
       ExitIns.forEachSetBit([&](size_t Pat) { D.AtEnd.push_back(Pat); });
       continue;
     }
-    BitVector BranchBlocks = Pats.makeVector();
-    Pats.blockedBy(*Br, BranchBlocks);
     ExitIns.forEachSetBit([&](size_t Pat) {
-      if (!BranchBlocks.test(Pat)) {
+      if (!Pats.blocks(*Br, Pat)) {
         D.BeforeBranch.push_back(Pat);
         return;
       }
@@ -174,6 +185,10 @@ bool am::runAssignmentHoisting(FlowGraph &G, AmContext &Ctx,
   for (BlockId B = 0; B < G.numBlocks(); ++B) {
     BasicBlock &BB = G.block(B);
     const BlockDecision &D = Decisions[B];
+    // A block with no decision would be rebuilt to its own instructions.
+    if (!D.AnyRemove && D.FromPreds.empty() && D.AtEntry.empty() &&
+        D.BeforeBranch.empty() && D.AtEnd.empty())
+      continue;
 
     std::vector<PendingRemark> Pending;
     std::vector<Instr> NewInstrs;
@@ -224,7 +239,7 @@ bool am::runAssignmentHoisting(FlowGraph &G, AmContext &Ctx,
       if (D.RemoveInstr[Idx]) {
         if (AM_REMARKS_ENABLED()) {
           PendingRemark P;
-          P.Pat = Pats.occurrence(BB.Instrs[Idx]);
+          P.Pat = Pats.occurrenceAt(B, Idx);
           P.IsInsert = false;
           P.R.K = remarks::Kind::Hoist;
           P.R.Act = remarks::Action::Remove;

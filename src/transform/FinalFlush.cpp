@@ -81,8 +81,11 @@ bool am::runFinalFlush(FlowGraph &G) {
     std::vector<size_t> FromPreds; // exit inits realized at succ entries
   };
   std::vector<BlockDecision> Decisions(G.numBlocks());
-  for (BlockId B = 0; B < G.numBlocks(); ++B)
-    Decisions[B].Plan = Analysis.plan(B);
+  {
+    AM_PROF_SCOPE("flush.plan");
+    for (BlockId B = 0; B < G.numBlocks(); ++B)
+      Decisions[B].Plan = Analysis.plan(B);
+  }
 
   // Distribute exit initializations of branching blocks to their
   // successors' entries.  (With split critical edges this cannot actually
@@ -118,7 +121,6 @@ bool am::runFinalFlush(FlowGraph &G) {
   std::vector<std::vector<uint32_t>> DeletedIds;
   if (AM_REMARKS_ENABLED())
     DeletedIds.resize(U.size());
-  BitVector IsInst = U.makeVector();
   for (BlockId B = 0; B < G.numBlocks(); ++B) {
     BasicBlock &BB = G.block(B);
     BlockDecision &D = Decisions[B];
@@ -160,12 +162,12 @@ bool am::runFinalFlush(FlowGraph &G) {
       });
       // Delete every original initialization instance; the latest points
       // re-materialize exactly the ones that are justified.
-      U.isInst(I, IsInst);
-      if (IsInst.any()) {
+      size_t Instance = U.instanceOf(I);
+      if (Instance != FlushUniverse::npos) {
         ++BlockDeleted;
         if (AM_REMARKS_ENABLED()) {
           PendingRemark P;
-          P.TempIdx = IsInst.findFirst();
+          P.TempIdx = Instance;
           P.IsSink = false;
           P.R.K = remarks::Kind::DeleteInit;
           P.R.InstrId = I.Id;

@@ -60,7 +60,6 @@ FlowGraph am::runLazyCodeMotion(const FlowGraph &G, LcmStats *Stats) {
   };
 
   // Rewrite blocks.
-  BitVector Killed(Exprs.size());
   for (BlockId B = 0; B < Work.numBlocks(); ++B) {
     BasicBlock &BB = Work.block(B);
     std::vector<Instr> NewInstrs;
@@ -98,8 +97,8 @@ FlowGraph am::runLazyCodeMotion(const FlowGraph &G, LcmStats *Stats) {
         RewriteTerm(NewI.CondR);
       }
       NewInstrs.push_back(std::move(NewI));
-      Exprs.killedBy(I, Killed);
-      Avail.andNot(Killed);
+      if (const BitVector *Killed = Exprs.useMask(I.definedVar()))
+        Avail.andNot(*Killed);
     }
 
     for (size_t E : AtEnd[B])

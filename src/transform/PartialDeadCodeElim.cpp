@@ -6,42 +6,11 @@
 
 #include "transform/PartialDeadCodeElim.h"
 #include "analysis/Liveness.h"
+#include "analysis/PaperAnalyses.h"
 #include "dfa/Dataflow.h"
 #include "ir/Patterns.h"
 
 using namespace am;
-
-namespace {
-
-/// Sinking delayability: a pattern occurrence can be delayed (sunk) past
-/// an instruction unless the instruction blocks it — uses or modifies the
-/// left-hand side, or modifies an operand (the blocking relation is the
-/// same in both motion directions).  Forward, all-path, greatest fixpoint:
-/// X-DELAY = OCCURRENCE + N-DELAY · ¬BLOCKED.
-class SinkDelayProblem : public DataflowProblem {
-public:
-  explicit SinkDelayProblem(const AssignPatternTable &Pats) : Pats(Pats) {}
-
-  Direction direction() const override { return Direction::Forward; }
-  Meet meet() const override { return Meet::All; }
-  size_t numBits() const override { return Pats.size(); }
-
-  void gen(BlockId, size_t, const Instr &I, BitVector &Out) const override {
-    Out = Pats.makeVector();
-    size_t Idx = Pats.occurrence(I);
-    if (Idx != AssignPatternTable::npos)
-      Out.set(Idx);
-  }
-
-  void kill(BlockId, size_t, const Instr &I, BitVector &Out) const override {
-    Pats.blockedBy(I, Out);
-  }
-
-private:
-  const AssignPatternTable &Pats;
-};
-
-} // namespace
 
 bool am::runAssignmentSinking(FlowGraph &G) {
   assert(!G.hasCriticalEdges() &&
@@ -50,56 +19,75 @@ bool am::runAssignmentSinking(FlowGraph &G) {
   Pats.build(G);
   if (Pats.size() == 0)
     return false;
-  SinkDelayProblem Problem(Pats);
+  // Sinking delayability: an occurrence can be delayed past an
+  // instruction unless the instruction blocks it (the blocking relation
+  // is the same in both motion directions).
+  BlockingProblem Problem(Pats, Direction::Forward);
   DataflowResult Delay = solve(G, Problem);
   LivenessAnalysis Live = LivenessAnalysis::run(G);
 
   // Phase 1: record decisions against the frozen graph.
   struct BlockDecision {
-    std::vector<BitVector> InsertBefore; // per instruction
+    SparseRows InsertBefore; // per instruction
     BitVector InsertAtExit;
     std::vector<bool> RemoveInstr;
   };
   std::vector<BlockDecision> Decisions(G.numBlocks());
-  BitVector Blocked = Pats.makeVector();
+  BlockWalker DelayWalk(Delay), LiveWalk(Live.result());
+  std::vector<std::pair<uint32_t, uint32_t>> Latest; // (instr, pattern)
 
   for (BlockId B = 0; B < G.numBlocks(); ++B) {
     const auto &Instrs = G.block(B).Instrs;
     BlockDecision &D = Decisions[B];
-    D.InsertBefore.resize(Instrs.size());
     D.RemoveInstr.assign(Instrs.size(), false);
-    DataflowResult::InstrFacts DelayFacts = Delay.instrFacts(B);
-    DataflowResult::InstrFacts LiveFacts = Live.facts(B);
-
-    for (size_t Idx = 0; Idx < Instrs.size(); ++Idx) {
-      // Every occurrence is deleted; the latest points re-materialize the
-      // ones that are still needed.
-      if (Pats.occurrence(Instrs[Idx]) != AssignPatternTable::npos)
+    // Every occurrence is deleted; the latest points re-materialize the
+    // ones that are still needed.  N-LATEST = N-DELAY* · BLOCKED: the
+    // delayable facts the instruction kills.
+    Latest.clear();
+    DelayWalk.walk(B, [&](size_t Idx, const BitVector &NDelay,
+                          const LocalEffect &E) {
+      if (Pats.occurrenceAt(B, Idx) != AssignPatternTable::npos)
         D.RemoveInstr[Idx] = true;
-      // N-LATEST = N-DELAY* · BLOCKED, guarded by liveness of the
-      // left-hand side immediately before the blocking instruction.
-      Pats.blockedBy(Instrs[Idx], Blocked);
-      BitVector Latest = DelayFacts.Before[Idx];
-      Latest &= Blocked;
-      D.InsertBefore[Idx] = Pats.makeVector();
-      for (size_t Pat : Latest.setBits())
-        if (LiveFacts.Before[Idx].test(index(Pats.pattern(Pat).Lhs)))
-          D.InsertBefore[Idx].set(Pat);
+      E.forEachKilled(NDelay, [&](size_t Pat) {
+        Latest.push_back({static_cast<uint32_t>(Idx),
+                          static_cast<uint32_t>(Pat)});
+      });
+    });
+
+    // Guard each latest point by liveness of the left-hand side
+    // immediately before the blocking instruction.
+    std::vector<bool> Keep(Latest.size(), false);
+    if (!Latest.empty()) {
+      size_t Next = Latest.size();
+      LiveWalk.walk(B, [&](size_t Idx, const BitVector &LiveAfter,
+                           const LocalEffect &) {
+        const Instr &I = Instrs[Idx];
+        for (; Next > 0 && Latest[Next - 1].first == Idx; --Next) {
+          VarId Lhs = Pats.pattern(Latest[Next - 1].second).Lhs;
+          Keep[Next - 1] = I.usesVar(Lhs) || (LiveAfter.test(index(Lhs)) &&
+                                              I.definedVar() != Lhs);
+        }
+      });
     }
+    D.InsertBefore.reset(Instrs.size(), Pats.size());
+    for (size_t Ev = 0; Ev < Latest.size(); ++Ev)
+      if (Keep[Ev])
+        D.InsertBefore.add(Latest[Ev].first, Latest[Ev].second);
+    D.InsertBefore.finish();
 
     // X-LATEST = X-DELAY* · ∃succ ¬N-DELAY*, guarded by liveness at exit.
-    BitVector AtExit = Delay.exit(B);
-    BitVector AnySuccStops(Pats.size());
-    for (BlockId S : G.block(B).Succs) {
-      BitVector NotDelay = Delay.entry(S);
-      NotDelay.flipAll();
-      AnySuccStops |= NotDelay;
+    D.InsertAtExit = Delay.exit(B);
+    const auto &Succs = G.block(B).Succs;
+    for (size_t W = 0, E = D.InsertAtExit.numWords(); W != E; ++W) {
+      uint64_t AnySuccStops = 0;
+      for (BlockId S : Succs)
+        AnySuccStops |= ~Delay.entry(S).word(W);
+      D.InsertAtExit.setWord(W, D.InsertAtExit.word(W) & AnySuccStops);
     }
-    AtExit &= AnySuccStops;
-    D.InsertAtExit = Pats.makeVector();
-    for (size_t Pat : AtExit.setBits())
-      if (Live.liveOut(B).test(index(Pats.pattern(Pat).Lhs)))
-        D.InsertAtExit.set(Pat);
+    D.InsertAtExit.forEachSetBit([&](size_t Pat) {
+      if (!Live.liveOut(B).test(index(Pats.pattern(Pat).Lhs)))
+        D.InsertAtExit.reset(Pat);
+    });
   }
 
   // Phase 2: rebuild.  Exit insertions at multi-successor blocks cannot
@@ -116,8 +104,7 @@ bool am::runAssignmentSinking(FlowGraph &G) {
           Instr::assign(Pats.pattern(Pat).Lhs, Pats.pattern(Pat).Rhs));
     };
     for (size_t Idx = 0; Idx < BB.Instrs.size(); ++Idx) {
-      for (size_t Pat : D.InsertBefore[Idx].setBits())
-        Emit(Pat);
+      D.InsertBefore[Idx].forEachSetBit(Emit);
       if (!D.RemoveInstr[Idx])
         NewInstrs.push_back(BB.Instrs[Idx]);
     }

@@ -27,7 +27,7 @@ std::string describeDefiner(const FlowGraph &G, BlockId B, size_t Idx,
                             const RedundancyAnalysis &Redundancy) {
   const auto &Instrs = G.block(B).Instrs;
   for (size_t Prev = Idx; Prev-- > 0;) {
-    if (Pats.occurrence(Instrs[Prev]) == Pat)
+    if (Pats.occurrenceAt(B, Prev) == Pat)
       return "#" + std::to_string(Instrs[Prev].Id) + " (same block)";
   }
   std::string Out;
@@ -57,60 +57,57 @@ unsigned am::runRedundantAssignmentElimination(FlowGraph &G, AmContext &Ctx) {
   if (report::RecorderSession *Rec = report::RecorderSession::current())
     Rec->captureRedundancy(G, Pats, Redundancy, Rec->round());
 
-  // Record all decisions first, then mutate.
+  // Record each block's decisions during a forward walk that keeps one
+  // running N-REDUNDANT vector, then mutate the block.
+  AM_PROF_SCOPE("rae.facts");
+  BlockWalker Walk(Redundancy.result());
   unsigned NumEliminated = 0;
   std::vector<bool> Remove;
   for (BlockId B = 0; B < G.numBlocks(); ++B) {
     auto &Instrs = G.block(B).Instrs;
-    if (Instrs.empty())
-      continue;
     // Instruction-level facts are only needed where an occurrence could
     // actually be eliminated.
     bool HasOccurrence = false;
-    for (const Instr &I : Instrs) {
-      if (Pats.occurrence(I) != AssignPatternTable::npos) {
-        HasOccurrence = true;
-        break;
-      }
-    }
+    for (size_t Idx = 0; Idx < Instrs.size() && !HasOccurrence; ++Idx)
+      HasOccurrence = Pats.occurrenceAt(B, Idx) != AssignPatternTable::npos;
     if (!HasOccurrence)
       continue;
-    DataflowResult::InstrFacts Facts = Redundancy.facts(B);
     Remove.assign(Instrs.size(), false);
     unsigned RemovedHere = 0;
-    for (size_t Idx = 0; Idx < Instrs.size(); ++Idx) {
-      size_t Pat = Pats.occurrence(Instrs[Idx]);
+    Walk.walk(B, [&](size_t Idx, const BitVector &NRedundant,
+                     const LocalEffect &) {
+      size_t Pat = Pats.occurrenceAt(B, Idx);
       if (Pat == AssignPatternTable::npos)
-        continue;
-      bool Redundant = Facts.Before[Idx].test(Pat);
+        return;
+      bool Redundant = NRedundant.test(Pat);
       if (!Redundant)
         if (fault::FaultInjector *FI = fault::FaultInjector::current())
           // rae-flip: treat one non-redundant occurrence as redundant, as
           // if a N-REDUNDANT dataflow bit were flipped.
           Redundant = FI->fire(fault::FaultClass::RaeFlipBit);
-      if (Redundant) {
-        Remove[Idx] = true;
-        ++RemovedHere;
-        if (AM_REMARKS_ENABLED()) {
-          // A removal always commits (the list shrinks), so the remark
-          // can be emitted directly.
-          remarks::Remark R;
-          R.K = remarks::Kind::Eliminate;
-          R.InstrId = Instrs[Idx].Id;
-          R.Block = B;
-          R.InstrIndex = static_cast<uint32_t>(Idx);
-          R.Terminal = true;
-          R.Pattern = printInstr(Instrs[Idx], G.Vars);
-          if (Instrs[Idx].isAssign())
-            R.Var = G.Vars.name(Instrs[Idx].Lhs);
-          R.Solve = Redundancy.solveSerial();
-          R.fact("N-REDUNDANT", "1")
-              .fact("defined_by",
-                    describeDefiner(G, B, Idx, Pat, Pats, Redundancy));
-          remarks::Sink::get().add(std::move(R));
-        }
+      if (!Redundant)
+        return;
+      Remove[Idx] = true;
+      ++RemovedHere;
+      if (AM_REMARKS_ENABLED()) {
+        // A removal always commits (the list shrinks), so the remark can
+        // be emitted directly.
+        remarks::Remark R;
+        R.K = remarks::Kind::Eliminate;
+        R.InstrId = Instrs[Idx].Id;
+        R.Block = B;
+        R.InstrIndex = static_cast<uint32_t>(Idx);
+        R.Terminal = true;
+        R.Pattern = printInstr(Instrs[Idx], G.Vars);
+        if (Instrs[Idx].isAssign())
+          R.Var = G.Vars.name(Instrs[Idx].Lhs);
+        R.Solve = Redundancy.solveSerial();
+        R.fact("N-REDUNDANT", "1")
+            .fact("defined_by",
+                  describeDefiner(G, B, Idx, Pat, Pats, Redundancy));
+        remarks::Sink::get().add(std::move(R));
       }
-    }
+    });
     if (RemovedHere == 0)
       continue;
     NumEliminated += RemovedHere;

@@ -186,11 +186,9 @@ private:
     }
     // A hoisting candidate must be the first unblocked occurrence: no
     // earlier instruction of the block may block the pattern.
-    BitVector Blocked = Pats.makeVector();
     const auto &Instrs = Before.block(R.Block).Instrs;
     for (size_t Idx = 0; Idx < R.InstrIndex; ++Idx) {
-      Pats.blockedBy(Instrs[Idx], Blocked);
-      if (Blocked.test(Pat)) {
+      if (Pats.blocks(Instrs[Idx], Pat)) {
         fail(Stage, R, "a preceding instruction blocks the removed pattern");
         return;
       }
@@ -224,13 +222,9 @@ private:
         return;
       }
       const Instr *Br = Before.block(R.Block).branchInstr();
-      if (Br) {
-        BitVector BranchBlocks = Pats.makeVector();
-        Pats.blockedBy(*Br, BranchBlocks);
-        if (BranchBlocks.test(Pat))
-          fail(Stage, R, "branch blocks the pattern; insertion should have "
-                         "moved to the successors");
-      }
+      if (Br && Pats.blocks(*Br, Pat))
+        fail(Stage, R, "branch blocks the pattern; insertion should have "
+                       "moved to the successors");
       return;
     }
     case Placement::FromPred: {
@@ -250,9 +244,7 @@ private:
         fail(Stage, R, "from_block has no branch instruction");
         return;
       }
-      BitVector BranchBlocks = Pats.makeVector();
-      Pats.blockedBy(*Br, BranchBlocks);
-      if (!BranchBlocks.test(Pat))
+      if (!Pats.blocks(*Br, Pat))
         fail(Stage, R, "predecessor branch does not block the pattern");
       return;
     }
@@ -274,13 +266,10 @@ private:
       fail(Stage, R, "blocked instruction is not a pattern occurrence");
       return;
     }
-    BitVector Blocked = Pats.makeVector();
     const auto &Instrs = Before.block(R.Block).Instrs;
-    for (size_t Idx = 0; Idx < R.InstrIndex; ++Idx) {
-      Pats.blockedBy(Instrs[Idx], Blocked);
-      if (Blocked.test(Pat))
+    for (size_t Idx = 0; Idx < R.InstrIndex; ++Idx)
+      if (Pats.blocks(Instrs[Idx], Pat))
         return; // justified: an earlier instruction blocks the pattern
-    }
     fail(Stage, R, "no preceding instruction blocks the pattern");
   }
 
@@ -291,9 +280,7 @@ private:
       return;
     FlushUniverse U;
     U.build(Before);
-    BitVector IsInst = U.makeVector();
-    U.isInst(*I, IsInst);
-    if (IsInst.none())
+    if (U.instanceOf(*I) == FlushUniverse::npos)
       fail(Stage, R, "IS-INST does not hold: not an initialization instance");
   }
 
@@ -333,7 +320,7 @@ private:
     }
     FlushAnalysis::BlockPlan Plan = Fresh.plan(B);
     if (Via == "N-INIT" || Via == "RECONSTRUCT-multi-use") {
-      for (const BitVector &Bits :
+      for (SparseRows::Row Bits :
            Via == "N-INIT" ? Plan.InitBefore : Plan.Reconstruct)
         if (Bits.test(TempIdx))
           return;

@@ -7,6 +7,7 @@
 #ifndef AM_TESTS_TESTUTIL_H
 #define AM_TESTS_TESTUTIL_H
 
+#include "gen/RandomProgram.h"
 #include "interp/Interpreter.h"
 #include "ir/FlowGraph.h"
 #include "ir/Printer.h"
@@ -64,6 +65,54 @@ inline unsigned countComputations(const FlowGraph &G,
       }
     }
   return N;
+}
+
+/// A named generator setting: one program *shape* of the workload-shape
+/// sweeps (straight-line, loop-heavy, branch-heavy, tiny and huge pattern
+/// pools, nondeterminism-heavy).
+struct ProgramShape {
+  const char *Name;
+  GenOptions Opts;
+};
+
+inline std::vector<ProgramShape> programShapes() {
+  std::vector<ProgramShape> Out;
+
+  GenOptions StraightLine;
+  StraightLine.LoopProb = 0;
+  StraightLine.IfProb = 0;
+  StraightLine.ChooseProb = 0;
+  StraightLine.TargetStmts = 60;
+  Out.push_back({"straight-line", StraightLine});
+
+  GenOptions LoopHeavy;
+  LoopHeavy.LoopProb = 0.45;
+  LoopHeavy.IfProb = 0.05;
+  LoopHeavy.MaxDepth = 4;
+  Out.push_back({"loop-heavy", LoopHeavy});
+
+  GenOptions BranchHeavy;
+  BranchHeavy.LoopProb = 0.02;
+  BranchHeavy.IfProb = 0.5;
+  BranchHeavy.MaxDepth = 5;
+  Out.push_back({"branch-heavy", BranchHeavy});
+
+  GenOptions TinyPool;
+  TinyPool.PatternPoolSize = 2;
+  TinyPool.NumVars = 3;
+  Out.push_back({"tiny-pool", TinyPool});
+
+  GenOptions HugePool;
+  HugePool.PatternPoolSize = 64;
+  HugePool.NumVars = 16;
+  Out.push_back({"huge-pool", HugePool});
+
+  GenOptions NondetHeavy;
+  NondetHeavy.ChooseProb = 0.35;
+  NondetHeavy.IfProb = 0.1;
+  Out.push_back({"nondet-heavy", NondetHeavy});
+
+  return Out;
 }
 
 /// Runs \p G on inputs where every listed variable gets the paired value.

@@ -58,25 +58,63 @@ TEST(Log2Buckets, ClampsToLastBucket) {
 
 TEST(Log2Buckets, PercentileMidpointsAndFallback) {
   uint64_t Buckets[8] = {};
-  EXPECT_EQ(stats::log2BucketPercentile(Buckets, 8, 0, 0.5, 999), 0u);
+  EXPECT_EQ(stats::log2BucketPercentile(Buckets, 8, 0, 0.5, 0, 999), 0u);
 
   // Samples 1, 2, 4, 8 -> buckets 0..3, one each.
   Buckets[0] = Buckets[1] = Buckets[2] = Buckets[3] = 1;
   // p25 -> rank 1 -> bucket 0, midpoint 1 + 0 = 1.
-  EXPECT_EQ(stats::log2BucketPercentile(Buckets, 8, 4, 0.25, 999), 1u);
+  EXPECT_EQ(stats::log2BucketPercentile(Buckets, 8, 4, 0.25, 0, 999), 1u);
   // p50 -> rank 2 -> bucket 1 ([2,4)), midpoint 3.
-  EXPECT_EQ(stats::log2BucketPercentile(Buckets, 8, 4, 0.5, 999), 3u);
+  EXPECT_EQ(stats::log2BucketPercentile(Buckets, 8, 4, 0.5, 0, 999), 3u);
   // p75 -> rank 3 -> bucket 2 ([4,8)), midpoint 6.
-  EXPECT_EQ(stats::log2BucketPercentile(Buckets, 8, 4, 0.75, 999), 6u);
+  EXPECT_EQ(stats::log2BucketPercentile(Buckets, 8, 4, 0.75, 0, 999), 6u);
   // p100 -> rank 4 -> bucket 3 ([8,16)), midpoint 12.
-  EXPECT_EQ(stats::log2BucketPercentile(Buckets, 8, 4, 1.0, 999), 12u);
+  EXPECT_EQ(stats::log2BucketPercentile(Buckets, 8, 4, 1.0, 0, 999), 12u);
   // Q clamps: below 0 reads as the minimum rank, above 1 as the maximum.
-  EXPECT_EQ(stats::log2BucketPercentile(Buckets, 8, 4, -3.0, 999), 1u);
-  EXPECT_EQ(stats::log2BucketPercentile(Buckets, 8, 4, 7.0, 999), 12u);
+  EXPECT_EQ(stats::log2BucketPercentile(Buckets, 8, 4, -3.0, 0, 999), 1u);
+  EXPECT_EQ(stats::log2BucketPercentile(Buckets, 8, 4, 7.0, 0, 999), 12u);
 
   // A count larger than the populated buckets (samples clamped into the
   // last bucket of a *wider* source, or a racy snapshot) falls back.
-  EXPECT_EQ(stats::log2BucketPercentile(Buckets, 8, 10, 1.0, 999), 999u);
+  EXPECT_EQ(stats::log2BucketPercentile(Buckets, 8, 10, 1.0, 0, 999), 999u);
+}
+
+TEST(Log2Buckets, PercentilesClampToTheSampleRange) {
+  // One sample: every percentile is that sample, not its bucket midpoint.
+  fleet::MetricAgg One;
+  One.add(1063);
+  for (double Q : {0.0, 0.5, 0.95, 0.99, 1.0})
+    EXPECT_EQ(One.Hist.percentile(Q), 1063u) << Q;
+
+  // 64..70 share bucket [64, 128) whose midpoint 96 exceeds the max;
+  // 120..127 share it with a midpoint below the min.
+  fleet::Histogram Low, High;
+  for (uint64_t V = 64; V <= 70; ++V)
+    Low.add(V);
+  for (uint64_t V = 120; V <= 127; ++V)
+    High.add(V);
+  EXPECT_EQ(Low.percentile(0.5), 70u);
+  EXPECT_EQ(Low.percentile(0.99), 70u);
+  EXPECT_EQ(High.percentile(0.5), 120u);
+  EXPECT_EQ(High.minValue(), 120u);
+
+  // Merging keeps the union's range: [64, 127].
+  Low.merge(High);
+  EXPECT_EQ(Low.minValue(), 64u);
+  EXPECT_EQ(Low.maxValue(), 127u);
+  EXPECT_EQ(Low.percentile(0.5), 96u);
+
+  // Uniform 1..1000 through the aggregate: never outside [min, max].
+  fleet::MetricAgg Uniform;
+  for (uint64_t V = 1; V <= 1000; ++V)
+    Uniform.add(V);
+  EXPECT_EQ(Uniform.Hist.percentile(0.5), 384u); // 500th, bucket [256, 512)
+  EXPECT_EQ(Uniform.Hist.percentile(0.99), 768u); // 990th, [512, 1024)
+  for (int Pct = 0; Pct <= 100; ++Pct) {
+    uint64_t P = Uniform.Hist.percentile(Pct / 100.0);
+    EXPECT_GE(P, Uniform.Min) << Pct;
+    EXPECT_LE(P, Uniform.Max) << Pct;
+  }
 }
 
 TEST(Log2Buckets, PercentileLabels) {

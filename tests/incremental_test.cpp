@@ -44,14 +44,10 @@ public:
   Meet meet() const override { return Meet::All; }
   size_t numBits() const override { return NumVars; }
 
-  void gen(BlockId, size_t, const Instr &I, BitVector &Out) const override {
-    Out = BitVector(NumVars);
+  void effect(BlockId, size_t, const Instr &I, LocalEffect &E) const override {
     VarId Def = I.definedVar();
     if (isValid(Def))
-      Out.set(index(Def));
-  }
-  void kill(BlockId, size_t, const Instr &, BitVector &Out) const override {
-    Out = BitVector(NumVars);
+      E.gen(index(Def));
   }
 
 private:

@@ -1,0 +1,520 @@
+//===- tests/oracle_test.cpp - Dense reference oracle -----------*- C++ -*-===//
+//
+// Part of the assignment-motion reproduction library.
+//
+//===----------------------------------------------------------------------===//
+///
+/// \file
+/// Differential oracle for the sparse local-effect substrate.  The dense
+/// algorithms the library used to run — full-width gen/kill vectors per
+/// instruction derived straight from the pattern definitions, a
+/// round-robin block solve over them, an instruction-by-instruction
+/// replay, and the N-LATEST / N-INIT / RECONSTRUCT / X-INIT formulas over
+/// materialized vectors — live here as the reference.  Every production
+/// problem (Tables 1-3, LCM, liveness, copy analysis, PDE sinking) must
+/// agree with it at every block boundary and every instruction boundary,
+/// and the sparse flush plan must equal the dense one, over the 120-seed
+/// corpus, irreducible CFGs, the bundled examples and the shapes_test
+/// generators.
+///
+//===----------------------------------------------------------------------===//
+
+#include "TestUtil.h"
+#include "analysis/CopyAnalysis.h"
+#include "analysis/LcmAnalyses.h"
+#include "analysis/Liveness.h"
+#include "analysis/PaperAnalyses.h"
+#include "ir/Patterns.h"
+#include "transform/AssignmentMotion.h"
+#include "transform/Initialization.h"
+#include "transform/Normalize.h"
+
+#include <filesystem>
+#include <fstream>
+#include <functional>
+#include <sstream>
+
+#include <gtest/gtest.h>
+
+using namespace am;
+using namespace am::test;
+
+namespace {
+
+//===----------------------------------------------------------------------===//
+// The dense reference
+//===----------------------------------------------------------------------===//
+
+/// One problem in the old dense form: gen and kill write full-width
+/// vectors, computed from the pattern definitions without the tables'
+/// cached masks or occurrence indices.
+struct DenseProblem {
+  Direction Dir;
+  Meet M;
+  size_t Bits;
+  std::function<void(const Instr &, BitVector &)> Gen;
+  std::function<void(const Instr &, BitVector &)> Kill;
+};
+
+struct DenseSolution {
+  std::vector<BitVector> Entry, Exit;
+};
+
+/// Round-robin fixpoint over block transfers composed from the dense
+/// per-instruction gen/kill — the old solver, boundary all-false.
+DenseSolution denseSolve(const FlowGraph &G, const DenseProblem &P) {
+  bool Forward = P.Dir == Direction::Forward;
+  bool All = P.M == Meet::All;
+  size_t N = G.numBlocks();
+  std::vector<BitVector> TGen(N, BitVector(P.Bits)),
+      TKill(N, BitVector(P.Bits));
+  BitVector Gen, Kill;
+  for (BlockId B = 0; B < N; ++B) {
+    const auto &Instrs = G.block(B).Instrs;
+    for (size_t Step = 0; Step < Instrs.size(); ++Step) {
+      const Instr &I = Instrs[Forward ? Step : Instrs.size() - 1 - Step];
+      P.Gen(I, Gen);
+      P.Kill(I, Kill);
+      TGen[B].andNot(Kill);
+      TGen[B] |= Gen;
+      TKill[B] |= Kill;
+    }
+  }
+  std::vector<BitVector> In(N, BitVector(P.Bits, All)),
+      Out(N, BitVector(P.Bits, All));
+  BlockId Boundary = Forward ? G.start() : G.end();
+  std::vector<BlockId> Order =
+      Forward ? G.reversePostorder() : G.reverseGraphReversePostorder();
+  for (bool Changed = true; Changed;) {
+    Changed = false;
+    for (BlockId B : Order) {
+      BitVector NewIn(P.Bits, All);
+      const auto &Edges = Forward ? G.block(B).Preds : G.block(B).Succs;
+      if (B == Boundary) {
+        NewIn = BitVector(P.Bits);
+      } else if (!Edges.empty()) {
+        NewIn = Out[Edges[0]];
+        for (size_t E = 1; E < Edges.size(); ++E) {
+          if (All)
+            NewIn &= Out[Edges[E]];
+          else
+            NewIn |= Out[Edges[E]];
+        }
+      }
+      BitVector NewOut = NewIn;
+      NewOut.andNot(TKill[B]);
+      NewOut |= TGen[B];
+      if (NewIn != In[B] || NewOut != Out[B]) {
+        In[B] = NewIn;
+        Out[B] = NewOut;
+        Changed = true;
+      }
+    }
+  }
+  return Forward ? DenseSolution{In, Out} : DenseSolution{Out, In};
+}
+
+/// The old instrFacts replay: Before/After vectors of every instruction.
+DataflowResult::InstrFacts denseFacts(const FlowGraph &G,
+                                      const DenseProblem &P,
+                                      const DenseSolution &S, BlockId B) {
+  const auto &Instrs = G.block(B).Instrs;
+  size_t N = Instrs.size();
+  DataflowResult::InstrFacts F;
+  F.Before.resize(N);
+  F.After.resize(N);
+  BitVector Gen, Kill;
+  bool Forward = P.Dir == Direction::Forward;
+  BitVector Cur = Forward ? S.Entry[B] : S.Exit[B];
+  for (size_t Step = 0; Step < N; ++Step) {
+    size_t Idx = Forward ? Step : N - 1 - Step;
+    (Forward ? F.Before : F.After)[Idx] = Cur;
+    P.Gen(Instrs[Idx], Gen);
+    P.Kill(Instrs[Idx], Kill);
+    Cur.andNot(Kill);
+    Cur |= Gen;
+    (Forward ? F.After : F.Before)[Idx] = Cur;
+  }
+  return F;
+}
+
+/// Scans the pattern list for \p I's occurrence (no hash, no cache).
+size_t denseOccurrence(const AssignPatternTable &Pats, const Instr &I) {
+  if (!I.isAssign() || I.Rhs.isVarAtom(I.Lhs))
+    return AssignPatternTable::npos;
+  for (size_t P = 0; P < Pats.size(); ++P)
+    if (Pats.pattern(P).Lhs == I.Lhs && Pats.pattern(P).Rhs == I.Rhs)
+      return P;
+  return AssignPatternTable::npos;
+}
+
+/// Table 2's not-ASS-TRANSP, from the definition.
+void denseKilled(const AssignPatternTable &Pats, const Instr &I,
+                 BitVector &Out) {
+  Out = BitVector(Pats.size());
+  VarId Def = I.definedVar();
+  for (size_t P = 0; isValid(Def) && P < Pats.size(); ++P)
+    if (Pats.pattern(P).Lhs == Def || Pats.pattern(P).Rhs.usesVar(Def))
+      Out.set(P);
+}
+
+/// Definition 3.2's blocking, from the definition.
+void denseBlocked(const AssignPatternTable &Pats, const Instr &I,
+                  BitVector &Out) {
+  denseKilled(Pats, I, Out);
+  for (size_t P = 0; P < Pats.size(); ++P)
+    if (I.usesVar(Pats.pattern(P).Lhs))
+      Out.set(P);
+}
+
+void denseOccurrenceBit(const AssignPatternTable &Pats, const Instr &I,
+                        BitVector &Out, bool EligibleOnly) {
+  Out = BitVector(Pats.size());
+  size_t P = denseOccurrence(Pats, I);
+  if (P == AssignPatternTable::npos)
+    return;
+  if (EligibleOnly && Pats.pattern(P).Rhs.usesVar(Pats.pattern(P).Lhs))
+    return;
+  Out.set(P);
+}
+
+DenseProblem denseRedundancy(const AssignPatternTable &Pats) {
+  return {Direction::Forward, Meet::All, Pats.size(),
+          [&Pats](const Instr &I, BitVector &O) {
+            denseOccurrenceBit(Pats, I, O, /*EligibleOnly=*/true);
+          },
+          [&Pats](const Instr &I, BitVector &O) { denseKilled(Pats, I, O); }};
+}
+
+DenseProblem denseBlocking(const AssignPatternTable &Pats, Direction Dir) {
+  return {Dir, Meet::All, Pats.size(),
+          [&Pats](const Instr &I, BitVector &O) {
+            denseOccurrenceBit(Pats, I, O, /*EligibleOnly=*/false);
+          },
+          [&Pats](const Instr &I, BitVector &O) { denseBlocked(Pats, I, O); }};
+}
+
+void denseIsInst(const FlushUniverse &U, const Instr &I, BitVector &Out) {
+  Out = U.makeVector();
+  for (size_t T = 0; T < U.size(); ++T)
+    if (I.isAssign() && I.Lhs == U.temp(T) && I.Rhs == U.expr(T))
+      Out.set(T);
+}
+
+void denseUsed(const FlushUniverse &U, const Instr &I, BitVector &Out) {
+  Out = U.makeVector();
+  for (size_t T = 0; T < U.size(); ++T)
+    if (I.usesVar(U.temp(T)))
+      Out.set(T);
+}
+
+void denseTempBlocked(const FlushUniverse &U, const Instr &I,
+                      BitVector &Out) {
+  Out = U.makeVector();
+  VarId Def = I.definedVar();
+  for (size_t T = 0; isValid(Def) && T < U.size(); ++T)
+    if (U.temp(T) == Def || U.expr(T).usesVar(Def))
+      Out.set(T);
+}
+
+DenseProblem denseDelayability(const FlushUniverse &U) {
+  return {Direction::Forward, Meet::All, U.size(),
+          [&U](const Instr &I, BitVector &O) { denseIsInst(U, I, O); },
+          [&U](const Instr &I, BitVector &O) {
+            BitVector Blocked;
+            denseUsed(U, I, O);
+            denseTempBlocked(U, I, Blocked);
+            O |= Blocked;
+          }};
+}
+
+DenseProblem denseUsability(const FlushUniverse &U) {
+  return {Direction::Backward, Meet::Any, U.size(),
+          [&U](const Instr &I, BitVector &O) { denseUsed(U, I, O); },
+          [&U](const Instr &I, BitVector &O) { denseIsInst(U, I, O); }};
+}
+
+void denseComputed(const ExprPatternTable &E, const Instr &I,
+                   BitVector &Out) {
+  Out = E.makeVector();
+  auto Note = [&](const Term &T) {
+    for (size_t X = 0; T.isNonTrivial() && X < E.size(); ++X)
+      if (E.term(X) == T)
+        Out.set(X);
+  };
+  if (I.isAssign()) {
+    Note(I.Rhs);
+  } else if (I.isBranch()) {
+    Note(I.CondL);
+    Note(I.CondR);
+  }
+}
+
+void denseExprKilled(const ExprPatternTable &E, const Instr &I,
+                     BitVector &Out) {
+  Out = E.makeVector();
+  VarId Def = I.definedVar();
+  for (size_t X = 0; isValid(Def) && X < E.size(); ++X)
+    if (E.term(X).usesVar(Def))
+      Out.set(X);
+}
+
+DenseProblem denseAnticipability(const ExprPatternTable &E) {
+  return {Direction::Backward, Meet::All, E.size(),
+          [&E](const Instr &I, BitVector &O) { denseComputed(E, I, O); },
+          [&E](const Instr &I, BitVector &O) { denseExprKilled(E, I, O); }};
+}
+
+DenseProblem denseAvailability(const ExprPatternTable &E) {
+  return {Direction::Forward, Meet::All, E.size(),
+          [&E](const Instr &I, BitVector &O) {
+            BitVector Killed;
+            denseComputed(E, I, O);
+            denseExprKilled(E, I, Killed);
+            O.andNot(Killed);
+          },
+          [&E](const Instr &I, BitVector &O) { denseExprKilled(E, I, O); }};
+}
+
+DenseProblem denseLiveness(size_t NumVars) {
+  return {Direction::Backward, Meet::Any, NumVars,
+          [NumVars](const Instr &I, BitVector &O) {
+            O = BitVector(NumVars);
+            I.forEachUsedVar([&](VarId V) { O.set(index(V)); });
+          },
+          [NumVars](const Instr &I, BitVector &O) {
+            O = BitVector(NumVars);
+            if (isValid(I.definedVar()))
+              O.set(index(I.definedVar()));
+          }};
+}
+
+DenseProblem denseCopies(const CopyUniverse &U) {
+  return {Direction::Forward, Meet::All, U.size(),
+          [&U](const Instr &I, BitVector &O) {
+            O = U.makeVector();
+            bool Copy =
+                I.isAssign() && !I.Rhs.isNonTrivial() && I.Rhs.A.isVar();
+            for (size_t C = 0; Copy && C < U.size(); ++C)
+              if (U.dst(C) == I.Lhs && U.src(C) == I.Rhs.A.Var)
+                O.set(C);
+          },
+          [&U](const Instr &I, BitVector &O) {
+            O = U.makeVector();
+            VarId Def = I.definedVar();
+            for (size_t C = 0; isValid(Def) && C < U.size(); ++C)
+              if (U.dst(C) == Def || U.src(C) == Def)
+                O.set(C);
+          }};
+}
+
+//===----------------------------------------------------------------------===//
+// Comparisons
+//===----------------------------------------------------------------------===//
+
+/// Block-level and instruction-level agreement of a production result
+/// with the dense reference.
+void expectSameSolution(const FlowGraph &G, const DenseProblem &P,
+                        const DataflowResult &R, const std::string &Ctx) {
+  DenseSolution S = denseSolve(G, P);
+  for (BlockId B = 0; B < G.numBlocks(); ++B) {
+    ASSERT_EQ(R.entry(B), S.Entry[B]) << Ctx << ": entry of b" << B;
+    ASSERT_EQ(R.exit(B), S.Exit[B]) << Ctx << ": exit of b" << B;
+    DataflowResult::InstrFacts Want = denseFacts(G, P, S, B);
+    DataflowResult::InstrFacts Got = R.instrFacts(B);
+    ASSERT_EQ(Got.Before, Want.Before) << Ctx << ": before, b" << B;
+    ASSERT_EQ(Got.After, Want.After) << Ctx << ": after, b" << B;
+  }
+}
+
+/// The old dense plan formulas over materialized instruction facts.
+void expectSamePlan(const FlowGraph &G, const FlushAnalysis &F,
+                    const std::string &Ctx) {
+  const FlushUniverse &U = F.universe();
+  DenseProblem DP = denseDelayability(U), UP = denseUsability(U);
+  DenseSolution DS = denseSolve(G, DP), US = denseSolve(G, UP);
+  BitVector Used, Blocked;
+  for (BlockId B = 0; B < G.numBlocks(); ++B) {
+    const auto &Instrs = G.block(B).Instrs;
+    DataflowResult::InstrFacts D = denseFacts(G, DP, DS, B);
+    DataflowResult::InstrFacts Us = denseFacts(G, UP, US, B);
+    FlushAnalysis::BlockPlan Plan = F.plan(B);
+    ASSERT_EQ(Plan.InitBefore.size(), Instrs.size()) << Ctx;
+    ASSERT_EQ(Plan.Reconstruct.size(), Instrs.size()) << Ctx;
+    for (size_t I = 0; I < Instrs.size(); ++I) {
+      denseUsed(U, Instrs[I], Used);
+      denseTempBlocked(U, Instrs[I], Blocked);
+      // N-LATEST = N-DELAYABLE* · (USED + BLOCKED); N-INIT = N-LATEST ·
+      // X-USABLE; RECONSTRUCT = USED · N-LATEST · ¬X-USABLE.
+      BitVector NLatest = D.Before[I] & (Used | Blocked);
+      ASSERT_EQ(BitVector(Plan.InitBefore[I]), NLatest & Us.After[I])
+          << Ctx << ": N-INIT b" << B << "#" << I;
+      ASSERT_EQ(BitVector(Plan.Reconstruct[I]),
+                Used & NLatest & ~Us.After[I])
+          << Ctx << ": RECONSTRUCT b" << B << "#" << I;
+    }
+    // X-INIT = X-DELAYABLE* · ∃succ ¬N-DELAYABLE* · X-USABLE.
+    BitVector AnySuccStops(U.size());
+    for (BlockId S : G.block(B).Succs)
+      AnySuccStops |= ~DS.Entry[S];
+    ASSERT_EQ(Plan.InitAtExit, DS.Exit[B] & AnySuccStops & US.Exit[B])
+        << Ctx << ": X-INIT b" << B;
+  }
+}
+
+void expectSameHoistPredicates(const FlowGraph &G,
+                               const AssignPatternTable &Pats,
+                               const std::string &Ctx) {
+  HoistabilityAnalysis H = HoistabilityAnalysis::run(G, Pats);
+  DenseSolution S = denseSolve(G, denseBlocking(Pats, Direction::Backward));
+  BitVector Blocked, Scratch;
+  for (BlockId B = 0; B < G.numBlocks(); ++B) {
+    // LOC-HOISTABLE: occurrences not preceded by a blocker; LOC-BLOCKED:
+    // patterns some instruction of the block blocks.
+    BitVector LocHoistable(Pats.size()), LocBlocked(Pats.size());
+    for (const Instr &I : G.block(B).Instrs) {
+      size_t P = denseOccurrence(Pats, I);
+      if (P != AssignPatternTable::npos && !LocBlocked.test(P))
+        LocHoistable.set(P);
+      denseBlocked(Pats, I, Blocked);
+      LocBlocked |= Blocked;
+    }
+    ASSERT_EQ(H.locHoistable(B), LocHoistable) << Ctx << ": b" << B;
+    ASSERT_EQ(H.locBlocked(B), LocBlocked) << Ctx << ": b" << B;
+    // N-INSERT = N-HOISTABLE* · ∃pred ¬X-HOISTABLE* (at s: N-HOISTABLE*);
+    // X-INSERT = X-HOISTABLE* · LOC-BLOCKED.
+    BitVector EntryIns = S.Entry[B];
+    if (B != G.start()) {
+      BitVector AnyPredStops(Pats.size());
+      for (BlockId P : G.block(B).Preds)
+        AnyPredStops |= ~S.Exit[P];
+      EntryIns &= AnyPredStops;
+    }
+    ASSERT_EQ(H.entryInsert(B), EntryIns) << Ctx << ": N-INSERT b" << B;
+    ASSERT_EQ(H.exitInsert(B), S.Exit[B] & LocBlocked)
+        << Ctx << ": X-INSERT b" << B;
+    // The scratch form reuses a vector sized for another block's call.
+    H.entryInsert(B, Scratch);
+    ASSERT_EQ(Scratch, EntryIns) << Ctx << ": scratch N-INSERT b" << B;
+  }
+}
+
+void expectSameLcm(const FlowGraph &G, const std::string &Ctx) {
+  ExprPatternTable Exprs;
+  Exprs.build(G);
+  if (Exprs.size() == 0)
+    return;
+  LcmAnalysis L = LcmAnalysis::run(G, Exprs);
+  DenseSolution Ant = denseSolve(G, denseAnticipability(Exprs));
+  DenseSolution Av = denseSolve(G, denseAvailability(Exprs));
+  BitVector Comp, Killed;
+  for (BlockId B = 0; B < G.numBlocks(); ++B) {
+    ASSERT_EQ(L.antIn(B), Ant.Entry[B]) << Ctx << ": ANTIN b" << B;
+    ASSERT_EQ(L.antOut(B), Ant.Exit[B]) << Ctx << ": ANTOUT b" << B;
+    ASSERT_EQ(L.avIn(B), Av.Entry[B]) << Ctx << ": AVIN b" << B;
+    ASSERT_EQ(L.avOut(B), Av.Exit[B]) << Ctx << ": AVOUT b" << B;
+    BitVector Antloc(Exprs.size()), KilledSoFar(Exprs.size());
+    for (const Instr &I : G.block(B).Instrs) {
+      denseComputed(Exprs, I, Comp);
+      Comp.andNot(KilledSoFar);
+      Antloc |= Comp;
+      denseExprKilled(Exprs, I, Killed);
+      KilledSoFar |= Killed;
+    }
+    ASSERT_EQ(L.antloc(B), Antloc) << Ctx << ": ANTLOC b" << B;
+    ASSERT_EQ(L.transp(B), ~KilledSoFar) << Ctx << ": TRANSP b" << B;
+  }
+}
+
+/// Checks every problem on one program snapshot (critical edges split).
+void checkSnapshot(const FlowGraph &G, const std::string &Ctx) {
+  AssignPatternTable Pats;
+  Pats.build(G);
+  if (Pats.size() != 0) {
+    RedundancyAnalysis R = RedundancyAnalysis::run(G, Pats);
+    expectSameSolution(G, denseRedundancy(Pats), R.result(),
+                       Ctx + " redundancy");
+    expectSameHoistPredicates(G, Pats, Ctx + " hoistability");
+    BlockingProblem Hoist(Pats, Direction::Backward);
+    expectSameSolution(G, denseBlocking(Pats, Direction::Backward),
+                       solve(G, Hoist, SolverKind::Worklist),
+                       Ctx + " hoistability facts");
+    BlockingProblem Sink(Pats, Direction::Forward);
+    expectSameSolution(G, denseBlocking(Pats, Direction::Forward),
+                       solve(G, Sink), Ctx + " pde sinking");
+  }
+  FlushAnalysis F = FlushAnalysis::run(G);
+  if (F.universe().size() != 0) {
+    expectSameSolution(G, denseDelayability(F.universe()), F.delayability(),
+                       Ctx + " delayability");
+    expectSameSolution(G, denseUsability(F.universe()), F.usability(),
+                       Ctx + " usability");
+    expectSamePlan(G, F, Ctx + " plan");
+  }
+  LivenessAnalysis Live = LivenessAnalysis::run(G);
+  expectSameSolution(G, denseLiveness(G.Vars.size()), Live.result(),
+                     Ctx + " liveness");
+  CopyAnalysis Copies = CopyAnalysis::run(G);
+  if (Copies.universe().size() != 0) {
+    DenseProblem P = denseCopies(Copies.universe());
+    DenseSolution S = denseSolve(G, P);
+    for (BlockId B = 0; B < G.numBlocks(); ++B) {
+      DataflowResult::InstrFacts Want = denseFacts(G, P, S, B);
+      DataflowResult::InstrFacts Got = Copies.facts(B);
+      ASSERT_EQ(Got.Before, Want.Before) << Ctx << " copies b" << B;
+      ASSERT_EQ(Got.After, Want.After) << Ctx << " copies b" << B;
+    }
+  }
+  expectSameLcm(G, Ctx + " lcm");
+}
+
+/// Checks the snapshots the optimizer actually analyzes: the split input,
+/// its initialized form, and the AM fixpoint's result (which is what the
+/// final flush sees).
+void checkProgram(const FlowGraph &Input, const std::string &Ctx) {
+  FlowGraph G = Input;
+  removeSkips(G);
+  G.splitCriticalEdges();
+  ASSERT_FALSE(G.hasCriticalEdges()) << Ctx;
+  checkSnapshot(G, Ctx + " split");
+  runInitializationPhase(G);
+  checkSnapshot(G, Ctx + " initialized");
+  runAssignmentMotionPhase(G);
+  checkSnapshot(G, Ctx + " after AM");
+}
+
+} // namespace
+
+TEST(DenseOracle, StructuredCorpus) {
+  for (uint64_t Seed = 0; Seed < 120 && !HasFatalFailure(); ++Seed)
+    checkProgram(generateStructuredProgram(Seed),
+                 "structured seed " + std::to_string(Seed));
+}
+
+TEST(DenseOracle, IrreducibleCfgs) {
+  for (uint64_t Seed = 0; Seed < 30 && !HasFatalFailure(); ++Seed)
+    checkProgram(generateIrreducibleCfg(Seed),
+                 "irreducible seed " + std::to_string(Seed));
+}
+
+TEST(DenseOracle, BundledExamples) {
+  unsigned Seen = 0;
+  for (const auto &Entry :
+       std::filesystem::directory_iterator(AM_EXAMPLES_DIR)) {
+    if (Entry.path().extension() != ".am" || HasFatalFailure())
+      continue;
+    std::ifstream In(Entry.path());
+    std::stringstream Src;
+    Src << In.rdbuf();
+    checkProgram(parse(Src.str()), Entry.path().filename().string());
+    ++Seen;
+  }
+  EXPECT_GE(Seen, 5u);
+}
+
+TEST(DenseOracle, GeneratorShapes) {
+  for (const ProgramShape &S : programShapes())
+    for (uint64_t Seed = 0; Seed < 10 && !HasFatalFailure(); ++Seed)
+      checkProgram(generateStructuredProgram(Seed, S.Opts),
+                   std::string(S.Name) + " seed " + std::to_string(Seed));
+}

@@ -69,16 +69,15 @@ void expectSolutionConsistent(const FlowGraph &G, const DataflowProblem &P,
 
     // Transfer consistency, instruction by instruction.
     DataflowResult::InstrFacts F = R.instrFacts(B);
-    BitVector Gen(P.numBits()), Kill(P.numBits());
+    LocalEffect E;
     for (size_t Idx = 0; Idx < G.block(B).Instrs.size(); ++Idx) {
       const Instr &I = G.block(B).Instrs[Idx];
-      P.gen(B, Idx, I, Gen);
-      P.kill(B, Idx, I, Kill);
+      E.clear();
+      P.effect(B, Idx, I, E);
       const BitVector &In = Forward ? F.Before[Idx] : F.After[Idx];
       const BitVector &Out = Forward ? F.After[Idx] : F.Before[Idx];
       BitVector Expect = In;
-      Expect.andNot(Kill);
-      Expect |= Gen;
+      E.apply(Expect);
       EXPECT_EQ(Out, Expect) << "transfer at block " << B << " instr " << Idx;
     }
   }
@@ -92,15 +91,11 @@ public:
   Direction direction() const override { return Direction::Backward; }
   Meet meet() const override { return Meet::Any; }
   size_t numBits() const override { return NumVars; }
-  void gen(BlockId, size_t, const Instr &I, BitVector &Out) const override {
-    Out = BitVector(NumVars);
-    I.forEachUsedVar([&](VarId V) { Out.set(index(V)); });
-  }
-  void kill(BlockId, size_t, const Instr &I, BitVector &Out) const override {
-    Out = BitVector(NumVars);
+  void effect(BlockId, size_t, const Instr &I, LocalEffect &E) const override {
     VarId Def = I.definedVar();
     if (isValid(Def))
-      Out.set(index(Def));
+      E.kill(index(Def));
+    I.forEachUsedVar([&](VarId V) { E.gen(index(V)); });
   }
 
 private:
@@ -115,14 +110,10 @@ public:
   Direction direction() const override { return Direction::Forward; }
   Meet meet() const override { return Meet::All; }
   size_t numBits() const override { return NumVars; }
-  void gen(BlockId, size_t, const Instr &I, BitVector &Out) const override {
-    Out = BitVector(NumVars);
+  void effect(BlockId, size_t, const Instr &I, LocalEffect &E) const override {
     VarId Def = I.definedVar();
     if (isValid(Def))
-      Out.set(index(Def));
-  }
-  void kill(BlockId, size_t, const Instr &, BitVector &Out) const override {
-    Out = BitVector(NumVars);
+      E.gen(index(Def));
   }
 
 private:

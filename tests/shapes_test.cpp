@@ -24,59 +24,10 @@
 using namespace am;
 using namespace am::test;
 
-namespace {
-
-struct Shape {
-  const char *Name;
-  GenOptions Opts;
-};
-
-std::vector<Shape> shapes() {
-  std::vector<Shape> Out;
-
-  GenOptions StraightLine;
-  StraightLine.LoopProb = 0;
-  StraightLine.IfProb = 0;
-  StraightLine.ChooseProb = 0;
-  StraightLine.TargetStmts = 60;
-  Out.push_back({"straight-line", StraightLine});
-
-  GenOptions LoopHeavy;
-  LoopHeavy.LoopProb = 0.45;
-  LoopHeavy.IfProb = 0.05;
-  LoopHeavy.MaxDepth = 4;
-  Out.push_back({"loop-heavy", LoopHeavy});
-
-  GenOptions BranchHeavy;
-  BranchHeavy.LoopProb = 0.02;
-  BranchHeavy.IfProb = 0.5;
-  BranchHeavy.MaxDepth = 5;
-  Out.push_back({"branch-heavy", BranchHeavy});
-
-  GenOptions TinyPool;
-  TinyPool.PatternPoolSize = 2;
-  TinyPool.NumVars = 3;
-  Out.push_back({"tiny-pool", TinyPool});
-
-  GenOptions HugePool;
-  HugePool.PatternPoolSize = 64;
-  HugePool.NumVars = 16;
-  Out.push_back({"huge-pool", HugePool});
-
-  GenOptions NondetHeavy;
-  NondetHeavy.ChooseProb = 0.35;
-  NondetHeavy.IfProb = 0.1;
-  Out.push_back({"nondet-heavy", NondetHeavy});
-
-  return Out;
-}
-
-} // namespace
-
 class ShapeSweep : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ShapeSweep, UniformIsSoundAndNeverWorseAcrossShapes) {
-  for (const Shape &S : shapes()) {
+  for (const ProgramShape &S : programShapes()) {
     FlowGraph G = generateStructuredProgram(GetParam(), S.Opts);
     ASSERT_TRUE(G.validate().empty()) << S.Name;
     FlowGraph U = runUniformEmAm(G);
@@ -94,7 +45,7 @@ TEST_P(ShapeSweep, UniformIsSoundAndNeverWorseAcrossShapes) {
 }
 
 TEST_P(ShapeSweep, LcmIsSoundAcrossShapes) {
-  for (const Shape &S : shapes()) {
+  for (const ProgramShape &S : programShapes()) {
     FlowGraph G = generateStructuredProgram(GetParam() + 77, S.Opts);
     FlowGraph Em = runLazyCodeMotion(G);
     std::unordered_map<std::string, int64_t> In = {{"v0", 5}, {"v3", -9}};

@@ -128,7 +128,46 @@ TEST(Stats, TimerPercentilesFromLog2Buckets) {
 
   T.reset();
   T.record(0); // values 0 and 1 land in bucket 0: [0, 2)
-  EXPECT_EQ(T.percentileNs(0.5), 1u);
+  EXPECT_EQ(T.percentileNs(0.5), 0u); // one sample: its exact value
+}
+
+TEST(Stats, TimerPercentilesStayWithinMinMax) {
+  Timer &T = Registry::get().timer("test.timer_percentile_range");
+  // One sample reports itself, not its bucket's midpoint (a 1063 ms
+  // sample used to read as 805 ms).
+  T.reset();
+  T.record(1063000000);
+  for (double Q : {0.0, 0.5, 0.95, 1.0})
+    EXPECT_EQ(T.percentileNs(Q), 1063000000u) << Q;
+
+  // 64..70 all land in bucket [64, 128), whose midpoint 96 lies above
+  // the largest sample: every percentile clamps to the max.
+  T.reset();
+  for (uint64_t Ns = 64; Ns <= 70; ++Ns)
+    T.record(Ns);
+  EXPECT_EQ(T.percentileNs(0.5), 70u);
+  EXPECT_EQ(T.percentileNs(0.95), 70u);
+
+  // 120..127: the midpoint lies below the smallest sample.
+  T.reset();
+  for (uint64_t Ns = 120; Ns <= 127; ++Ns)
+    T.record(Ns);
+  EXPECT_EQ(T.percentileNs(0.05), 120u);
+  EXPECT_EQ(T.percentileNs(0.5), 120u);
+
+  // Uniform 1..100: ranks fall in distinct buckets, all inside the range.
+  T.reset();
+  for (uint64_t Ns = 1; Ns <= 100; ++Ns)
+    T.record(Ns);
+  EXPECT_EQ(T.percentileNs(0.5), 48u);  // 50th sample, bucket [32, 64)
+  EXPECT_EQ(T.percentileNs(0.95), 96u); // 95th sample, bucket [64, 128)
+  EXPECT_EQ(T.percentileNs(1.0), 96u);
+  EXPECT_EQ(T.percentileNs(0.0), 1u);
+  for (int Pct = 0; Pct <= 100; ++Pct) {
+    uint64_t P = T.percentileNs(Pct / 100.0);
+    EXPECT_GE(P, T.minNs()) << Pct;
+    EXPECT_LE(P, T.maxNs()) << Pct;
+  }
 }
 
 TEST(Stats, DumpsCarryPercentiles) {
@@ -138,11 +177,12 @@ TEST(Stats, DumpsCarryPercentiles) {
   std::string J = Registry::get().dumpJsonString();
   std::string Error;
   EXPECT_TRUE(json::validate(J, &Error)) << Error;
-  EXPECT_NE(J.find("\"p50_ns\":96"), std::string::npos) << J;
-  EXPECT_NE(J.find("\"p95_ns\":96"), std::string::npos) << J;
+  // A single sample: the percentiles are its exact value.
+  EXPECT_NE(J.find("\"p50_ns\":100"), std::string::npos) << J;
+  EXPECT_NE(J.find("\"p95_ns\":100"), std::string::npos) << J;
   std::ostringstream OS;
   Registry::get().dumpText(OS);
-  EXPECT_NE(OS.str().find("p50 ~96 ns"), std::string::npos) << OS.str();
+  EXPECT_NE(OS.str().find("p50 ~100 ns"), std::string::npos) << OS.str();
 }
 
 TEST(Stats, CompiledOutMacrosRegisterNothing) {
