@@ -6,7 +6,6 @@
 
 #include "analysis/PaperAnalyses.h"
 #include "support/Profiler.h"
-#include "support/ThreadPool.h"
 
 using namespace am;
 
@@ -108,8 +107,10 @@ void BlockingProblem::effect(BlockId B, size_t Idx, const Instr &I,
 
 RedundancyAnalysis RedundancyAnalysis::run(const FlowGraph &G,
                                            const AssignPatternTable &Pats) {
-  DataflowSolver Solver;
-  return run(G, Pats, Solver, /*PatsGen=*/0);
+  auto Solver = std::make_unique<DataflowSolver>();
+  RedundancyAnalysis A = run(G, Pats, *Solver, /*PatsGen=*/0);
+  A.OwnedSolver = std::move(Solver);
+  return A;
 }
 
 RedundancyAnalysis RedundancyAnalysis::run(const FlowGraph &G,
@@ -118,48 +119,11 @@ RedundancyAnalysis RedundancyAnalysis::run(const FlowGraph &G,
                                            uint64_t PatsGen) {
   AM_PROF_SCOPE("analysis.redundancy");
   RedundancyAnalysis A;
+  A.G = &G;
+  A.Pats = &Pats;
   A.Problem = std::make_unique<RedundancyProblem>(Pats);
   A.Result = Solver.solve(G, *A.Problem, SolverKind::Worklist, PatsGen);
   return A;
-}
-
-//===----------------------------------------------------------------------===//
-// HoistLocalPredicates
-//===----------------------------------------------------------------------===//
-
-void HoistLocalPredicates::refresh(const FlowGraph &G,
-                                   const AssignPatternTable &Pats,
-                                   uint64_t PatsGen) {
-  size_t NumBlocks = G.numBlocks();
-  bool Incremental = Valid && CachedG == &G && CachedGen == PatsGen &&
-                     CachedBits == Pats.size() &&
-                     LocBlocked.size() <= NumBlocks;
-  LocBlocked.resize(NumBlocks);
-  LocHoistable.resize(NumBlocks);
-  // LOC-HOISTABLE and LOC-BLOCKED are the gen and kill sides of the
-  // block's composed hoistability transfer.
-  BlockingProblem P(Pats, Direction::Backward);
-  if (!Incremental) {
-    // Full rebuild: each block's predicates depend only on that block's
-    // instructions and the (const) pattern table, so contiguous block
-    // ranges go to the pool with one scratch effect per range.
-    threads::pool().parallelRanges(NumBlocks, [&](size_t Begin, size_t End) {
-      LocalEffect E;
-      for (size_t B = Begin; B < End; ++B)
-        composeBlock(P, G, static_cast<BlockId>(B), E, LocHoistable[B],
-                     LocBlocked[B]);
-    });
-  } else {
-    for (BlockId B = 0; B < NumBlocks; ++B) {
-      if (G.blockTick(B) > RefreshTick)
-        composeBlock(P, G, B, Effect, LocHoistable[B], LocBlocked[B]);
-    }
-  }
-  CachedG = &G;
-  CachedGen = PatsGen;
-  CachedBits = Pats.size();
-  RefreshTick = G.modTick();
-  Valid = true;
 }
 
 //===----------------------------------------------------------------------===//
@@ -168,9 +132,10 @@ void HoistLocalPredicates::refresh(const FlowGraph &G,
 
 HoistabilityAnalysis HoistabilityAnalysis::run(const FlowGraph &G,
                                                const AssignPatternTable &Pats) {
-  DataflowSolver Solver;
+  auto Solver = std::make_unique<DataflowSolver>();
   auto Locals = std::make_unique<HoistLocalPredicates>();
-  HoistabilityAnalysis A = run(G, Pats, Solver, *Locals, /*PatsGen=*/0);
+  HoistabilityAnalysis A = run(G, Pats, *Solver, *Locals, /*PatsGen=*/0);
+  A.OwnedSolver = std::move(Solver);
   A.OwnedLocals = std::move(Locals);
   return A;
 }
@@ -185,30 +150,9 @@ HoistabilityAnalysis HoistabilityAnalysis::run(const FlowGraph &G,
   A.G = &G;
   A.Problem = std::make_unique<BlockingProblem>(Pats, Direction::Backward);
   A.Result = Solver.solve(G, *A.Problem, SolverKind::Worklist, PatsGen);
-  Locals.refresh(G, Pats, PatsGen);
+  Locals.refresh(Solver);
   A.Locals = &Locals;
   return A;
-}
-
-void HoistabilityAnalysis::entryInsert(BlockId B, BitVector &Out) const {
-  Out = entryHoistable(B);
-  if (B == G->start() || Out.none())
-    // The start node has no predecessors: its entry is the hoisting
-    // frontier for everything still hoistable there.
-    return;
-  // N-INSERT = N-HOISTABLE* · ∃pred ¬X-HOISTABLE*.
-  const auto &Preds = G->block(B).Preds;
-  for (size_t W = 0, E = Out.numWords(); W != E; ++W) {
-    uint64_t AnyPredStops = 0;
-    for (BlockId P : Preds)
-      AnyPredStops |= ~exitHoistable(P).word(W);
-    Out.setWord(W, Out.word(W) & AnyPredStops);
-  }
-}
-
-void HoistabilityAnalysis::exitInsert(BlockId B, BitVector &Out) const {
-  Out = exitHoistable(B);
-  Out &= locBlocked(B);
 }
 
 //===----------------------------------------------------------------------===//

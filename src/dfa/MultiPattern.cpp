@@ -11,7 +11,6 @@
 #include "support/ThreadPool.h"
 
 #include <algorithm>
-#include <cstring>
 #include <memory>
 
 using namespace am;
@@ -30,16 +29,6 @@ bool MultiPatternTransfers::refresh(const FlowGraph &G,
   size_t Bits = P.numBits();
   bool Forward = P.direction() == Direction::Forward;
   size_t NumBlocks = G.numBlocks();
-  size_t NumPos = Order.size();
-
-  // Maps a block to its packed row; unreachable blocks (order index 0
-  // without actually being Order[0]) map to npos.
-  auto PosOf = [&](BlockId B) -> size_t {
-    size_t Idx = OrderIndex[B];
-    if (Idx == 0 && (NumPos == 0 || Order[0] != B))
-      return size_t(-1);
-    return Idx;
-  };
 
   // A packed matrix cannot grow rows in place (the slice stride changes),
   // so any block-count change rebuilds everything; so does any structural
@@ -51,7 +40,7 @@ bool MultiPatternTransfers::refresh(const FlowGraph &G,
   // gen/kill lanes were not wiped.)
   bool Incremental = Valid && CachedG == &G && CachedGen == ProblemGen &&
                      CachedBits == Bits && CachedForward == Forward &&
-                     Lanes.rows() == NumPos + 1 && Lanes.bits() == Bits &&
+                     Lanes.rows() == NumBlocks && Lanes.bits() == Bits &&
                      CachedStruct == G.structTick();
 
   uint64_t Recomposed = 0;
@@ -59,15 +48,14 @@ bool MultiPatternTransfers::refresh(const FlowGraph &G,
     Recomposed = NumBlocks;
     // One pass over the blocks in iteration order, split into
     // contiguous *position* ranges across the pool (position I is block
-    // Order[I]; unreachable blocks have no position and keep the dummy
-    // row's identity transfer).  Rows are disjoint per position and the
+    // Order[I]).  Rows are disjoint per position and the
     // problem's effects are const reads, so the split is free of shared
     // mutable state; scratch lives per range.  Composed transfers are
     // staged 64 rows at a time and flushed per tile so the packed
     // scatter writes each group region in contiguous bursts instead of
     // one strided cache line per row (see setTransferTile).
     threads::pool().parallelRanges(
-        NumPos, [&](size_t Begin, size_t End) {
+        NumBlocks, [&](size_t Begin, size_t End) {
           constexpr size_t TileRows = 64;
           LocalEffect E;
           BitVector GenT[TileRows], KillT[TileRows];
@@ -79,37 +67,25 @@ bool MultiPatternTransfers::refresh(const FlowGraph &G,
             Lanes.setTransferTile(TBase, TEnd - TBase, GenT, KillT);
           }
         });
-    // Retarget the CSR edge lists into position space.  Meet edges from
-    // an unreachable neighbor read the dummy row; requeue edges into one
-    // are dropped (evaluating the dummy is a no-op by construction).
-    MeetOff.assign(NumPos + 1, 0);
-    DepOff.assign(NumPos + 1, 0);
+    // Retarget the CSR edge lists into position space.
+    MeetOff.assign(NumBlocks + 1, 0);
+    DepOff.assign(NumBlocks + 1, 0);
     MeetPos.clear();
     DepPos.clear();
-    for (size_t I = 0; I < NumPos; ++I) {
+    for (size_t I = 0; I < NumBlocks; ++I) {
       BlockId B = Order[I];
-      const auto &ME = Forward ? G.block(B).Preds : G.block(B).Succs;
-      const auto &DE = Forward ? G.block(B).Succs : G.block(B).Preds;
-      for (BlockId N : ME) {
-        size_t Pos = PosOf(N);
-        MeetPos.push_back(uint32_t(Pos == size_t(-1) ? NumPos : Pos));
-      }
-      for (BlockId N : DE) {
-        size_t Pos = PosOf(N);
-        if (Pos != size_t(-1))
-          DepPos.push_back(uint32_t(Pos));
-      }
+      for (BlockId N : Forward ? G.block(B).Preds : G.block(B).Succs)
+        MeetPos.push_back(uint32_t(OrderIndex[N]));
+      for (BlockId N : Forward ? G.block(B).Succs : G.block(B).Preds)
+        DepPos.push_back(uint32_t(OrderIndex[N]));
       MeetOff[I + 1] = uint32_t(MeetPos.size());
       DepOff[I + 1] = uint32_t(DepPos.size());
     }
   } else {
     for (BlockId B = 0; B < NumBlocks; ++B) {
       if (G.blockTick(B) > RefreshTick) {
-        size_t Row = PosOf(B);
-        if (Row == size_t(-1))
-          continue;
         composeBlock(P, G, B, Effect, GenAcc, KillAcc);
-        Lanes.setTransferTile(Row, 1, &GenAcc, &KillAcc);
+        Lanes.setTransferTile(OrderIndex[B], 1, &GenAcc, &KillAcc);
         ++Recomposed;
       }
     }
@@ -129,15 +105,6 @@ bool MultiPatternTransfers::refresh(const FlowGraph &G,
 //===----------------------------------------------------------------------===//
 // TransposedEngine
 //===----------------------------------------------------------------------===//
-
-bool TransposedEngine::solutionValidFor(const FlowGraph &G,
-                                        const DataflowProblem &P,
-                                        uint64_t ProblemGen) const {
-  return HasSolution && SolG == &G && SolGen == ProblemGen &&
-         SolBits == P.numBits() && SolRows == G.numBlocks() &&
-         SolForward == (P.direction() == Direction::Forward) &&
-         SolMeetAll == (P.meet() == Meet::All);
-}
 
 template <bool MeetAll>
 uint64_t TransposedEngine::drainGroupImpl(size_t Gr, const SolveRequest &R,
@@ -208,25 +175,31 @@ uint64_t TransposedEngine::drainGroupImpl(size_t Gr, const SolveRequest &R,
     return Changed != 0;
   };
 
-  if (!R.Incremental) {
-    // First cycle as a straight sweep.  With every index pending, a ring
-    // drain pops in iteration order anyway, so this visits the same
-    // positions in the same order — but without a bit-scan pop per
-    // block, and pushing only dependents at or before the cursor (later
-    // ones are reached by the sweep itself and see the new value).  The
-    // per-group payoff: a group whose patterns converge in the sweep
-    // never pushes at all, so its ring drain below is empty.
-    for (size_t I = 0; I < NumPos; ++I) {
-      ++Processed;
-      if (Eval(I)) {
-        for (uint32_t D = DepOff[I], DE = DepOff[I + 1]; D != DE; ++D) {
-          size_t DepIdx = DepPos[D];
-          if (DepIdx <= I)
-            WL.push(DepIdx);
-        }
+  // First cycle as a straight sweep over every position, or over the
+  // dirty closure's positions on an incremental restart.  With all of
+  // them pending, a ring drain pops in iteration order anyway, so this
+  // visits the same positions in the same order — but without a bit-scan
+  // pop per block, and pushing only dependents at or before the cursor:
+  // later ones are reached by the sweep itself and see the new value (the
+  // closure is closed under dependents, so that holds for the restart
+  // too).  The per-group payoff: a group whose patterns converge in the
+  // sweep never pushes at all, so its ring drain below is empty.
+  auto Sweep = [&](size_t I) {
+    ++Processed;
+    if (Eval(I)) {
+      for (uint32_t D = DepOff[I], DE = DepOff[I + 1]; D != DE; ++D) {
+        size_t DepIdx = DepPos[D];
+        if (DepIdx <= I)
+          WL.push(DepIdx);
       }
     }
-  }
+  };
+  if (R.Incremental)
+    for (uint32_t I : ClosurePos)
+      Sweep(I);
+  else
+    for (size_t I = 0; I < NumPos; ++I)
+      Sweep(I);
 
   while (true) {
     size_t I = WL.pop();
@@ -245,22 +218,29 @@ uint64_t TransposedEngine::solve(const SolveRequest &R) {
   const FlowGraph &G = *R.G;
   const DataflowProblem &P = *R.P;
   size_t Bits = P.numBits();
-  size_t NumBlocks = G.numBlocks();
-
   size_t NumPos = R.Order->size();
+  assert(NumPos == G.numBlocks() && "the iteration order covers every block");
   size_t BoundaryPos = (*R.OrderIndex)[R.BoundaryBlock];
 
   // Reshape before refreshing the transfers: a wiped lane matrix must
   // never pass the refresh's incremental check (its cached dimensions
   // would mismatch, forcing the full rebuild that repopulates gen/kill).
-  // Rows are order positions plus the unreachable-block dummy.
-  if (LaneM.rows() != NumPos + 1 || LaneM.bits() != Bits) {
-    LaneM.reshape(NumPos + 1, Bits);
-    OutM.reshape(NumPos + 1, Bits);
-    InM.reshape(NumPos + 1, Bits);
-    HasSolution = false;
+  if (LaneM.rows() != NumPos || LaneM.bits() != Bits) {
+    LaneM.reshape(NumPos, Bits);
+    OutM.reshape(NumPos, Bits);
+    InM.reshape(NumPos, Bits);
   }
-  Transfers.refresh(G, P, R.ProblemGen, LaneM, *R.Order, *R.OrderIndex);
+  {
+    AM_PROF_SCOPE("dfa.compose");
+    Transfers.refresh(G, P, R.ProblemGen, LaneM, *R.Order, *R.OrderIndex);
+  }
+  AM_PROF_SCOPE("dfa.fixpoint");
+  ClosurePos.clear();
+  if (R.Incremental) {
+    for (BlockId B : *R.Dirty)
+      ClosurePos.push_back(static_cast<uint32_t>((*R.OrderIndex)[B]));
+    std::sort(ClosurePos.begin(), ClosurePos.end());
+  }
 
   constexpr size_t GW = PackedLaneMatrix::GroupWidth;
   size_t NumGroups = LaneM.groups();
@@ -286,36 +266,27 @@ uint64_t TransposedEngine::solve(const SolveRequest &R) {
   auto RunGroup = [&](size_t Gr) {
     prof::OverrideScope Ov(Prof ? GroupProfs[Gr].get() : nullptr);
     AM_PROF_SCOPE("dfa.solve.slice");
-    uint64_t *InP = InM.groupRow(Gr);
     uint64_t *Out = OutM.groupRow(Gr);
     uint64_t InitW[GW];
     for (size_t W = 0; W < GW; ++W)
       InitW[W] = R.MeetAll ? LaneM.sliceMask(Gr * GW + W) : 0;
     WorklistRing &WL = GroupWork[Gr];
     WL.reset(NumPos);
-    if (R.Incremental) {
-      for (BlockId B : *R.Dirty) {
-        size_t Pos = (*R.OrderIndex)[B];
-        if (Pos == 0 && (NumPos == 0 || (*R.Order)[0] != B))
-          continue; // unreachable: no packed row, and nothing reads it
-        for (size_t W = 0; W < GW; ++W) {
-          InP[Pos * GW + W] = InitW[W];
-          Out[Pos * GW + W] = InitW[W];
-        }
-        WL.push(Pos);
-      }
-    } else {
-      // No seeding pushes: drainGroupImpl runs the first cycle as a straight
-      // sweep over the iteration order and only the back-edge requeues
-      // enter the ring.  The sweep writes every in-plane row, so only the
-      // out plane — which meets read across back edges before the sweep
-      // reaches them — needs the optimistic value.  Row NumPos is the
-      // dummy, pinned at the initial value so meets from unreachable
-      // neighbors read the same words the wide solver would.
-      for (size_t Row = 0; Row <= NumPos; ++Row)
-        for (size_t W = 0; W < GW; ++W)
-          Out[Row * GW + W] = InitW[W];
-    }
+    // No seeding pushes: drainGroupImpl runs the first cycle as a straight
+    // sweep and only the back-edge requeues enter the ring.  The sweep
+    // writes the in-plane row of every position it visits, so only the
+    // out plane — which meets read across back edges before the sweep
+    // reaches them — needs the optimistic value.
+    auto Reset = [&](size_t Pos) {
+      for (size_t W = 0; W < GW; ++W)
+        Out[Pos * GW + W] = InitW[W];
+    };
+    if (R.Incremental)
+      for (uint32_t Pos : ClosurePos)
+        Reset(Pos);
+    else
+      for (size_t Pos = 0; Pos < NumPos; ++Pos)
+        Reset(Pos);
     // The meet operator selects the template instantiation; the direction
     // is already folded into the position-space edge lists.
     Processed[Gr] = R.MeetAll
@@ -334,14 +305,8 @@ uint64_t TransposedEngine::solve(const SolveRequest &R) {
     for (size_t Gr = 0; Gr < NumGroups; ++Gr)
       SessionProf.merge(*GroupProfs[Gr]);
 
-  SolG = &G;
-  SolGen = R.ProblemGen;
   SolBits = Bits;
-  SolRows = NumBlocks;
-  SolOrder = R.Order;
-  SolForward = R.Forward;
-  SolMeetAll = R.MeetAll;
-  HasSolution = true;
+  SolOrderIndex = R.OrderIndex;
 
   uint64_t Total = 0;
   for (uint64_t C : Processed)
@@ -349,61 +314,17 @@ uint64_t TransposedEngine::solve(const SolveRequest &R) {
   return Total;
 }
 
-void TransposedEngine::exportSolution(std::vector<BitVector> &In,
-                                      std::vector<BitVector> &Out) const {
-  const std::vector<BlockId> &Order = *SolOrder;
-  size_t NumPos = Order.size();
-  // Rows already of the right width (a recycled solution) are
-  // overwritten in place below; only new rows are allocated.
-  In.resize(SolRows);
-  Out.resize(SolRows);
-  for (size_t B = 0; B < SolRows; ++B) {
-    if (In[B].size() != SolBits)
-      In[B].clearAndResize(SolBits);
-    if (Out[B].size() != SolBits)
-      Out[B].clearAndResize(SolBits);
-  }
-  if (NumPos != SolRows) {
-    // Unreachable blocks have no packed row: they keep the optimistic
-    // initial value, exactly as the wide solver leaves them.
-    BitVector Init;
-    Init.clearAndResize(SolBits);
-    if (SolMeetAll)
-      Init.setAll();
-    std::vector<uint8_t> Mapped(SolRows, 0);
-    for (BlockId B : Order)
-      Mapped[B] = 1;
-    for (size_t B = 0; B < SolRows; ++B)
-      if (!Mapped[B]) {
-        In[B] = Init;
-        Out[B] = Init;
-      }
-  }
-  // Tiled transpose: a naive row-at-a-time gather strides the whole
-  // matrix once per row (rows * 8 bytes between consecutive reads).
-  // Walking 64-row tiles instead keeps each tile's group runs — 64
-  // contiguous lane triples per group — resident while every group
-  // visits them.  Row I belongs to block Order[I]; with the order close
-  // to layout order the scattered side stays nearly sequential too.
+WordRow TransposedEngine::row(BlockId B, bool MeetSide) const {
   constexpr size_t GW = PackedLaneMatrix::GroupWidth;
-  const size_t Tile = 64;
-  const size_t NumSlices = LaneM.slices();
-  const size_t NumGroups = LaneM.groups();
-  for (size_t Base = 0; Base < NumPos; Base += Tile) {
-    size_t End = Base + Tile < NumPos ? Base + Tile : NumPos;
-    for (size_t Gr = 0; Gr < NumGroups; ++Gr) {
-      const uint64_t *InP = InM.groupRow(Gr);
-      const uint64_t *OutP = OutM.groupRow(Gr);
-      size_t WEnd = NumSlices - Gr * GW < GW ? NumSlices - Gr * GW : GW;
-      // Packed words keep the tail bits zero, so a raw copy preserves
-      // the BitVector invariant.
-      for (size_t I = Base; I < End; ++I) {
-        BlockId B = Order[I];
-        std::memcpy(In[B].data() + Gr * GW, InP + I * GW,
-                    WEnd * sizeof(uint64_t));
-        std::memcpy(Out[B].data() + Gr * GW, OutP + I * GW,
-                    WEnd * sizeof(uint64_t));
-      }
-    }
-  }
+  const PackedGroupPlane &Plane = MeetSide ? InM : OutM;
+  return WordRow(Plane.groupRow(0) + (*SolOrderIndex)[B] * GW, SolBits,
+                 Plane.groupStride());
+}
+
+void TransposedEngine::transferRows(BlockId B, WordRow &Gen,
+                                    WordRow &Kill) const {
+  constexpr size_t GW = PackedLaneMatrix::GroupWidth;
+  const uint64_t *Lane = LaneM.groupLanes(0) + (*SolOrderIndex)[B] * 2 * GW;
+  Gen = WordRow(Lane, SolBits, LaneM.groupStride());
+  Kill = WordRow(Lane + GW, SolBits, LaneM.groupStride());
 }

@@ -67,6 +67,8 @@ class PackedLaneMatrix {
 public:
   /// Word slices per group; 16 * 64 = 1024 patterns advance per evaluation.
   static constexpr size_t GroupWidth = 16;
+  static_assert(GroupWidth == WordRow::ChunkWords,
+                "a group's run of a row is one WordRow chunk");
 
   size_t rows() const { return NumRows; }
   size_t bits() const { return NumBits; }
@@ -88,12 +90,12 @@ public:
 
   /// The lane array of group \p Gr: row B's pair starts at index
   /// B * 2 * GroupWidth, laid out gen words, then kill words.
-  uint64_t *groupLanes(size_t Gr) {
-    return Data + Gr * NumRows * 2 * GroupWidth;
-  }
+  uint64_t *groupLanes(size_t Gr) { return Data + Gr * groupStride(); }
   const uint64_t *groupLanes(size_t Gr) const {
-    return Data + Gr * NumRows * 2 * GroupWidth;
+    return Data + Gr * groupStride();
   }
+  /// Words between the lane arrays of consecutive groups.
+  size_t groupStride() const { return NumRows * 2 * GroupWidth; }
 
   /// Mask of the valid (in-width) bits of slice \p S; zero for the dead
   /// tail words of a partial final group.
@@ -165,10 +167,12 @@ public:
       Data[I] = 0;
   }
 
-  uint64_t *groupRow(size_t Gr) { return Data + Gr * NumRows * GroupWidth; }
+  uint64_t *groupRow(size_t Gr) { return Data + Gr * groupStride(); }
   const uint64_t *groupRow(size_t Gr) const {
-    return Data + Gr * NumRows * GroupWidth;
+    return Data + Gr * groupStride();
   }
+  /// Words between the planes of consecutive groups.
+  size_t groupStride() const { return NumRows * GroupWidth; }
 
 private:
   support::Arena Mem;
@@ -193,10 +197,8 @@ public:
   ///
   /// Rows are keyed by *iteration-order position*, not BlockId: block
   /// Order[I] owns row I, so the solver's seed sweep walks the lane
-  /// array strictly sequentially.  Unreachable blocks (absent from the
-  /// order) share the dummy row Order.size(), whose transfer stays the
-  /// identity and whose out word stays the initial value — exactly what
-  /// the wide solver reads from a never-evaluated neighbor.  A full
+  /// array strictly sequentially.  (The order covers every block: the
+  /// graph's postorders append the blocks they cannot reach.)  A full
   /// rebuild also retargets the CSR edge lists into position space
   /// (meetOff/meetPos, depOff/depPos), which is valid as long as the
   /// order is — both are functions of the graph structure and the
@@ -216,8 +218,7 @@ public:
 
   /// Position-space CSR: the meet neighbors of position I are
   /// meetPos()[meetOff()[I] .. meetOff()[I + 1]), likewise the requeue
-  /// dependents.  Meet entries may name the dummy row; dependent lists
-  /// never do.
+  /// dependents.
   const uint32_t *meetOff() const { return MeetOff.data(); }
   const uint32_t *meetPos() const { return MeetPos.data(); }
   const uint32_t *depOff() const { return DepOff.data(); }
@@ -253,37 +254,29 @@ public:
     bool MeetAll = true;
     BlockId BoundaryBlock = 0;
     const BitVector *Boundary = nullptr;
-    /// When set, seed only the blocks in *Dirty (already closed under
-    /// the dependence direction); the packed previous solution must be
-    /// valid (solutionValidFor).
+    /// When set, restart only the blocks in *Dirty (already closed
+    /// under the dependence direction); the engine's packed solution must
+    /// be the previous converged solve of the same problem (the solver
+    /// tracks that).
     bool Incremental = false;
     const std::vector<BlockId> *Dirty = nullptr;
   };
-
-  /// True if the engine still holds the converged packed solution for
-  /// this identity — the precondition for an incremental request.
-  bool solutionValidFor(const FlowGraph &G, const DataflowProblem &P,
-                        uint64_t ProblemGen) const;
 
   /// Runs the grouped fixpoint (transfers are refreshed internally);
   /// returns the number of group-block transfer evaluations (each one
   /// advances GroupWidth words of every pattern in the group).
   uint64_t solve(const SolveRequest &R);
 
-  /// Copies the converged packed solution into wide per-block vectors
-  /// (meet side → In, transferred side → Out), resizing as needed.
-  void exportSolution(std::vector<BitVector> &In,
-                      std::vector<BitVector> &Out) const;
+  /// Word view of block \p B's converged meet side (\p MeetSide) or
+  /// transferred side.
+  WordRow row(BlockId B, bool MeetSide) const;
 
-  /// Drops the packed solution (the next solve must be full).
-  void invalidate() { HasSolution = false; }
+  /// Word views of block \p B's packed gen/kill transfer.
+  void transferRows(BlockId B, WordRow &Gen, WordRow &Kill) const;
 
-  /// invalidate() plus the packed transfers' graph identity — the
-  /// cross-graph reset (see DataflowSolver::invalidate).
-  void hardInvalidate() {
-    HasSolution = false;
-    Transfers.invalidate();
-  }
+  /// Forgets the packed transfers' graph identity — the cross-graph
+  /// reset (see DataflowSolver::invalidate).
+  void invalidate() { Transfers.invalidate(); }
 
 private:
   template <bool MeetAll>
@@ -292,29 +285,24 @@ private:
 
   MultiPatternTransfers Transfers;
   /// Interleaved {gen, kill} solve-loop lanes (see PackedLaneMatrix),
-  /// keyed by iteration-order position; the last row is the unreachable-
-  /// block dummy.
+  /// keyed by iteration-order position.
   PackedLaneMatrix LaneM;
   /// The transferred side — the words the meet gathers read.  Dense (one
   /// GroupWidth run per row) so a group's whole meet-visible state stays
   /// cache-resident across the fixpoint.
   PackedGroupPlane OutM;
   /// The meet side, written once per evaluation and read back only by
-  /// exportSolution — kept out of the hot loop's read set.
+  /// the result's queries — kept out of the hot loop's read set.
   PackedGroupPlane InM;
   std::vector<WorklistRing> GroupWork;
+  /// The incremental restart's dirty closure as ascending positions.
+  std::vector<uint32_t> ClosurePos;
 
-  bool HasSolution = false;
-  const FlowGraph *SolG = nullptr;
-  uint64_t SolGen = 0;
   size_t SolBits = 0;
-  size_t SolRows = 0; ///< Block-space row count (the export size).
-  /// The iteration order the packed rows are keyed by.  Borrowed from the
+  /// Block -> packed row (iteration-order position).  Borrowed from the
   /// solver's SolveRequest; the solver keeps it alive and stable until
   /// the structure changes, which also invalidates this solution.
-  const std::vector<BlockId> *SolOrder = nullptr;
-  bool SolForward = true;
-  bool SolMeetAll = true;
+  const std::vector<size_t> *SolOrderIndex = nullptr;
 };
 
 } // namespace am

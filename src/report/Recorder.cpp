@@ -106,6 +106,17 @@ namespace {
 std::string patternText(const AssignPat &P, const VarTable &Vars) {
   return Vars.name(P.Lhs) + " := " + printTerm(P.Rhs, Vars);
 }
+
+/// A fact vector over the table's stable numbering rendered over the
+/// ranked universe: character r is the bit of pattern byRank()[r].
+std::string rankedString(const AssignPatternTable &Pats, const BitVector &V) {
+  std::string S;
+  S.reserve(Pats.byRank().size());
+  for (uint32_t Pat : Pats.byRank())
+    S.push_back(V.test(Pat) ? '1' : '0');
+  return S;
+}
+
 } // namespace
 
 void RecorderSession::captureRedundancy(const FlowGraph &G,
@@ -117,12 +128,13 @@ void RecorderSession::captureRedundancy(const FlowGraph &G,
   T.Pass = "rae";
   T.Round = Round;
   T.Solve = A.solveSerial();
-  T.Universe.reserve(Pats.size());
-  for (size_t Idx = 0; Idx < Pats.size(); ++Idx)
-    T.Universe.push_back(intern(patternText(Pats.pattern(Idx), G.Vars)));
+  // The universe a fresh numbering of this snapshot would have.
+  for (uint32_t Pat : Pats.byRank())
+    T.Universe.push_back(intern(patternText(Pats.pattern(Pat), G.Vars)));
   T.Rows.reserve(G.numBlocks());
   for (BlockId B = 0; B < G.numBlocks(); ++B)
-    T.Rows.push_back({B, A.entry(B).toString(), A.exit(B).toString()});
+    T.Rows.push_back({B, rankedString(Pats, A.entry(B)),
+                      rankedString(Pats, A.exit(B))});
   attributeSolve(T.Solve, "rae", Round);
   Facts.push_back(std::move(T));
 }
@@ -136,21 +148,21 @@ void RecorderSession::captureHoistability(const FlowGraph &G,
   T.Pass = "aht";
   T.Round = Round;
   T.Solve = A.solveSerial();
-  T.Universe.reserve(Pats.size());
-  for (size_t Idx = 0; Idx < Pats.size(); ++Idx)
-    T.Universe.push_back(intern(patternText(Pats.pattern(Idx), G.Vars)));
+  // The universe a fresh numbering of this snapshot would have.
+  for (uint32_t Pat : Pats.byRank())
+    T.Universe.push_back(intern(patternText(Pats.pattern(Pat), G.Vars)));
   FactTable::Extra LocBlocked{"LOC-BLOCKED", {}};
   FactTable::Extra LocHoistable{"LOC-HOISTABLE", {}};
   FactTable::Extra NInsert{"N-INSERT", {}};
   FactTable::Extra XInsert{"X-INSERT", {}};
   T.Rows.reserve(G.numBlocks());
   for (BlockId B = 0; B < G.numBlocks(); ++B) {
-    T.Rows.push_back(
-        {B, A.entryHoistable(B).toString(), A.exitHoistable(B).toString()});
-    LocBlocked.PerBlock.push_back(A.locBlocked(B).toString());
-    LocHoistable.PerBlock.push_back(A.locHoistable(B).toString());
-    NInsert.PerBlock.push_back(A.entryInsert(B).toString());
-    XInsert.PerBlock.push_back(A.exitInsert(B).toString());
+    T.Rows.push_back({B, rankedString(Pats, A.entryHoistable(B)),
+                      rankedString(Pats, A.exitHoistable(B))});
+    LocBlocked.PerBlock.push_back(rankedString(Pats, A.locBlocked(B)));
+    LocHoistable.PerBlock.push_back(rankedString(Pats, A.locHoistable(B)));
+    NInsert.PerBlock.push_back(rankedString(Pats, A.entryInsert(B)));
+    XInsert.PerBlock.push_back(rankedString(Pats, A.exitInsert(B)));
   }
   T.Extras.push_back(std::move(LocBlocked));
   T.Extras.push_back(std::move(LocHoistable));

@@ -67,20 +67,35 @@ bool am::runAssignmentHoisting(FlowGraph &G, AmContext &Ctx,
   std::vector<BlockDecision> Decisions(G.numBlocks());
 
   AM_PROF_SCOPE("aht.insert");
-  BitVector EntryIns, ExitIns, Seen(Pats.size());
+  // Insertions are realized in first-occurrence (rank) order — the order
+  // a fresh numbering would give bit order — and only for patterns that
+  // still occur: a dead slot of the stable numbering is no pattern of
+  // this program.
+  auto Keep = [&](size_t Pat) {
+    return Pats.rank(Pat) != AssignPatternTable::NoRank &&
+           (!Filter || Allowed.test(Pat));
+  };
+  Hoist.forEachInsert(
+      [&](BlockId B, size_t Pat) {
+        if (Keep(Pat))
+          Decisions[B].AtEntry.push_back(Pat);
+      },
+      [&](BlockId B, size_t Pat) {
+        if (Keep(Pat))
+          Decisions[B].AtEnd.push_back(Pat);
+      });
+
+  BitVector Seen(Pats.size());
   BitVector BlockedSoFar, Tmp; // remark payloads only
   for (BlockId B = 0; B < G.numBlocks(); ++B) {
     const BasicBlock &BB = G.block(B);
     BlockDecision &D = Decisions[B];
 
-    Hoist.entryInsert(B, EntryIns);
-    if (Filter)
-      EntryIns &= Allowed;
+    Pats.sortByRank(D.AtEntry);
     // Footnote 6: after edge splitting there are never entry insertions at
     // join nodes.
-    assert((EntryIns.none() || BB.Preds.size() <= 1 || B == G.start()) &&
+    assert((D.AtEntry.empty() || BB.Preds.size() <= 1 || B == G.start()) &&
            "unexpected entry insertion at a join node");
-    EntryIns.forEachSetBit([&](size_t Pat) { D.AtEntry.push_back(Pat); });
 
     // Hoisting candidates: occurrences not preceded by a blocker within
     // their block.  Every occurrence of `x := t` modifies x and so blocks
@@ -88,9 +103,15 @@ bool am::runAssignmentHoisting(FlowGraph &G, AmContext &Ctx,
     // possible candidate — and it is one exactly when the cached
     // LOC-HOISTABLE bit is set.  No per-instruction blocker scan needed.
     D.RemoveInstr.assign(BB.Instrs.size(), false);
-    const BitVector &LocHoistable = Hoist.locHoistable(B);
+    WordRow LocHoistable = Hoist.locHoistableRow(B);
+    bool AnyCandidate = false;
+    for (size_t Idx = 0; Idx < BB.Instrs.size() && !AnyCandidate; ++Idx) {
+      size_t Pat = Pats.occurrenceAt(B, Idx);
+      AnyCandidate = Pat != AssignPatternTable::npos &&
+                     LocHoistable.test(Pat) && (!Filter || Allowed.test(Pat));
+    }
     bool Remarks = AM_REMARKS_ENABLED();
-    if (Filter ? LocHoistable.intersects(Allowed) : LocHoistable.any()) {
+    if (AnyCandidate) {
       // First in-block blocker per pattern, for Blocked remark payloads.
       std::vector<uint32_t> FirstBlocker;
       if (Remarks) {
@@ -147,21 +168,15 @@ bool am::runAssignmentHoisting(FlowGraph &G, AmContext &Ctx,
       }
     }
 
-    // Exit insertions.
-    Hoist.exitInsert(B, ExitIns);
-    if (Filter)
-      ExitIns &= Allowed;
-    if (ExitIns.none())
-      continue;
+    // Exit insertions: at the block's end, or around its branch.
+    Pats.sortByRank(D.AtEnd);
     const Instr *Br = BB.branchInstr();
-    if (!Br) {
-      ExitIns.forEachSetBit([&](size_t Pat) { D.AtEnd.push_back(Pat); });
+    if (!Br)
       continue;
-    }
-    ExitIns.forEachSetBit([&](size_t Pat) {
+    for (size_t Pat : D.AtEnd) {
       if (!Pats.blocks(*Br, Pat)) {
         D.BeforeBranch.push_back(Pat);
-        return;
+        continue;
       }
       // The branch condition itself blocks the pattern: place the
       // insertion after the condition, i.e. at the entry of every
@@ -171,7 +186,8 @@ bool am::runAssignmentHoisting(FlowGraph &G, AmContext &Ctx,
                "successor of a branching block must have a unique pred");
         Decisions[S].FromPreds.push_back({Pat, B});
       }
-    });
+    }
+    D.AtEnd.clear();
   }
 
   // Phase 2: rebuild the instruction lists.

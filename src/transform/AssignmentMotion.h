@@ -27,12 +27,20 @@ namespace am {
 /// round pays only for what the previous round changed:
 ///
 ///  * one AssignPatternTable, rebuilt (arena-reusing) only when the graph
-///    tick moved, with a generation number that advances only when the
-///    rebuilt *contents* differ — unchanged contents keep every
-///    tick-stamped solver cache valid;
+///    tick moved.  Its numbering is stable for the context's binding: rae
+///    only deletes occurrences and aht only moves copies of existing
+///    ones, so the universe AP is fixed for the whole fixpoint and every
+///    pattern keeps its bit.  The generation number advances only when
+///    the universe grows, so unchanged instructions keep their composed
+///    transfers and every tick-stamped solver cache stays valid;
 ///  * one DataflowSolver per analysis (redundancy, hoistability), whose
 ///    transfer caches and previous solutions persist across rounds;
-///  * the hoistability analysis' block-local predicate cache.
+///  * the hoistability analysis' block-local predicates, read from the
+///    hoistability solver's transfers.
+///
+/// Where index order was observable — aht's insertion order and the
+/// recorder's fact tables — consumers use the table's first-occurrence
+/// rank, so the output is what a fresh numbering would give.
 ///
 /// The context is bound to the one live graph the phase mutates; do not
 /// reuse it for a different graph.  The plain two-argument entry points
@@ -40,8 +48,8 @@ namespace am {
 class AmContext {
 public:
   /// Rebuilds the pattern table if the graph changed since the last
-  /// refresh; advances the pattern generation only if the rebuild changed
-  /// the table's contents.
+  /// refresh; advances the pattern generation only if the rebuild grew
+  /// the universe.
   void refreshPatterns(const FlowGraph &G) {
     if (PatsValid && !G.instrsChangedSince(PatsTick))
       return;
@@ -58,16 +66,17 @@ public:
   HoistLocalPredicates &hoistLocals() { return HoistLocals; }
 
   /// Detaches the context from its graph so it may be bound to another
-  /// one: every graph-identity-keyed cache (pattern tick, solver
-  /// solutions/transfers/orders, block-local predicates) is dropped —
-  /// a different graph's address and ticks could otherwise alias a
-  /// stale cache — while arenas, scratch capacity and the pattern
+  /// one: every graph-identity-keyed cache (pattern numbering and tick,
+  /// solver solutions/transfers/orders, block-local predicates) is
+  /// dropped — a different graph's address and ticks could otherwise
+  /// alias a stale cache — while arenas, scratch capacity and the pattern
   /// generation counter survive.  This is what lets a long-lived
   /// service worker reuse one context across requests (per-worker
   /// context reuse, support/Service.h) without reallocating.
   void reset() {
     PatsValid = false;
     PatsTick = 0;
+    Pats.clear();
     RedundancySolver.invalidate();
     HoistSolver.invalidate();
     HoistLocals.invalidate();

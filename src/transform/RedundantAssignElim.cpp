@@ -32,7 +32,7 @@ std::string describeDefiner(const FlowGraph &G, BlockId B, size_t Idx,
   }
   std::string Out;
   for (BlockId P : G.block(B).Preds) {
-    if (Redundancy.exit(P).test(Pat)) {
+    if (Redundancy.result().exitRow(P).test(Pat)) {
       if (!Out.empty())
         Out += ", ";
       Out += "exit(b" + std::to_string(P) + ")";
@@ -57,29 +57,17 @@ unsigned am::runRedundantAssignmentElimination(FlowGraph &G, AmContext &Ctx) {
   if (report::RecorderSession *Rec = report::RecorderSession::current())
     Rec->captureRedundancy(G, Pats, Redundancy, Rec->round());
 
-  // Record each block's decisions during a forward walk that keeps one
-  // running N-REDUNDANT vector, then mutate the block.
+  // Record each block's decisions — one N-REDUNDANT bit per occurrence,
+  // decided by an in-block scan — then mutate the block.
   AM_PROF_SCOPE("rae.facts");
-  BlockWalker Walk(Redundancy.result());
   unsigned NumEliminated = 0;
   std::vector<bool> Remove;
   for (BlockId B = 0; B < G.numBlocks(); ++B) {
     auto &Instrs = G.block(B).Instrs;
-    // Instruction-level facts are only needed where an occurrence could
-    // actually be eliminated.
-    bool HasOccurrence = false;
-    for (size_t Idx = 0; Idx < Instrs.size() && !HasOccurrence; ++Idx)
-      HasOccurrence = Pats.occurrenceAt(B, Idx) != AssignPatternTable::npos;
-    if (!HasOccurrence)
-      continue;
     Remove.assign(Instrs.size(), false);
     unsigned RemovedHere = 0;
-    Walk.walk(B, [&](size_t Idx, const BitVector &NRedundant,
-                     const LocalEffect &) {
-      size_t Pat = Pats.occurrenceAt(B, Idx);
-      if (Pat == AssignPatternTable::npos)
-        return;
-      bool Redundant = NRedundant.test(Pat);
+    Redundancy.forEachOccurrence(B, [&](size_t Idx, size_t Pat,
+                                        bool Redundant) {
       if (!Redundant)
         if (fault::FaultInjector *FI = fault::FaultInjector::current())
           // rae-flip: treat one non-redundant occurrence as redundant, as

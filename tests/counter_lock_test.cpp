@@ -7,13 +7,17 @@
 /// \file
 /// The uniform pipeline's decision counters on the 20k-statement seed-61
 /// program (the first program of the benchmark's uniform-20k workload),
-/// locked to the values the dense gen/kill implementation produced.  A
-/// change to how the analyses are computed must leave every AM round,
-/// elimination and flush decision exactly where it was.
+/// locked to the values the dense gen/kill implementation produced, and
+/// the optimized program's bytes locked by their FNV-1a hash.  A change
+/// to how the analyses are computed must leave every AM round,
+/// elimination and flush decision — and every output byte — exactly
+/// where it was.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "gen/RandomProgram.h"
+#include "ir/Printer.h"
+#include "support/EventLog.h"
 #include "support/Stats.h"
 #include "support/Telemetry.h"
 #include "transform/Pipeline.h"
@@ -39,4 +43,5 @@ TEST(CounterLock, Uniform20kSeed61) {
   EXPECT_EQ(S.counterValue("am.eliminated"), 1647u);
   EXPECT_EQ(S.counterValue("flush.inits_deleted"), 13688u);
   EXPECT_EQ(S.counterValue("flush.inits_sunk"), 657u);
+  EXPECT_EQ(fleet::fnv1a64(printGraph(R.Graph)), 0x809ddfb0865cc7a1ull);
 }

@@ -12,7 +12,9 @@
 /// observable contracts: a fully cached solve does zero block work, an
 /// incremental re-solve after a local edit does strictly less work than
 /// the initial solve, and pattern generations only advance when the
-/// pattern universe actually changes.
+/// pattern universe grows.  The context's stable pattern numbering is
+/// checked against the fresh first-occurrence numbering the one-shot
+/// entry points use: same program bytes and AM counters everywhere.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,7 +26,16 @@
 #include "ir/Patterns.h"
 #include "transform/AssignmentHoisting.h"
 #include "transform/AssignmentMotion.h"
+#include "transform/Initialization.h"
+#include "transform/Normalize.h"
 #include "transform/RedundantAssignElim.h"
+#include "support/Stats.h"
+#include "support/Telemetry.h"
+
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 
 #include <gtest/gtest.h>
 
@@ -102,13 +113,20 @@ void expectIncrementalMatchesFresh(FlowGraph G, const std::string &Context) {
   FAIL() << Context << ": AM fixpoint did not stabilize within 64 rounds";
 }
 
-/// Runs the AM phase once with a persistent context and once as a pure
-/// from-scratch alternation; the final programs must print identically.
+/// Runs the AM phase once with a persistent context (stable pattern
+/// numbering) and once as a pure from-scratch alternation of the one-shot
+/// entry points (a fresh first-occurrence numbering every call); the
+/// final programs must print identically and the am.* counters agree.
 void expectSameFinalProgram(const FlowGraph &Base, const std::string &Context) {
   FlowGraph WithCtx = Base;
   WithCtx.splitCriticalEdges();
   AmContext Ctx;
-  AmPhaseStats StatsCtx = runAssignmentMotionPhase(WithCtx, Ctx);
+  telemetry::Session Job;
+  AmPhaseStats StatsCtx;
+  {
+    telemetry::SessionScope Scope(Job);
+    StatsCtx = runAssignmentMotionPhase(WithCtx, Ctx);
+  }
 
   FlowGraph Scratch = Base;
   Scratch.splitCriticalEdges();
@@ -130,6 +148,37 @@ void expectSameFinalProgram(const FlowGraph &Base, const std::string &Context) {
   EXPECT_EQ(StatsCtx.Iterations, StatsScratch.Iterations) << Context;
   EXPECT_EQ(StatsCtx.Eliminated, StatsScratch.Eliminated) << Context;
   EXPECT_EQ(StatsCtx.HoistRounds, StatsScratch.HoistRounds) << Context;
+  const stats::Registry &S = Job.stats();
+  EXPECT_EQ(S.counterValue("am.rounds"), StatsScratch.Iterations) << Context;
+  EXPECT_EQ(S.counterValue("am.eliminated"), StatsScratch.Eliminated)
+      << Context;
+  EXPECT_EQ(S.counterValue("am.hoist_rounds"), StatsScratch.HoistRounds)
+      << Context;
+}
+
+/// The uniform pass's view of \p Input: skips removed, critical edges
+/// split, temporaries initialized — the program the AM phase sees.
+FlowGraph amInput(const FlowGraph &Input) {
+  FlowGraph G = Input;
+  removeSkips(G);
+  G.splitCriticalEdges();
+  runInitializationPhase(G);
+  return G;
+}
+
+/// Every bundled example program.
+std::vector<std::pair<std::string, FlowGraph>> examplePrograms() {
+  std::vector<std::pair<std::string, FlowGraph>> Out;
+  for (const auto &Entry :
+       std::filesystem::directory_iterator(AM_EXAMPLES_DIR)) {
+    if (Entry.path().extension() != ".am")
+      continue;
+    std::ifstream In(Entry.path());
+    std::stringstream Src;
+    Src << In.rdbuf();
+    Out.push_back({Entry.path().filename().string(), parse(Src.str())});
+  }
+  return Out;
 }
 
 } // namespace
@@ -215,6 +264,7 @@ TEST(AmContextTest, PatternGenerationAdvancesOnlyOnUniverseChange) {
   AmContext Ctx;
   Ctx.refreshPatterns(G);
   uint64_t Gen0 = Ctx.patternGeneration();
+  size_t Size0 = Ctx.patterns().size();
 
   // No mutation: refresh is a no-op.
   Ctx.refreshPatterns(G);
@@ -227,29 +277,134 @@ TEST(AmContextTest, PatternGenerationAdvancesOnlyOnUniverseChange) {
   Ctx.refreshPatterns(G);
   EXPECT_EQ(Ctx.patternGeneration(), Gen0);
 
-  // Removing every occurrence of some pattern shrinks the universe: the
-  // generation must advance.
-  bool Removed = false;
-  for (BlockId B = 0; B < G.numBlocks() && !Removed; ++B) {
+  // Removing every occurrence of a pattern loses it, but its slot and
+  // every other index stay put: the generation must not advance.
+  size_t Lost = AssignPatternTable::npos;
+  for (BlockId B = 0; B < G.numBlocks() && Lost == AssignPatternTable::npos;
+       ++B) {
     auto &Instrs = G.block(B).Instrs;
     for (size_t Idx = 0; Idx < Instrs.size(); ++Idx) {
-      if (Instrs[Idx].isAssign()) {
-        Instrs.erase(Instrs.begin() + static_cast<long>(Idx));
-        G.touchBlock(B);
-        Removed = true;
-        break;
+      size_t Pat = Ctx.patterns().occurrence(Instrs[Idx]);
+      if (Pat == AssignPatternTable::npos)
+        continue;
+      Lost = Pat;
+      break;
+    }
+  }
+  ASSERT_NE(Lost, AssignPatternTable::npos);
+  AssignPat LostPat = Ctx.patterns().pattern(Lost);
+  for (BlockId B = 0; B < G.numBlocks(); ++B) {
+    auto &Instrs = G.block(B).Instrs;
+    size_t Before = Instrs.size();
+    Instrs.erase(std::remove_if(Instrs.begin(), Instrs.end(),
+                                [&](const Instr &I) {
+                                  return I.isAssign() &&
+                                         I.Lhs == LostPat.Lhs &&
+                                         I.Rhs == LostPat.Rhs;
+                                }),
+                 Instrs.end());
+    if (Instrs.size() != Before)
+      G.touchBlock(B);
+  }
+  Ctx.refreshPatterns(G);
+  EXPECT_EQ(Ctx.patternGeneration(), Gen0);
+  EXPECT_EQ(Ctx.patterns().size(), Size0);
+  EXPECT_EQ(Ctx.patterns().indexOf(LostPat.Lhs, LostPat.Rhs), Lost);
+  EXPECT_EQ(Ctx.patterns().rank(Lost), AssignPatternTable::NoRank);
+
+  // Growing the universe appends and advances the generation.
+  VarId Fresh = G.Vars.getOrCreate("fresh_lhs");
+  G.block(G.start()).Instrs.insert(G.block(G.start()).Instrs.begin(),
+                                   Instr::assign(Fresh, LostPat.Rhs));
+  G.touchBlock(G.start());
+  Ctx.refreshPatterns(G);
+  EXPECT_NE(Ctx.patternGeneration(), Gen0);
+  EXPECT_EQ(Ctx.patterns().size(), Size0 + 1);
+  EXPECT_EQ(Ctx.patterns().indexOf(Fresh, LostPat.Rhs), Size0);
+  EXPECT_EQ(Ctx.patterns().rank(Size0), 0u);
+}
+
+TEST(AmContextTest, UniverseGrowthBetweenRoundsMatchesFreshSolves) {
+  for (uint64_t Seed = 0; Seed < 6; ++Seed) {
+    std::string Where = "seed " + std::to_string(Seed);
+    FlowGraph G = amInput(generateStructuredProgram(Seed));
+    AmContext Ctx;
+    runRedundantAssignmentElimination(G, Ctx);
+    runAssignmentHoisting(G, Ctx);
+    size_t Size0 = Ctx.patterns().size();
+    uint64_t Gen0 = Ctx.patternGeneration();
+    ASSERT_GT(Size0, 0u) << Where;
+
+    // A pattern no round could produce: a new left-hand side over an
+    // existing right-hand side, in the middle of the program.
+    AssignPat Some = Ctx.patterns().pattern(0);
+    VarId Fresh = G.Vars.getOrCreate("grown" + std::to_string(Seed));
+    BlockId Mid = G.numBlocks() / 2;
+    G.block(Mid).Instrs.insert(G.block(Mid).Instrs.begin(),
+                               Instr::assign(Fresh, Some.Rhs));
+    G.touchBlock(Mid);
+
+    Ctx.refreshPatterns(G);
+    const AssignPatternTable &Pats = Ctx.patterns();
+    ASSERT_EQ(Pats.size(), Size0 + 1) << Where;
+    EXPECT_EQ(Pats.indexOf(Fresh, Some.Rhs), Size0) << Where;
+    EXPECT_NE(Ctx.patternGeneration(), Gen0) << Where;
+
+    // The context's solvers (warm, but keyed on the old generation) must
+    // agree with fresh solves over the same numbering...
+    RedundancyAnalysis Red = RedundancyAnalysis::run(
+        G, Pats, Ctx.redundancySolver(), Ctx.patternGeneration());
+    HoistabilityAnalysis Hoist =
+        HoistabilityAnalysis::run(G, Pats, Ctx.hoistSolver(),
+                                  Ctx.hoistLocals(), Ctx.patternGeneration());
+    RedundancyAnalysis FreshRed = RedundancyAnalysis::run(G, Pats);
+    HoistabilityAnalysis FreshHoist = HoistabilityAnalysis::run(G, Pats);
+    // ... and with a fresh first-occurrence numbering, bit by bit.
+    AssignPatternTable Renumbered;
+    Renumbered.build(G);
+    RedundancyAnalysis RenRed = RedundancyAnalysis::run(G, Renumbered);
+    for (BlockId B = 0; B < G.numBlocks(); ++B) {
+      EXPECT_EQ(Red.entry(B), FreshRed.entry(B)) << Where << " b" << B;
+      EXPECT_EQ(Red.exit(B), FreshRed.exit(B)) << Where << " b" << B;
+      EXPECT_EQ(Hoist.entryHoistable(B), FreshHoist.entryHoistable(B))
+          << Where << " b" << B;
+      EXPECT_EQ(Hoist.locBlocked(B), FreshHoist.locBlocked(B))
+          << Where << " b" << B;
+      EXPECT_EQ(Hoist.locHoistable(B), FreshHoist.locHoistable(B))
+          << Where << " b" << B;
+      for (size_t Pat = 0; Pat < Pats.size(); ++Pat) {
+        if (Pats.rank(Pat) == AssignPatternTable::NoRank)
+          continue;
+        size_t Ren = Renumbered.indexOf(Pats.pattern(Pat).Lhs,
+                                        Pats.pattern(Pat).Rhs);
+        ASSERT_NE(Ren, AssignPatternTable::npos) << Where;
+        EXPECT_EQ(Renumbered.rank(Ren), Pats.rank(Pat)) << Where;
+        EXPECT_EQ(Red.entry(B).test(Pat), RenRed.entry(B).test(Ren))
+            << Where << " b" << B << " pattern " << Pat;
+        EXPECT_EQ(Red.exit(B).test(Pat), RenRed.exit(B).test(Ren))
+            << Where << " b" << B << " pattern " << Pat;
       }
     }
   }
-  ASSERT_TRUE(Removed);
-  AssignPatternTable Check;
-  Check.build(G);
-  Ctx.refreshPatterns(G);
-  if (Check.size() != 0 && Check.size() == Ctx.patterns().size()) {
-    // The removed occurrence was a duplicate; universe unchanged.
-    EXPECT_EQ(Ctx.patternGeneration(), Gen0);
-  } else {
-    EXPECT_NE(Ctx.patternGeneration(), Gen0);
+}
+
+TEST(AmContextTest, ResetContextMatchesFreshContexts) {
+  // One context carried across different programs (as a service worker
+  // does) must give each program the output a fresh context gives it.
+  std::vector<FlowGraph> Programs = {figure4(), generateStructuredProgram(3),
+                                     figure10a(), generateIrreducibleCfg(7),
+                                     generateStructuredProgram(11)};
+  AmContext Shared;
+  for (size_t I = 0; I < Programs.size(); ++I) {
+    FlowGraph A = amInput(Programs[I]);
+    FlowGraph B = A;
+    Shared.reset();
+    AmPhaseStats SA = runAssignmentMotionPhase(A, Shared);
+    AmContext Fresh;
+    AmPhaseStats SB = runAssignmentMotionPhase(B, Fresh);
+    EXPECT_EQ(printGraph(A), printGraph(B)) << "program " << I;
+    EXPECT_EQ(SA.Iterations, SB.Iterations) << "program " << I;
+    EXPECT_EQ(SA.Eliminated, SB.Eliminated) << "program " << I;
   }
 }
 
@@ -273,6 +428,22 @@ TEST(IncrementalAm, MatchesFreshAnalysesOnRandomCorpus) {
   for (uint64_t Seed = 100; Seed < 106; ++Seed)
     expectIncrementalMatchesFresh(generateIrreducibleCfg(Seed),
                                   "irreducible seed " + std::to_string(Seed));
+}
+
+TEST(IncrementalAm, StableNumberingMatchesFreshNumberingOnCorpus) {
+  for (uint64_t Seed = 0; Seed < 120 && !HasFailure(); ++Seed)
+    expectSameFinalProgram(amInput(generateStructuredProgram(Seed)),
+                           "structured seed " + std::to_string(Seed));
+  for (uint64_t Seed = 0; Seed < 30 && !HasFailure(); ++Seed)
+    expectSameFinalProgram(amInput(generateIrreducibleCfg(Seed)),
+                           "irreducible seed " + std::to_string(Seed));
+  for (const auto &[Name, G] : examplePrograms())
+    expectSameFinalProgram(amInput(G), Name);
+  for (const ProgramShape &S : programShapes())
+    for (uint64_t Seed = 0; Seed < 10 && !HasFailure(); ++Seed)
+      expectSameFinalProgram(amInput(generateStructuredProgram(Seed, S.Opts)),
+                             std::string(S.Name) + " seed " +
+                                 std::to_string(Seed));
 }
 
 TEST(IncrementalAm, PhaseProducesIdenticalFinalPrograms) {

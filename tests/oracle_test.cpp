@@ -15,7 +15,8 @@
 /// agree with it at every block boundary and every instruction boundary,
 /// and the sparse flush plan must equal the dense one, over the 120-seed
 /// corpus, irreducible CFGs, the bundled examples and the shapes_test
-/// generators.
+/// generators.  rae's per-occurrence N-REDUNDANT scan is checked against
+/// the dense replay at every occurrence.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -362,12 +363,34 @@ void expectSamePlan(const FlowGraph &G, const FlushAnalysis &F,
   }
 }
 
+/// rae's per-occurrence N-REDUNDANT bit (an in-block scan, no fact
+/// vector) must equal the dense replay's bit at every occurrence.
+void expectSameRaeBits(const FlowGraph &G, const AssignPatternTable &Pats,
+                       const RedundancyAnalysis &R, const std::string &Ctx) {
+  DenseProblem P = denseRedundancy(Pats);
+  DenseSolution S = denseSolve(G, P);
+  for (BlockId B = 0; B < G.numBlocks(); ++B) {
+    DataflowResult::InstrFacts Want = denseFacts(G, P, S, B);
+    size_t Seen = 0;
+    R.forEachOccurrence(B, [&](size_t Idx, size_t Pat, bool NRedundant) {
+      ++Seen;
+      ASSERT_EQ(Pat, denseOccurrence(Pats, G.block(B).Instrs[Idx])) << Ctx;
+      ASSERT_EQ(NRedundant, Want.Before[Idx].test(Pat))
+          << Ctx << ": N-REDUNDANT b" << B << "#" << Idx;
+    });
+    size_t Occurrences = 0;
+    for (const Instr &I : G.block(B).Instrs)
+      Occurrences += denseOccurrence(Pats, I) != AssignPatternTable::npos;
+    ASSERT_EQ(Seen, Occurrences) << Ctx << ": b" << B;
+  }
+}
+
 void expectSameHoistPredicates(const FlowGraph &G,
                                const AssignPatternTable &Pats,
                                const std::string &Ctx) {
   HoistabilityAnalysis H = HoistabilityAnalysis::run(G, Pats);
   DenseSolution S = denseSolve(G, denseBlocking(Pats, Direction::Backward));
-  BitVector Blocked, Scratch;
+  BitVector Blocked;
   for (BlockId B = 0; B < G.numBlocks(); ++B) {
     // LOC-HOISTABLE: occurrences not preceded by a blocker; LOC-BLOCKED:
     // patterns some instruction of the block blocks.
@@ -393,9 +416,6 @@ void expectSameHoistPredicates(const FlowGraph &G,
     ASSERT_EQ(H.entryInsert(B), EntryIns) << Ctx << ": N-INSERT b" << B;
     ASSERT_EQ(H.exitInsert(B), S.Exit[B] & LocBlocked)
         << Ctx << ": X-INSERT b" << B;
-    // The scratch form reuses a vector sized for another block's call.
-    H.entryInsert(B, Scratch);
-    ASSERT_EQ(Scratch, EntryIns) << Ctx << ": scratch N-INSERT b" << B;
   }
 }
 
@@ -434,6 +454,7 @@ void checkSnapshot(const FlowGraph &G, const std::string &Ctx) {
     RedundancyAnalysis R = RedundancyAnalysis::run(G, Pats);
     expectSameSolution(G, denseRedundancy(Pats), R.result(),
                        Ctx + " redundancy");
+    expectSameRaeBits(G, Pats, R, Ctx + " rae");
     expectSameHoistPredicates(G, Pats, Ctx + " hoistability");
     BlockingProblem Hoist(Pats, Direction::Backward);
     expectSameSolution(G, denseBlocking(Pats, Direction::Backward),

@@ -11,6 +11,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "dfa/Dataflow.h"
 #include "figures/PaperFigures.h"
 #include "ir/Printer.h"
 #include "support/Json.h"
@@ -21,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include <regex>
 #include <string>
 #include <vector>
 
@@ -167,6 +169,54 @@ TEST(ProfilerTest, TreeShapeIsDeterministicAcrossRuns) {
   FlowGraph OutPlain = runUniformEmAm(Input);
   EXPECT_EQ(printGraph(OutA), printGraph(OutPlain));
   EXPECT_EQ(printGraph(OutA), printGraph(OutB));
+}
+
+/// The subtree of the first node named \p Name in a treeShape() string:
+/// from the name through its matching closing brace.
+static std::string subtree(const std::string &Shape,
+                           const std::string &Name) {
+  size_t At = Shape.find(Name + "(");
+  if (At == std::string::npos)
+    return "";
+  size_t Open = Shape.find('{', At);
+  size_t Close = Shape.find_first_of(",}", At);
+  if (Open == std::string::npos || Close < Open)
+    return Shape.substr(At, Close - At);
+  int Depth = 0;
+  for (size_t I = Open; I < Shape.size(); ++I) {
+    Depth += Shape[I] == '{' ? 1 : Shape[I] == '}' ? -1 : 0;
+    if (Depth == 0)
+      return Shape.substr(At, I + 1 - At);
+  }
+  return Shape.substr(At);
+}
+
+TEST(ProfilerTest, SolveSplitsIntoComposeFixpointAndMaterialize) {
+  // Every dfa.solve names its layers: transfer composition, the fixpoint
+  // (the transposed engine's slices run inside it) and a wide export
+  // only where a caller needs one — the one-shot flush solves, never a
+  // rae/aht round, whose consumers read the solver's own words.
+  setSolverLayout(SolverLayout::Transposed);
+  std::string Shape;
+  {
+    ProfiledSession P;
+    runUniformEmAm(figure4());
+    Shape = P.prof().treeShape();
+  }
+  setSolverLayout(SolverLayout::Auto);
+  std::regex Split("dfa\\.solve\\(\\d+\\)\\{dfa\\.compose\\(\\d+\\),"
+                   "dfa\\.fixpoint\\(\\d+\\)\\{"
+                   "dfa\\.solve\\.slice\\(\\d+\\)\\}");
+  std::string Rae = subtree(Shape, "rae");
+  std::string Aht = subtree(Shape, "aht");
+  EXPECT_TRUE(std::regex_search(Rae, Split)) << Shape;
+  EXPECT_TRUE(std::regex_search(Aht, Split)) << Shape;
+  std::string Fixpoint = subtree(Shape, "am.fixpoint");
+  ASSERT_FALSE(Fixpoint.empty()) << Shape;
+  EXPECT_EQ(Fixpoint.find("dfa.materialize"), std::string::npos) << Shape;
+  std::string Flush = subtree(Shape, "flush");
+  EXPECT_NE(Flush.find("dfa.fixpoint"), std::string::npos) << Shape;
+  EXPECT_NE(Flush.find("dfa.materialize"), std::string::npos) << Shape;
 }
 
 TEST(ProfilerTest, CompiledOutScopesCreateNothingEvenWhenEnabled) {

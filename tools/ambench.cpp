@@ -226,6 +226,7 @@ std::vector<Preset> buildPresets() {
       Opts.NumVars = SP.NumVars;
       Opts.PatternPoolSize = SP.PatternPool;
       *G = generateStructuredProgram(SP.Seed, Opts);
+      Pats->clear(); // a new graph: number it afresh
       Pats->build(*G);
       return WorkFacts{{"instrs_in", instrCount(*G)},
                        {"blocks_in", G->numBlocks()},
