@@ -16,9 +16,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
-#include "dfa/Dataflow.h"
 #include "gen/RandomProgram.h"
-#include "ir/Patterns.h"
 #include "transform/Initialization.h"
 #include "transform/UniformEmAm.h"
 
@@ -26,26 +24,6 @@ using namespace am;
 using namespace am::bench;
 
 namespace {
-
-/// The Table 2 redundancy equations, restated locally for the solver-
-/// scheduling comparison.
-class RedundancyCheckProblem : public DataflowProblem {
-public:
-  explicit RedundancyCheckProblem(const AssignPatternTable &Pats)
-      : Pats(Pats) {}
-  Direction direction() const override { return Direction::Forward; }
-  Meet meet() const override { return Meet::All; }
-  size_t numBits() const override { return Pats.size(); }
-  void effect(BlockId, size_t, const Instr &I, LocalEffect &E) const override {
-    E.killMask(Pats.defMask(I.definedVar()));
-    size_t Idx = Pats.occurrence(I);
-    if (Idx != AssignPatternTable::npos)
-      E.gen(Idx);
-  }
-
-private:
-  const AssignPatternTable &Pats;
-};
 
 GenOptions structuredOpts(unsigned Stmts) {
   GenOptions Opts;
@@ -119,67 +97,6 @@ BENCHMARK(BM_UniformUnstructured)
     ->Arg(16)
     ->Arg(64)
     ->Arg(256)
-    ->Unit(benchmark::kMillisecond);
-
-/// Round-robin vs worklist scheduling of the same analysis (refs [13, 14]
-/// of the paper: iterative bit-vector analyses are near-linear on
-/// structured code when scheduled well).
-void BM_SolverComparison(benchmark::State &State) {
-  GenOptions Opts;
-  Opts.TargetStmts = 512;
-  FlowGraph G = generateStructuredProgram(7, Opts);
-  G.splitCriticalEdges();
-  runInitializationPhase(G);
-  AssignPatternTable Pats;
-  Pats.build(G);
-  RedundancyCheckProblem Problem(Pats);
-  SolverKind Kind =
-      State.range(0) == 0 ? SolverKind::RoundRobin : SolverKind::Worklist;
-  uint64_t Processed = 0;
-  for (auto _ : State) {
-    DataflowResult R = solve(G, Problem, Kind);
-    Processed = R.BlocksProcessed;
-    benchmark::DoNotOptimize(R);
-  }
-  State.counters["blocks_processed"] = Processed;
-  State.SetLabel(State.range(0) == 0 ? "round-robin" : "worklist");
-}
-BENCHMARK(BM_SolverComparison)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
-/// The transposed multi-pattern substrate against the classic wide-vector
-/// fixpoint on the large scaling points (10k / 100k blocks with a pattern
-/// universe far wider than one machine word).  Same problem, same unique
-/// fixpoint — only the storage layout and sweep structure differ, so the
-/// ratio isolates the substrate win (see dfa/MultiPattern.h).
-void BM_SolverLayout(benchmark::State &State) {
-  GenOptions Opts;
-  Opts.TargetStmts = static_cast<unsigned>(State.range(0));
-  Opts.NumVars = 24;
-  Opts.PatternPoolSize = 320;
-  FlowGraph G = generateStructuredProgram(61, Opts);
-  AssignPatternTable Pats;
-  Pats.build(G);
-  RedundancyCheckProblem Problem(Pats);
-  bool Transposed = State.range(1) != 0;
-  setSolverLayout(Transposed ? SolverLayout::Transposed
-                             : SolverLayout::Scalar);
-  uint64_t Processed = 0;
-  for (auto _ : State) {
-    DataflowResult R = solve(G, Problem, SolverKind::Worklist);
-    Processed = R.BlocksProcessed;
-    benchmark::DoNotOptimize(R);
-  }
-  setSolverLayout(SolverLayout::Auto);
-  State.counters["blocks"] = static_cast<double>(G.numBlocks());
-  State.counters["patterns"] = static_cast<double>(Pats.size());
-  State.counters["blocks_processed"] = static_cast<double>(Processed);
-  State.SetLabel(Transposed ? "transposed" : "scalar");
-}
-BENCHMARK(BM_SolverLayout)
-    ->Args({20000, 0})
-    ->Args({20000, 1})
-    ->Args({200000, 0})
-    ->Args({200000, 1})
     ->Unit(benchmark::kMillisecond);
 
 void BM_AmPhaseOnly(benchmark::State &State) {

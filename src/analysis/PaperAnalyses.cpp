@@ -122,7 +122,7 @@ RedundancyAnalysis RedundancyAnalysis::run(const FlowGraph &G,
   A.G = &G;
   A.Pats = &Pats;
   A.Problem = std::make_unique<RedundancyProblem>(Pats);
-  A.Result = Solver.solve(G, *A.Problem, SolverKind::Worklist, PatsGen);
+  A.Result = Solver.solve(G, *A.Problem, PatsGen);
   return A;
 }
 
@@ -149,7 +149,7 @@ HoistabilityAnalysis HoistabilityAnalysis::run(const FlowGraph &G,
   HoistabilityAnalysis A;
   A.G = &G;
   A.Problem = std::make_unique<BlockingProblem>(Pats, Direction::Backward);
-  A.Result = Solver.solve(G, *A.Problem, SolverKind::Worklist, PatsGen);
+  A.Result = Solver.solve(G, *A.Problem, PatsGen);
   Locals.refresh(Solver);
   A.Locals = &Locals;
   return A;
@@ -211,11 +211,11 @@ FlushAnalysis FlushAnalysis::run(const FlowGraph &G) {
   A.UsableProblem = std::make_unique<UsabilityProblem>(*A.UniversePtr);
   {
     AM_PROF_SCOPE("analysis.delayability");
-    A.Delay = solve(G, *A.DelayProblem, SolverKind::Worklist);
+    A.Delay = solve(G, *A.DelayProblem);
   }
   {
     AM_PROF_SCOPE("analysis.usability");
-    A.Usable = solve(G, *A.UsableProblem, SolverKind::Worklist);
+    A.Usable = solve(G, *A.UsableProblem);
   }
   return A;
 }

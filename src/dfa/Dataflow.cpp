@@ -4,14 +4,14 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The solver object carries three layers of reuse across solves:
+// The solver object carries four layers of reuse across solves:
 //
 //  1. composed block transfers, recomputed only for tick-dirty blocks
-//     (TransferCache);
+//     (MultiPatternTransfers);
 //  2. the previous converged solution: if the graph did not change at all,
 //     it is returned outright; if it changed locally, iteration restarts
 //     only over the dirty blocks' dependence closure;
-//  3. all fixpoint scratch (meet/transfer vectors, the worklist ring), so
+//  3. all fixpoint scratch (the packed planes, the worklist rings), so
 //     the steady-state inner loop performs no heap allocation;
 //  4. the solution itself: a result reads the solver's storage and is
 //     copied out only if a caller still holds it when the solver moves on.
@@ -31,7 +31,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "dfa/Dataflow.h"
-#include "dfa/MultiPattern.h"
 #include "support/Profiler.h"
 #include "support/Stats.h"
 #include "support/Trace.h"
@@ -39,8 +38,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <cstdlib>
-#include <cstring>
 
 using namespace am;
 
@@ -67,45 +64,14 @@ void am::setSolveObserver(void (*Fn)(const SolveInfo &, void *), void *Ctx) {
   ObserverCtx = Ctx;
 }
 
-namespace {
-/// -1 = no programmatic override; fall through to AM_SOLVER.
-std::atomic<int> LayoutOverride{-1};
-
-SolverLayout envLayout() {
-  static SolverLayout Cached = [] {
-    const char *Env = std::getenv("AM_SOLVER");
-    if (!Env)
-      return SolverLayout::Auto;
-    if (std::strcmp(Env, "scalar") == 0)
-      return SolverLayout::Scalar;
-    if (std::strcmp(Env, "transposed") == 0)
-      return SolverLayout::Transposed;
-    return SolverLayout::Auto;
-  }();
-  return Cached;
-}
-} // namespace
-
-SolverLayout am::solverLayout() {
-  int V = LayoutOverride.load(std::memory_order_relaxed);
-  return V < 0 ? envLayout() : static_cast<SolverLayout>(V);
-}
-
-void am::setSolverLayout(SolverLayout L) {
-  LayoutOverride.store(static_cast<int>(L), std::memory_order_relaxed);
-}
-
 DataflowSolver::DataflowSolver() = default;
 DataflowSolver::~DataflowSolver() { detach(); }
 
 void DataflowSolver::invalidate() {
   HaveSolution = false;
-  SolTransposed = false;
   SolG = nullptr;
   OrderG = nullptr;
-  Cache.invalidate();
-  if (Engine)
-    Engine->invalidate();
+  Engine.invalidate();
 }
 
 bool DataflowSolver::solutionValid(const FlowGraph &G,
@@ -114,8 +80,7 @@ bool DataflowSolver::solutionValid(const FlowGraph &G,
   return HaveSolution && SolG == &G && SolStructTick == G.structTick() &&
          SolGen == ProblemGen && SolBits == P.numBits() &&
          SolForward == (P.direction() == Direction::Forward) &&
-         SolMeetAll == (P.meet() == Meet::All) &&
-         (SolTransposed || In.size() == G.numBlocks());
+         SolMeetAll == (P.meet() == Meet::All);
 }
 
 void DataflowSolver::refreshOrder(const FlowGraph &G, bool Forward) {
@@ -145,18 +110,12 @@ DataflowResult DataflowSolver::snapshot(const FlowGraph &G,
 WordRow DataflowSolver::factRow(BlockId B, bool Entry) const {
   // "In" is the meet side: the entry of a forward problem, the exit of a
   // backward one.
-  bool MeetSide = Entry == SolForward;
-  if (SolTransposed)
-    return Engine->row(B, MeetSide);
-  return WordRow(MeetSide ? In[B] : Out[B]);
+  return Engine.row(B, /*MeetSide=*/Entry == SolForward);
 }
 
 void DataflowSolver::transferRows(BlockId B, WordRow &Gen,
                                   WordRow &Kill) const {
-  if (SolTransposed)
-    return Engine->transferRows(B, Gen, Kill);
-  Gen = WordRow(Cache.transfer(B).Gen);
-  Kill = WordRow(Cache.transfer(B).Kill);
+  Engine.transferRows(B, Gen, Kill);
 }
 
 void DataflowSolver::materialize(DataflowResult::Solution &S) const {
@@ -211,25 +170,19 @@ const DataflowResult::Solution &DataflowResult::materialized() const {
 
 DataflowResult DataflowSolver::solve(const FlowGraph &G,
                                      const DataflowProblem &P,
-                                     SolverKind Kind, uint64_t ProblemGen) {
+                                     uint64_t ProblemGen) {
   size_t Bits = P.numBits();
   size_t NumBlocks = G.numBlocks();
   bool Forward = P.direction() == Direction::Forward;
   bool MeetAll = P.meet() == Meet::All;
 
   AM_STAT_COUNTER(NumSolves, "dfa.solves");
-  AM_STAT_COUNTER(NumSolvesRoundRobin, "dfa.solves.round_robin");
-  AM_STAT_COUNTER(NumSolvesWorklist, "dfa.solves.worklist");
   AM_STAT_COUNTER(NumSolvesCached, "dfa.solves.cached");
   AM_STAT_COUNTER(NumSolvesIncremental, "dfa.solves.incremental");
   AM_STAT_TIMER(SolveTimer, "dfa.solve_ns");
   AM_STAT_INC(NumSolves);
   uint64_t Serial =
       GlobalSolveSerial.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (Kind == SolverKind::RoundRobin)
-    AM_STAT_INC(NumSolvesRoundRobin);
-  else
-    AM_STAT_INC(NumSolvesWorklist);
   AM_STAT_TIME_SCOPE(SolveTimer);
   AM_PROF_SCOPE("dfa.solve");
   // A result still held from the previous solve gets its own copy before
@@ -241,8 +194,6 @@ DataflowResult DataflowSolver::solve(const FlowGraph &G,
   Span.arg("blocks", NumBlocks);
   Span.arg("direction", Forward ? "forward" : "backward");
   Span.arg("meet", MeetAll ? "all" : "any");
-  Span.arg("solver", Kind == SolverKind::RoundRobin ? "round-robin"
-                                                    : "worklist");
 
   bool PrevValid = solutionValid(G, P, ProblemGen);
   SolveInfo Info;
@@ -268,38 +219,11 @@ DataflowResult DataflowSolver::solve(const FlowGraph &G,
 
   P.boundary(Boundary);
   assert(Boundary.size() == Bits && "boundary width mismatch");
-  BlockId BoundaryBlock = Forward ? G.start() : G.end();
 
-  uint64_t BlocksProcessed = 0, Sweeps = 0;
-
-  // Substrate selection: never a function of the thread count (that
-  // would make work counters scheduling-dependent), only of the layout
-  // policy and the problem width.
-  bool UseTransposed = Kind == SolverKind::Worklist;
-  if (UseTransposed) {
-    switch (solverLayout()) {
-    case SolverLayout::Scalar:
-      UseTransposed = false;
-      break;
-    case SolverLayout::Transposed:
-      UseTransposed = Bits > 0;
-      break;
-    case SolverLayout::Auto:
-      UseTransposed = Bits > 64;
-      break;
-    }
-  }
-  if (UseTransposed && !Engine)
-    Engine = std::make_unique<TransposedEngine>();
-
-  // Only the substrate that holds the previous solution can restart from
-  // it: the engine's packed copy, or the wide mirrors of a wide solve.
+  // A valid previous solution restarts from the engine's packed copy.
   // (A changed width or structure fails PrevValid, so the engine's
   // planes were not reshaped since.)
-  bool Incremental =
-      PrevValid && (UseTransposed ? SolTransposed
-                                  : Kind == SolverKind::Worklist &&
-                                        !SolTransposed);
+  bool Incremental = PrevValid;
   if (Incremental) {
     // The dirty blocks' closure under the dependence direction.
     DirtyScratch.clear();
@@ -325,123 +249,18 @@ DataflowResult DataflowSolver::solve(const FlowGraph &G,
     Span.arg("dirty_closure", DirtyScratch.size());
   }
 
-  if (UseTransposed) {
-    Span.arg("layout", "transposed");
-    Span.arg("slices", (Bits + 63) / 64);
-    TransposedEngine::SolveRequest Req;
-    Req.G = &G;
-    Req.P = &P;
-    Req.ProblemGen = ProblemGen;
-    Req.Order = &Order;
-    Req.OrderIndex = &OrderIndex;
-    Req.Forward = Forward;
-    Req.MeetAll = MeetAll;
-    Req.BoundaryBlock = BoundaryBlock;
-    Req.Boundary = &Boundary;
-    Req.Incremental = Incremental;
-    Req.Dirty = &DirtyScratch;
-    BlocksProcessed = Engine->solve(Req);
-  } else {
-  {
-    AM_PROF_SCOPE("dfa.compose");
-    Cache.refresh(G, P, ProblemGen);
-  }
-  AM_PROF_SCOPE("dfa.fixpoint");
-
-  Init.clearAndResize(Bits); // optimistic interior initialization
-  if (MeetAll)
-    Init.setAll();
-
-  // Recomputes block B; returns true if its Out side changed.  "In" is
-  // the meet side (block entry for forward, block exit for backward);
-  // "Out" the transferred side.
-  auto Process = [&](BlockId B) {
-    ++BlocksProcessed;
-    if (B == BoundaryBlock) {
-      NewIn = Boundary;
-    } else {
-      const auto &Edges = Forward ? G.block(B).Preds : G.block(B).Succs;
-      if (Edges.empty()) {
-        // Only the boundary block may lack incoming edges in a valid
-        // graph; be conservative for invalid inputs.
-        NewIn = Init;
-      } else {
-        // The meet input is always the neighbor's *transferred* side:
-        // its exit value for forward problems, its entry value for
-        // backward ones — both live in Out.
-        NewIn = Out[Edges[0]];
-        for (size_t EdgeIdx = 1; EdgeIdx < Edges.size(); ++EdgeIdx) {
-          if (MeetAll)
-            NewIn &= Out[Edges[EdgeIdx]];
-          else
-            NewIn |= Out[Edges[EdgeIdx]];
-        }
-      }
-    }
-    Cache.transfer(B).apply(NewIn, NewOut);
-    bool OutChanged = NewOut != Out[B];
-    bool AnyChanged = OutChanged || NewIn != In[B];
-    if (AnyChanged) {
-      In[B] = NewIn;
-      Out[B] = NewOut;
-    }
-    return OutChanged;
-  };
-
-  auto Drain = [&]() {
-    while (true) {
-      size_t Idx = Work.pop();
-      if (Idx == WorklistRing::npos)
-        break;
-      BlockId B = Order[Idx];
-      if (!Process(B))
-        continue;
-      const auto &Dependents = Forward ? G.block(B).Succs : G.block(B).Preds;
-      for (BlockId D : Dependents)
-        Work.push(OrderIndex[D]);
-    }
-  };
-
-  if (Incremental) {
-    // Seed only the dirty blocks' dependence closure, reset to the
-    // optimistic value; everything outside keeps its converged value.
-    Work.reset(Order.size());
-    for (BlockId B : DirtyScratch) {
-      In[B] = Init;
-      Out[B] = Init;
-      Work.push(OrderIndex[B]);
-    }
-    Drain();
-  } else {
-    In.resize(NumBlocks);
-    Out.resize(NumBlocks);
-    for (BlockId B = 0; B < NumBlocks; ++B) {
-      In[B] = Init;
-      Out[B] = Init;
-    }
-    if (Kind == SolverKind::RoundRobin) {
-      // Stop after a sweep in which no transferred side changed: every
-      // meet side was recomputed from final neighbor values during that
-      // sweep, so the whole solution is consistent.
-      bool Changed = true;
-      while (Changed) {
-        Changed = false;
-        ++Sweeps;
-        for (BlockId B : Order)
-          Changed |= Process(B);
-      }
-    } else {
-      // Full worklist solve: seed every block once in iteration order,
-      // then only revisit the dependents of blocks whose transferred
-      // side changed — the classic near-optimal schedule for iterative
-      // bit-vector analyses (the paper's refs [13, 14]).
-      Work.reset(Order.size());
-      for (size_t Idx = 0; Idx < Order.size(); ++Idx)
-        Work.push(Idx);
-      Drain();
-    }
-  }
-  } // scalar substrate
+  TransposedEngine::SolveRequest Req;
+  Req.G = &G;
+  Req.P = &P;
+  Req.ProblemGen = ProblemGen;
+  Req.Order = &Order;
+  Req.OrderIndex = &OrderIndex;
+  Req.MeetAll = MeetAll;
+  Req.BoundaryBlock = Forward ? G.start() : G.end();
+  Req.Boundary = &Boundary;
+  Req.Incremental = Incremental;
+  Req.Dirty = &DirtyScratch;
+  uint64_t BlocksProcessed = Engine.solve(Req);
 
   SolG = &G;
   SolBlocks = NumBlocks;
@@ -451,32 +270,25 @@ DataflowResult DataflowSolver::solve(const FlowGraph &G,
   SolBits = Bits;
   SolForward = Forward;
   SolMeetAll = MeetAll;
-  SolTransposed = UseTransposed;
   HaveSolution = true;
 
-  // Every transfer evaluation touches the meet result, the transferred
-  // vector and both transfer masks, word by word: all (Bits+63)/64 words
-  // per wide-vector evaluation, one GroupWidth-word run per group
-  // evaluation on the transposed substrate.
-  uint64_t WordsPerEval = UseTransposed ? 4 * PackedLaneMatrix::GroupWidth
-                                        : 4 * ((Bits + 63) / 64);
-  AM_STAT_COUNTER(NumSweeps, "dfa.sweeps");
+  // Every group evaluation touches one group-width run of the meet
+  // result, the transferred side and both transfer masks.
+  uint64_t WordsTouched = BlocksProcessed * 4 * Engine.groupWidth();
   AM_STAT_COUNTER(NumBlocksProcessed, "dfa.blocks_processed");
   AM_STAT_COUNTER(NumWordsTouched, "dfa.words_touched");
-  AM_STAT_ADD(NumSweeps, Sweeps);
   AM_STAT_ADD(NumBlocksProcessed, BlocksProcessed);
-  AM_STAT_ADD(NumWordsTouched, BlocksProcessed * WordsPerEval);
+  AM_STAT_ADD(NumWordsTouched, WordsTouched);
 
-  Span.arg("sweeps", Sweeps);
+  Span.arg("slices", (Bits + 63) / 64);
+  Span.arg("group_width", Engine.groupWidth());
   Span.arg("blocks_processed", BlocksProcessed);
-  Span.arg("words_touched", BlocksProcessed * WordsPerEval);
+  Span.arg("words_touched", WordsTouched);
 
   DataflowResult R = snapshot(G, P);
-  R.Sweeps = Sweeps;
   R.BlocksProcessed = BlocksProcessed;
   R.SolveSerial = Serial;
 
-  Info.Sweeps = Sweeps;
   Info.BlocksProcessed = BlocksProcessed;
   Info.DirtyClosure = Incremental ? DirtyScratch.size() : 0;
   Info.P = Incremental ? SolveInfo::Path::Incremental : SolveInfo::Path::Full;
@@ -484,11 +296,10 @@ DataflowResult DataflowSolver::solve(const FlowGraph &G,
   return R;
 }
 
-DataflowResult am::solve(const FlowGraph &G, const DataflowProblem &P,
-                         SolverKind Kind) {
+DataflowResult am::solve(const FlowGraph &G, const DataflowProblem &P) {
   // The result is materialized when the solver dies at return.
   DataflowSolver Solver;
-  return Solver.solve(G, P, Kind);
+  return Solver.solve(G, P);
 }
 
 void LocalEffect::apply(BitVector &V, BitVector *KillAcc) const {

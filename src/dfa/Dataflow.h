@@ -17,9 +17,9 @@
 /// per-variable masks cached once per universe build (LocalEffect).
 ///
 /// The solver composes the per-instruction effects into one transfer per
-/// basic block (so the fixpoint iteration touches each block once per
-/// sweep) and iterates sweeps in (reverse-graph) reverse postorder until
-/// stabilization.  With an all-path meet it computes the *greatest*
+/// basic block and runs a worklist fixpoint over the blocks in
+/// (reverse-graph) reverse postorder, on the sliced engine of
+/// dfa/MultiPattern.h.  With an all-path meet it computes the *greatest*
 /// solution from an all-true initialization; with an any-path meet the
 /// *least* solution from all-false — matching the solutions the paper's
 /// equation systems call for.  Instruction-level facts are not stored: a
@@ -30,6 +30,7 @@
 #ifndef AM_DFA_DATAFLOW_H
 #define AM_DFA_DATAFLOW_H
 
+#include "dfa/MultiPattern.h"
 #include "dfa/SolverCache.h"
 #include "ir/FlowGraph.h"
 #include "support/BitVector.h"
@@ -42,32 +43,8 @@
 namespace am {
 
 class DataflowSolver;
-class TransposedEngine;
 
 enum class Direction { Forward, Backward };
-
-/// Which substrate worklist solves run on.
-///
-///  * Auto (default): the transposed multi-pattern engine when the
-///    problem is wider than one machine word (more than 64 patterns),
-///    the classic wide-vector fixpoint otherwise;
-///  * Scalar: always the wide-vector fixpoint (the pre-transposition
-///    behavior — the differential-test oracle and the baseline the
-///    recorded bench trends were measured with);
-///  * Transposed: the sliced engine for every worklist solve, whatever
-///    the width (exercises the engine on narrow problems in tests).
-///
-/// Both substrates compute the same unique fixpoint, so optimized output
-/// is byte-identical whichever is selected; only `dfa.*` work counters
-/// differ between substrates.  The selection never depends on the thread
-/// count, which keeps all counters thread-count-invariant.
-enum class SolverLayout { Auto, Scalar, Transposed };
-
-/// Process-wide layout policy: the last setSolverLayout() value, else the
-/// AM_SOLVER environment variable ("auto" / "scalar" / "transposed"),
-/// else Auto.
-SolverLayout solverLayout();
-void setSolverLayout(SolverLayout L);
 
 /// All = intersection over incoming edges (must-style, greatest fixpoint);
 /// Any = union (may-style, least fixpoint).
@@ -102,27 +79,14 @@ public:
 void composeBlock(const DataflowProblem &P, const FlowGraph &G, BlockId B,
                   LocalEffect &E, BitVector &Gen, BitVector &Kill);
 
-/// Fixpoint strategy.  Both compute the same (greatest/least) solution;
-/// they differ only in how work is scheduled — the paper's Section 4.5
-/// cites the classic iterative techniques [13, 14] that make bit-vector
-/// problems almost linear on structured programs, which the worklist
-/// realizes in practice.
-enum class SolverKind {
-  /// Sweep all blocks in (reverse-graph) reverse postorder until stable.
-  RoundRobin,
-  /// Process only blocks whose inputs changed.
-  Worklist,
-};
-
 /// Solution of a dataflow problem: a fact at the entry and exit of every
 /// basic block.  Instruction-boundary facts are replayed by a BlockWalker.
 ///
-/// A result of a reusable solver reads the solver's own storage (for the
-/// transposed engine, its packed planes) until the solver solves again or
-/// dies; only then, and only if the result is still held, are the facts
-/// copied out.  The wide per-block vectors entry()/exit() return are
-/// materialized on first use; hot paths read words through entryRow() /
-/// exitRow() and never pay for the copy.
+/// A result reads the solver's own storage (the engine's packed planes)
+/// until the solver solves again or dies; only then, and only if the
+/// result is still held, are the facts copied out.  The per-block vectors
+/// entry()/exit() return are materialized on first use; hot paths read
+/// words through entryRow() / exitRow() and never pay for the copy.
 class DataflowResult {
 public:
   /// Fact at the block's entry (before its first instruction).
@@ -150,14 +114,9 @@ public:
   /// replay).  For tests, listings and one-off queries; hot paths walk.
   InstrFacts instrFacts(BlockId B) const;
 
-  /// Number of sweeps the solver performed (round-robin; the last sweep
-  /// detects stabilization), exposed for the complexity experiments.
-  /// 64-bit so the large bench_scaling sweeps cannot overflow; also
-  /// mirrored into the stats registry as `dfa.sweeps`.
-  uint64_t Sweeps = 0;
-
-  /// Number of block transfer evaluations (both strategies); mirrored
-  /// into the stats registry as `dfa.blocks_processed`.
+  /// Number of group-block transfer evaluations, exposed for the
+  /// complexity experiments; mirrored into the stats registry as
+  /// `dfa.blocks_processed`.
   uint64_t BlocksProcessed = 0;
 
   /// Process-wide serial of the solve() call that produced this result
@@ -217,18 +176,18 @@ private:
   LocalEffect E;
 };
 
-/// A reusable solver.  One solver instance owns all fixpoint scratch
-/// (meet/transfer vectors, the worklist ring, the composed-transfer
-/// cache) and the previous converged solution, so that repeated solves of
-/// the *same analysis over the same live graph* get cheaper as the graph
+/// A reusable solver.  One solver instance owns its engine — all fixpoint
+/// scratch (the worklist rings, the packed composed transfers) and the
+/// previous converged solution — so that repeated solves of the *same
+/// analysis over the same live graph* get cheaper as the graph
 /// stabilizes:
 ///
 ///  * block transfers are recomposed only for blocks the graph stamped
 ///    dirty (FlowGraph::touchBlock) since the previous solve;
-///  * a worklist solve is seeded with only the dirty blocks' dependence
-///    closure — values outside it are provably still the fixpoint — and
-///    if nothing changed at all, the cached solution is returned with
-///    zero blocks processed;
+///  * a solve is seeded with only the dirty blocks' dependence closure —
+///    values outside it are provably still the fixpoint — and if nothing
+///    changed at all, the cached solution is returned with zero blocks
+///    processed;
 ///  * scratch vectors are reused, so the steady-state inner loop does not
 ///    allocate;
 ///  * the result reads the solver's storage instead of a copy (see
@@ -259,7 +218,6 @@ public:
   /// FlowGraph::validate(), and must be the same live graph across solves
   /// for the cache to apply).
   DataflowResult solve(const FlowGraph &G, const DataflowProblem &P,
-                       SolverKind Kind = SolverKind::Worklist,
                        uint64_t ProblemGen = 0);
 
   /// Drops the cached solution, transfers and iteration order — every
@@ -288,12 +246,9 @@ private:
   /// the solver's storage changes.
   void detach();
 
-  TransferCache Cache;
-  WorklistRing Work;
-
-  /// The transposed multi-pattern engine (packed transfers + packed
-  /// previous solution), created on first use; see dfa/MultiPattern.h.
-  std::unique_ptr<TransposedEngine> Engine;
+  /// The sliced engine: packed transfers and the packed previous
+  /// solution; see dfa/MultiPattern.h.
+  TransposedEngine Engine;
 
   // Iteration order, cached against the graph's structural tick.
   std::vector<BlockId> Order;
@@ -302,12 +257,8 @@ private:
   Tick OrderStructTick = 0;
   bool OrderForward = true;
 
-  // Previous converged solution ("In" = meet side, "Out" = transferred
-  // side) and the identity it is valid for.  After a transposed solve
-  // (SolTransposed) only the engine holds it and In/Out are stale.
-  std::vector<BitVector> In, Out;
+  // The identity the engine's converged solution is valid for.
   bool HaveSolution = false;
-  bool SolTransposed = false;
   const FlowGraph *SolG = nullptr;
   size_t SolBlocks = 0;
   Tick SolTick = 0;
@@ -318,7 +269,7 @@ private:
   bool SolMeetAll = true;
 
   // Per-solve scratch, reused.
-  BitVector NewIn, NewOut, Boundary, Init, AffectedSet;
+  BitVector Boundary, AffectedSet;
   /// The last result, while it reads this solver's storage.
   std::weak_ptr<DataflowResult::Solution> LiveSol;
   std::vector<BlockId> DirtyScratch;
@@ -326,8 +277,7 @@ private:
 
 /// Solves \p P over \p G with a throwaway solver.  The graph must be
 /// valid (see FlowGraph::validate()).
-DataflowResult solve(const FlowGraph &G, const DataflowProblem &P,
-                     SolverKind Kind = SolverKind::RoundRobin);
+DataflowResult solve(const FlowGraph &G, const DataflowProblem &P);
 
 /// Point-in-time description of one solve() call, delivered to the solve
 /// observer (below).  Mirrors what the trace span records, but as plain
@@ -338,8 +288,7 @@ struct SolveInfo {
   uint64_t Serial = 0;       ///< DataflowResult::SolveSerial of this solve.
   size_t Bits = 0;           ///< Fact vector width.
   size_t Blocks = 0;         ///< Blocks in the graph.
-  uint64_t Sweeps = 0;       ///< Round-robin sweeps (0 for worklist/cached).
-  uint64_t BlocksProcessed = 0; ///< Block transfer evaluations.
+  uint64_t BlocksProcessed = 0; ///< Group-block transfer evaluations.
   size_t DirtyClosure = 0;   ///< Seeded blocks on the incremental path.
   Path P = Path::Full;
   bool Forward = true;

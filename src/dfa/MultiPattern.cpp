@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <type_traits>
 
 using namespace am;
 
@@ -46,32 +47,47 @@ bool MultiPatternTransfers::refresh(const FlowGraph &G,
   uint64_t Recomposed = 0;
   if (!Incremental) {
     Recomposed = NumBlocks;
-    // One pass over the blocks in iteration order, split into
-    // contiguous *position* ranges across the pool (position I is block
-    // Order[I]).  Rows are disjoint per position and the
-    // problem's effects are const reads, so the split is free of shared
-    // mutable state; scratch lives per range.  Composed transfers are
-    // staged 64 rows at a time and flushed per tile so the packed
-    // scatter writes each group region in contiguous bursts instead of
-    // one strided cache line per row (see setTransferTile).
-    threads::pool().parallelRanges(
-        NumBlocks, [&](size_t Begin, size_t End) {
-          constexpr size_t TileRows = 64;
-          LocalEffect E;
-          BitVector GenT[TileRows], KillT[TileRows];
-          for (size_t TBase = Begin; TBase < End; TBase += TileRows) {
-            size_t TEnd = TBase + TileRows < End ? TBase + TileRows : End;
-            for (size_t I = TBase; I < TEnd; ++I)
-              composeBlock(P, G, Order[I], E, GenT[I - TBase],
-                           KillT[I - TBase]);
-            Lanes.setTransferTile(TBase, TEnd - TBase, GenT, KillT);
-          }
-        });
+    if (Lanes.groups() > 1) {
+      // One pass over the blocks in iteration order, split into
+      // contiguous *position* ranges across the pool (position I is
+      // block Order[I]).  Rows are disjoint per position and the
+      // problem's effects are const reads, so the split is free of shared
+      // mutable state; scratch lives per range.  Composed transfers are
+      // staged 64 rows at a time and flushed per tile so the packed
+      // scatter writes each group region in contiguous bursts instead of
+      // one strided cache line per row (see setTransferTile).
+      threads::pool().parallelRanges(
+          NumBlocks, [&](size_t Begin, size_t End) {
+            constexpr size_t TileRows = 64;
+            LocalEffect E;
+            BitVector GenT[TileRows], KillT[TileRows];
+            for (size_t TBase = Begin; TBase < End; TBase += TileRows) {
+              size_t TEnd = TBase + TileRows < End ? TBase + TileRows : End;
+              for (size_t I = TBase; I < TEnd; ++I)
+                composeBlock(P, G, Order[I], E, GenT[I - TBase],
+                             KillT[I - TBase]);
+              Lanes.setTransferTile(TBase, TEnd - TBase, GenT, KillT);
+            }
+          });
+    } else {
+      // One group: rows go straight into its one lane region, so there is
+      // no scatter to tile, and a problem this narrow composes faster
+      // than a hand-off to the pool; the member scratch is reused.
+      for (size_t I = 0; I < NumBlocks; ++I) {
+        composeBlock(P, G, Order[I], Effect, GenAcc, KillAcc);
+        Lanes.setTransferTile(I, 1, &GenAcc, &KillAcc);
+      }
+    }
     // Retarget the CSR edge lists into position space.
+    size_t NumEdges = 0;
+    for (BlockId B = 0; B < NumBlocks; ++B)
+      NumEdges += G.block(B).Succs.size();
     MeetOff.assign(NumBlocks + 1, 0);
     DepOff.assign(NumBlocks + 1, 0);
     MeetPos.clear();
     DepPos.clear();
+    MeetPos.reserve(NumEdges);
+    DepPos.reserve(NumEdges);
     for (size_t I = 0; I < NumBlocks; ++I) {
       BlockId B = Order[I];
       for (BlockId N : Forward ? G.block(B).Preds : G.block(B).Succs)
@@ -106,10 +122,9 @@ bool MultiPatternTransfers::refresh(const FlowGraph &G,
 // TransposedEngine
 //===----------------------------------------------------------------------===//
 
-template <bool MeetAll>
+template <size_t GW, bool MeetAll>
 uint64_t TransposedEngine::drainGroupImpl(size_t Gr, const SolveRequest &R,
                                           size_t NumPos, size_t BoundaryPos) {
-  constexpr size_t GW = PackedLaneMatrix::GroupWidth;
   const uint32_t *MeetOff = Transfers.meetOff();
   const uint32_t *MeetPos = Transfers.meetPos();
   const uint32_t *DepOff = Transfers.depOff();
@@ -214,6 +229,30 @@ uint64_t TransposedEngine::drainGroupImpl(size_t Gr, const SolveRequest &R,
   return Processed;
 }
 
+uint64_t TransposedEngine::drainGroup(size_t Gr, const SolveRequest &R,
+                                      size_t NumPos, size_t BoundaryPos) {
+  // The group width and the meet operator select the instantiation; the
+  // direction is already folded into the position-space edge lists.
+  auto Run = [&](auto Width) {
+    constexpr size_t GW = decltype(Width)::value;
+    return R.MeetAll ? drainGroupImpl<GW, true>(Gr, R, NumPos, BoundaryPos)
+                     : drainGroupImpl<GW, false>(Gr, R, NumPos, BoundaryPos);
+  };
+  static_assert(MaxGroupWidth == 16, "one case per group width");
+  switch (LaneM.groupWidth()) {
+  case 1:
+    return Run(std::integral_constant<size_t, 1>());
+  case 2:
+    return Run(std::integral_constant<size_t, 2>());
+  case 4:
+    return Run(std::integral_constant<size_t, 4>());
+  case 8:
+    return Run(std::integral_constant<size_t, 8>());
+  default:
+    return Run(std::integral_constant<size_t, 16>());
+  }
+}
+
 uint64_t TransposedEngine::solve(const SolveRequest &R) {
   const FlowGraph &G = *R.G;
   const DataflowProblem &P = *R.P;
@@ -242,7 +281,7 @@ uint64_t TransposedEngine::solve(const SolveRequest &R) {
     std::sort(ClosurePos.begin(), ClosurePos.end());
   }
 
-  constexpr size_t GW = PackedLaneMatrix::GroupWidth;
+  const size_t GW = LaneM.groupWidth();
   size_t NumGroups = LaneM.groups();
   if (GroupWork.size() < NumGroups)
     GroupWork.resize(NumGroups);
@@ -267,7 +306,7 @@ uint64_t TransposedEngine::solve(const SolveRequest &R) {
     prof::OverrideScope Ov(Prof ? GroupProfs[Gr].get() : nullptr);
     AM_PROF_SCOPE("dfa.solve.slice");
     uint64_t *Out = OutM.groupRow(Gr);
-    uint64_t InitW[GW];
+    uint64_t InitW[MaxGroupWidth];
     for (size_t W = 0; W < GW; ++W)
       InitW[W] = R.MeetAll ? LaneM.sliceMask(Gr * GW + W) : 0;
     WorklistRing &WL = GroupWork[Gr];
@@ -287,16 +326,13 @@ uint64_t TransposedEngine::solve(const SolveRequest &R) {
     else
       for (size_t Pos = 0; Pos < NumPos; ++Pos)
         Reset(Pos);
-    // The meet operator selects the template instantiation; the direction
-    // is already folded into the position-space edge lists.
-    Processed[Gr] = R.MeetAll
-                        ? drainGroupImpl<true>(Gr, R, NumPos, BoundaryPos)
-                        : drainGroupImpl<false>(Gr, R, NumPos, BoundaryPos);
+    Processed[Gr] = drainGroup(Gr, R, NumPos, BoundaryPos);
   };
 
-  threads::ThreadPool &Pool = threads::pool();
-  if (NumGroups > 1 && Pool.workers() > 1)
-    Pool.parallelFor(NumGroups, RunGroup);
+  // A one-group solve never touches the pool, which starts its workers on
+  // first use: a run whose problems all fit one group starts none.
+  if (NumGroups > 1 && threads::pool().workers() > 1)
+    threads::pool().parallelFor(NumGroups, RunGroup);
   else
     for (size_t Gr = 0; Gr < NumGroups; ++Gr)
       RunGroup(Gr);
@@ -315,7 +351,7 @@ uint64_t TransposedEngine::solve(const SolveRequest &R) {
 }
 
 WordRow TransposedEngine::row(BlockId B, bool MeetSide) const {
-  constexpr size_t GW = PackedLaneMatrix::GroupWidth;
+  size_t GW = LaneM.groupWidth();
   const PackedGroupPlane &Plane = MeetSide ? InM : OutM;
   return WordRow(Plane.groupRow(0) + (*SolOrderIndex)[B] * GW, SolBits,
                  Plane.groupStride());
@@ -323,7 +359,7 @@ WordRow TransposedEngine::row(BlockId B, bool MeetSide) const {
 
 void TransposedEngine::transferRows(BlockId B, WordRow &Gen,
                                     WordRow &Kill) const {
-  constexpr size_t GW = PackedLaneMatrix::GroupWidth;
+  size_t GW = LaneM.groupWidth();
   const uint64_t *Lane = LaneM.groupLanes(0) + (*SolOrderIndex)[B] * 2 * GW;
   Gen = WordRow(Lane, SolBits, LaneM.groupStride());
   Kill = WordRow(Lane + GW, SolBits, LaneM.groupStride());

@@ -5,30 +5,31 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The transposed ("bit-slice") substrate for the per-pattern dataflow
-/// problems of Tables 1-3.  The paper's problems are independent per
-/// pattern; the wide-vector solver already packs 64 of them per machine
-/// word, but it converges them *together*: one slow pattern keeps every
-/// word of every block in the sweep.  Here the width is partitioned into
-/// word slices — patterns [64k, 64k+63] form slice k — grouped
-/// GroupWidth slices at a time, and each group runs its own worklist
-/// fixpoint:
+/// The transposed ("bit-slice") engine behind every dataflow solve: the
+/// paper's Tables 1-3, LCM, liveness, copy analysis and PDE.  The
+/// problems are independent per bit, so the width is partitioned into
+/// word slices — bits [64k, 64k+63] form slice k — grouped GW slices at a
+/// time, and each group runs its own worklist fixpoint:
 ///
-///   X[B] = gen[B] | (N[B] & ~kill[B])     (GroupWidth uint64_t each)
+///   X[B] = gen[B] | (N[B] & ~kill[B])     (GW uint64_t each)
 ///
 /// over a flat, arena-backed interleaved lane array per group
 /// (PackedLaneMatrix).  Groups share nothing but read-only inputs, so
 /// they drain concurrently on the support/ThreadPool — and even on one
 /// thread the early-converging groups stop being reswept, while the
 /// per-evaluation control cost (worklist, edge walks) is amortized over
-/// GroupWidth words.  That combination is where the serial win over the
-/// wide-vector path comes from.
+/// GW words.
 ///
-/// Determinism contract: the per-group fixpoints are exact (same
-/// greatest/least solution as the wide solver), each group's schedule is
-/// sequential within its task, groups write disjoint arrays, and all
-/// counters are per-group sums — so results *and* machine-independent
-/// counters are identical for any worker count.
+/// The group width follows the problem width (groupWidthFor): the slice
+/// count rounded up to a power of two, capped at MaxGroupWidth.  A
+/// one-word liveness or LCM problem pays one word per row, not sixteen.
+///
+/// Determinism contract: the per-group fixpoints are exact (the same
+/// greatest/least solution a round-robin solve computes), each group's
+/// schedule is sequential within its task, groups write disjoint arrays,
+/// the group width depends on the problem width alone, and all counters
+/// are per-group sums — so results *and* machine-independent counters are
+/// identical for any worker count.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,6 +41,8 @@
 #include "support/Arena.h"
 #include "support/BitVector.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -47,55 +50,66 @@ namespace am {
 
 class DataflowProblem;
 
+/// Widest slice group: 16 * 64 = 1024 bits advance per evaluation.
+constexpr size_t MaxGroupWidth = 16;
+static_assert(MaxGroupWidth == WordRow::ChunkWords,
+              "a full group's run of a row is one WordRow chunk");
+
+/// Slices per group for a problem of \p Bits: the slice count rounded up
+/// to a power of two, at most MaxGroupWidth.  A function of the width
+/// alone, never of the thread count.
+inline size_t groupWidthFor(size_t Bits) {
+  size_t Slices = (Bits + 63) / 64;
+  return Slices >= MaxGroupWidth ? MaxGroupWidth
+                                 : std::bit_ceil(std::max<size_t>(Slices, 1));
+}
+
 /// The transfer side of the solve-loop working set, interleaved and
-/// grouped: slices come in groups of GroupWidth, and per (group, row)
-/// the matrix stores one contiguous {gen[GroupWidth], kill[GroupWidth]}
-/// lane pair.  One transfer evaluation reads both masks from a single
-/// 64-byte lane — with the separate-matrix layout they live megabytes
-/// apart and a large solve becomes latency-bound on independent
-/// streams.  The group width trades the two overheads against each
-/// other: wider groups amortize the per-evaluation control cost
-/// (worklist, edge lists, branches) over more words, narrower groups
-/// converge and stop resweeping independently sooner.
+/// grouped: slices come in groups of groupWidth(), and per (group, row)
+/// the matrix stores one contiguous {gen[GW], kill[GW]} lane pair.  One
+/// transfer evaluation reads both masks from one run — with separate
+/// matrices they live megabytes apart and a large solve becomes
+/// latency-bound on independent streams.  The group width trades the two
+/// overheads against each other: wider groups amortize the
+/// per-evaluation control cost (worklist, edge lists, branches) over more
+/// words, narrower groups converge and stop resweeping independently
+/// sooner.
 ///
 /// The out words the meet side gathers are deliberately NOT in here:
-/// they live in their own dense plane (PackedGroupPlane) of GroupWidth
-/// words per row, so a group's whole meet-visible state spans
-/// rows() * GroupWidth * 8 bytes — small enough to stay cache-resident
-/// while the much larger gen/kill pairs stream past once per sweep.
+/// they live in their own dense plane (PackedGroupPlane) of GW words per
+/// row, so a group's whole meet-visible state spans rows() * GW * 8 bytes
+/// — small enough to stay cache-resident while the much larger gen/kill
+/// pairs stream past once per sweep.
 class PackedLaneMatrix {
 public:
-  /// Word slices per group; 16 * 64 = 1024 patterns advance per evaluation.
-  static constexpr size_t GroupWidth = 16;
-  static_assert(GroupWidth == WordRow::ChunkWords,
-                "a group's run of a row is one WordRow chunk");
-
   size_t rows() const { return NumRows; }
   size_t bits() const { return NumBits; }
   size_t slices() const { return NumSlices; }
   size_t groups() const { return NumGroups; }
+  size_t groupWidth() const { return GW; }
 
   /// Resizes to \p Rows x \p Bits and zero-fills all lanes.
   void reshape(size_t Rows, size_t Bits) {
     NumRows = Rows;
     NumBits = Bits;
     NumSlices = (Bits + 63) / 64;
-    NumGroups = (NumSlices + GroupWidth - 1) / GroupWidth;
+    GW = groupWidthFor(Bits);
+    NumGroups = (NumSlices + GW - 1) / GW;
     Mem.reset();
-    size_t Total = NumRows * NumGroups * 2 * GroupWidth;
+    size_t Total = NumRows * NumGroups * 2 * GW;
     Data = Total ? Mem.allocate<uint64_t>(Total) : nullptr;
     for (size_t I = 0; I < Total; ++I)
       Data[I] = 0;
   }
 
   /// The lane array of group \p Gr: row B's pair starts at index
-  /// B * 2 * GroupWidth, laid out gen words, then kill words.
+  /// B * 2 * GW, laid out gen words, then kill words.
   uint64_t *groupLanes(size_t Gr) { return Data + Gr * groupStride(); }
   const uint64_t *groupLanes(size_t Gr) const {
     return Data + Gr * groupStride();
   }
   /// Words between the lane arrays of consecutive groups.
-  size_t groupStride() const { return NumRows * 2 * GroupWidth; }
+  size_t groupStride() const { return NumRows * 2 * GW; }
 
   /// Mask of the valid (in-width) bits of slice \p S; zero for the dead
   /// tail words of a partial final group.
@@ -119,49 +133,49 @@ public:
   void setTransferTile(size_t Row0, size_t N, const BitVector *Gen,
                        const BitVector *Kill) {
     for (size_t Gr = 0; Gr < NumGroups; ++Gr) {
-      uint64_t *Base = groupLanes(Gr) + Row0 * 2 * GroupWidth;
-      size_t First = Gr * GroupWidth;
-      size_t Live = NumSlices - First < GroupWidth ? NumSlices - First
-                                                   : GroupWidth;
+      uint64_t *Base = groupLanes(Gr) + Row0 * 2 * GW;
+      size_t First = Gr * GW;
+      size_t Live = std::min(NumSlices - First, GW);
       for (size_t R = 0; R < N; ++R) {
-        uint64_t *L = Base + R * 2 * GroupWidth;
+        uint64_t *L = Base + R * 2 * GW;
         const uint64_t *G = Gen[R].data() + First;
         const uint64_t *K = Kill[R].data() + First;
         for (size_t W = 0; W < Live; ++W) {
           L[W] = G[W];
-          L[GroupWidth + W] = K[W];
+          L[GW + W] = K[W];
         }
-        for (size_t W = Live; W < GroupWidth; ++W) {
+        for (size_t W = Live; W < GW; ++W) {
           L[W] = 0;
-          L[GroupWidth + W] = 0;
+          L[GW + W] = 0;
         }
       }
     }
   }
 
 private:
-  support::Arena Mem;
+  /// Slabs start at 4 KB: a one-word problem's planes take a few KB,
+  /// which the arena's default 64 KB first slab would dwarf.
+  support::Arena Mem{4096};
   uint64_t *Data = nullptr;
   size_t NumRows = 0;
   size_t NumBits = 0;
   size_t NumSlices = 0;
   size_t NumGroups = 0;
+  size_t GW = 1;
 };
 
 /// A group-major plane companion to PackedLaneMatrix: per (group, row)
-/// GroupWidth contiguous words.  The engine keeps two — the dense out
-/// plane the meet side gathers from, and the in plane written once per
-/// evaluation and read back only by exportSolution.
+/// GW contiguous words.  The engine keeps two — the dense out plane the
+/// meet side gathers from, and the in plane written once per evaluation
+/// and read back only by the result's queries.
 class PackedGroupPlane {
 public:
-  static constexpr size_t GroupWidth = PackedLaneMatrix::GroupWidth;
-
   void reshape(size_t Rows, size_t Bits) {
     NumRows = Rows;
-    size_t NumSlices = (Bits + 63) / 64;
-    NumGroups = (NumSlices + GroupWidth - 1) / GroupWidth;
+    GW = groupWidthFor(Bits);
+    size_t NumGroups = ((Bits + 63) / 64 + GW - 1) / GW;
     Mem.reset();
-    size_t Total = NumRows * NumGroups * GroupWidth;
+    size_t Total = NumRows * NumGroups * GW;
     Data = Total ? Mem.allocate<uint64_t>(Total) : nullptr;
     for (size_t I = 0; I < Total; ++I)
       Data[I] = 0;
@@ -172,21 +186,24 @@ public:
     return Data + Gr * groupStride();
   }
   /// Words between the planes of consecutive groups.
-  size_t groupStride() const { return NumRows * GroupWidth; }
+  size_t groupStride() const { return NumRows * GW; }
 
 private:
-  support::Arena Mem;
+  /// Slabs start at 4 KB: a one-word problem's planes take a few KB,
+  /// which the arena's default 64 KB first slab would dwarf.
+  support::Arena Mem{4096};
   uint64_t *Data = nullptr;
   size_t NumRows = 0;
-  size_t NumGroups = 0;
+  size_t GW = 1;
 };
 
-/// The transposed analog of TransferCache: composed per-block gen/kill
-/// transfers stored as packed matrices, refreshed tick-incrementally.
-/// A full rebuild composes every position (parallelized over position
-/// ranges); an incremental refresh recomposes only tick-dirty blocks.
-/// Composition goes through composeBlock, the routine the wide-vector
-/// path uses, so the packed transfers agree with it bit for bit.
+/// Composed per-block gen/kill transfers stored as packed matrices,
+/// refreshed tick-incrementally.  A full rebuild composes every position
+/// (parallelized over position ranges when the problem has more than one
+/// group); an incremental refresh recomposes only tick-dirty blocks.  Validity is tick-based: a block is recomposed
+/// only if the graph stamped it after the previous refresh, and the
+/// caller bumps the problem generation whenever the effects may answer
+/// differently for an unchanged instruction.
 class MultiPatternTransfers {
 public:
   /// Brings the gen/kill lanes of \p Lanes (the engine's interleaved
@@ -233,15 +250,14 @@ private:
   bool CachedForward = true;
   Tick RefreshTick = 0;
   bool Valid = false;
-  // Scratch for the serial (incremental) compose path.
+  // Scratch for the serial compose paths.
   BitVector GenAcc, KillAcc;
   LocalEffect Effect;
 };
 
-/// The per-solver transposed engine: packed transfers, the packed
-/// previous solution, and one worklist ring per slice group.
-/// DataflowSolver owns one and routes worklist solves here when the
-/// transposed layout is selected (see solverLayout() in dfa/Dataflow.h).
+/// The per-solver engine: packed transfers, the packed previous solution,
+/// and one worklist ring per slice group.  Every DataflowSolver owns one
+/// and runs every solve on it.
 class TransposedEngine {
 public:
   struct SolveRequest {
@@ -250,7 +266,6 @@ public:
     uint64_t ProblemGen = 0;
     const std::vector<BlockId> *Order = nullptr;
     const std::vector<size_t> *OrderIndex = nullptr;
-    bool Forward = true;
     bool MeetAll = true;
     BlockId BoundaryBlock = 0;
     const BitVector *Boundary = nullptr;
@@ -264,8 +279,11 @@ public:
 
   /// Runs the grouped fixpoint (transfers are refreshed internally);
   /// returns the number of group-block transfer evaluations (each one
-  /// advances GroupWidth words of every pattern in the group).
+  /// advances groupWidth() words of every bit in the group).
   uint64_t solve(const SolveRequest &R);
+
+  /// Slices per group of the last solve (groupWidthFor its width).
+  size_t groupWidth() const { return LaneM.groupWidth(); }
 
   /// Word view of block \p B's converged meet side (\p MeetSide) or
   /// transferred side.
@@ -279,7 +297,11 @@ public:
   void invalidate() { Transfers.invalidate(); }
 
 private:
-  template <bool MeetAll>
+  /// Drains group \p Gr with the instantiation for groupWidth() and
+  /// \p R's meet.
+  uint64_t drainGroup(size_t Gr, const SolveRequest &R, size_t NumPos,
+                      size_t BoundaryPos);
+  template <size_t GW, bool MeetAll>
   uint64_t drainGroupImpl(size_t Gr, const SolveRequest &R, size_t NumPos,
                           size_t BoundaryPos);
 
@@ -288,7 +310,7 @@ private:
   /// keyed by iteration-order position.
   PackedLaneMatrix LaneM;
   /// The transferred side — the words the meet gathers read.  Dense (one
-  /// GroupWidth run per row) so a group's whole meet-visible state stays
+  /// group-width run per row) so a group's whole meet-visible state stays
   /// cache-resident across the fixpoint.
   PackedGroupPlane OutM;
   /// The meet side, written once per evaluation and read back only by

@@ -10,11 +10,8 @@
 ///
 ///  * LocalEffect — one instruction's transfer in sparse form, the unit
 ///    every problem reports and every composer and walker applies;
-///  * TransferCache — the per-block composed gen/kill transfers, stamped
-///    with the graph tick they were composed at.  A refresh recomposes
-///    only blocks the graph reports dirty since then (`dfa.transfers_
-///    recomputed` counts recompositions, so a cache-friendly fixpoint
-///    shows it far below `dfa.blocks_processed`).
+///  * WordRow — a view of one block's fact or transfer words in the
+///    engine's packed planes (or in a materialized BitVector);
 ///  * WorklistRing — a flat, index-ordered pending set over the solver's
 ///    iteration order.  Replaces the heap-based priority queue: pushes and
 ///    pops are word scans over a bit set, with no allocation in the
@@ -25,7 +22,6 @@
 #ifndef AM_DFA_SOLVERCACHE_H
 #define AM_DFA_SOLVERCACHE_H
 
-#include "ir/FlowGraph.h"
 #include "support/BitVector.h"
 
 #include <algorithm>
@@ -34,8 +30,6 @@
 #include <vector>
 
 namespace am {
-
-class DataflowProblem;
 
 /// The local effect of one instruction on a fact vector, in sparse form:
 ///
@@ -88,9 +82,12 @@ private:
 };
 
 /// A read-only view of one block's fact or transfer words wherever the
-/// solver keeps them: contiguous in a BitVector, or in the transposed
-/// engine's packed planes, one run of ChunkWords words per slice group,
-/// Stride words apart.  Valid until the owning storage changes.
+/// solver keeps them: contiguous in a BitVector, or in the engine's packed
+/// planes, one run of ChunkWords words per slice group, Stride words
+/// apart.  ChunkWords is the engine's widest group width; a narrower
+/// group width only occurs when a problem has a single group, whose run
+/// is the whole row — contiguous, so the same view reads it.  Valid until
+/// the owning storage changes.
 class WordRow {
 public:
   static constexpr size_t ChunkWords = 16;
@@ -133,59 +130,6 @@ private:
   const uint64_t *Base = nullptr;
   size_t Bits = 0;
   size_t Stride = 0;
-};
-
-/// One basic block's composed transfer: f(v) = Gen | (v & ~Kill).
-struct BlockTransfer {
-  BitVector Gen;
-  BitVector Kill;
-
-  void apply(const BitVector &In, BitVector &Out) const {
-    Out = In;
-    Out.andNot(Kill);
-    Out |= Gen;
-  }
-};
-
-/// Caches the composed per-block transfers of one (graph, problem) pair
-/// across solves.  Validity is tick-based: a refresh recomposes a block
-/// only if the graph stamped it after the previous refresh.  The caller
-/// identifies the *semantics* of the problem's transfer functions with a
-/// generation number: bump it whenever gen/kill may answer differently
-/// for an unchanged instruction (e.g. the pattern universe it indexes
-/// into was rebuilt with different contents).
-class TransferCache {
-public:
-  /// Brings the cache up to date for \p G / \p P.  Returns true if the
-  /// refresh was incremental (previous transfers were still valid and
-  /// only dirty blocks were recomposed); false if everything was rebuilt.
-  bool refresh(const FlowGraph &G, const DataflowProblem &P,
-               uint64_t ProblemGen);
-
-  const BlockTransfer &transfer(BlockId B) const { return Transfers[B]; }
-
-  /// Forgets the cached graph identity so the next refresh rebuilds
-  /// everything.  Required before reusing the cache for a *different*
-  /// graph: a recycled allocation could otherwise alias CachedG with
-  /// ticks that happen to validate.
-  void invalidate() {
-    Valid = false;
-    CachedG = nullptr;
-  }
-
-private:
-  void compose(const FlowGraph &G, const DataflowProblem &P, BlockId B);
-
-  std::vector<BlockTransfer> Transfers;
-  const FlowGraph *CachedG = nullptr;
-  uint64_t CachedGen = 0;
-  size_t CachedBits = 0;
-  bool CachedForward = true;
-  Tick RefreshTick = 0;
-  bool Valid = false;
-  // Scratch for compose(); reused so steady-state recomposition does not
-  // allocate.
-  LocalEffect Effect;
 };
 
 /// A flat, index-ordered bucket ring over a solver iteration order of

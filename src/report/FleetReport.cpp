@@ -393,7 +393,7 @@ std::string report::renderFleetDashboard(const EventLogFile &Log,
     Out += "<div class=\"card\"><table><tr><th>program</th><th>preset</th>"
            "<th>status</th><th class=\"num\">wall</th>"
            "<th class=\"num\">rollbacks</th><th class=\"num\">instrs</th>"
-           "<th class=\"num\">dfa sweeps</th></tr>";
+           "</tr>";
     for (const JobEvent *E : Rows) {
       Out += "<tr><td>";
       html::appendEscaped(Out, E->Name);
@@ -409,9 +409,7 @@ std::string report::renderFleetDashboard(const EventLogFile &Log,
              html::escaped(fmtNs(static_cast<double>(E->WallNs))) + "</td>";
       Out += "<td class=\"num\">" + std::to_string(E->Rollbacks) + "</td>";
       Out += "<td class=\"num\">" + std::to_string(E->InstrsBefore) +
-             " → " + std::to_string(E->InstrsAfter) + "</td>";
-      Out += "<td class=\"num\">" +
-             std::to_string(counterOf(*E, "dfa.sweeps")) + "</td></tr>";
+             " → " + std::to_string(E->InstrsAfter) + "</td></tr>";
     }
     Out += "</table></div>";
   };

@@ -58,9 +58,9 @@ const std::vector<std::string> &RecorderSession::counterNames() {
   // Machine-independent counts only: timers would break the determinism
   // contract (two recordings of the same run must be byte-identical).
   static const std::vector<std::string> Names = {
-      "dfa.solves",        "dfa.sweeps",     "dfa.blocks_processed",
-      "dfa.words_touched", "am.rounds",      "am.eliminated",
-      "flush.inits_deleted", "flush.inits_sunk",
+      "dfa.solves",          "dfa.blocks_processed", "dfa.words_touched",
+      "am.rounds",           "am.eliminated",        "flush.inits_deleted",
+      "flush.inits_sunk",
   };
   return Names;
 }
@@ -213,7 +213,6 @@ void RecorderSession::onSolve(const SolveInfo &Info, void *Ctx) {
   R.Serial = Info.Serial;
   R.Bits = Info.Bits;
   R.Blocks = Info.Blocks;
-  R.Sweeps = Info.Sweeps;
   R.BlocksProcessed = Info.BlocksProcessed;
   R.DirtyClosure = Info.DirtyClosure;
   R.Path = static_cast<uint8_t>(Info.P);
@@ -531,7 +530,6 @@ std::string RecorderSession::toJsonString(
                        : R.Path == 1 ? "incremental"
                                      : "full";
     W.key("path").value(Path);
-    W.key("sweeps").value(R.Sweeps);
     W.key("blocks_processed").value(R.BlocksProcessed);
     W.key("dirty_closure").value(static_cast<uint64_t>(R.DirtyClosure));
     W.endObject();

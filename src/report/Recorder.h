@@ -165,7 +165,6 @@ struct SolveRecord {
   uint64_t Serial = 0;
   size_t Bits = 0;
   size_t Blocks = 0;
-  uint64_t Sweeps = 0;
   uint64_t BlocksProcessed = 0;
   size_t DirtyClosure = 0;
   uint8_t Path = 0; ///< Matches SolveInfo::Path.

@@ -39,7 +39,7 @@
 ///                       attached is the canonical *input* — a clean
 ///                       rollback, nothing half-transformed;
 ///   limits              a non-deadline PipelineLimits budget (growth,
-///                       sweeps, am-rounds) stopped the run; program is
+///                       evals, am-rounds) stopped the run; program is
 ///                       the canonical input;
 ///   resource_exhausted  std::bad_alloc during the run, downgraded to a
 ///                       response; program is the canonical input;

@@ -18,9 +18,9 @@
 /// Usage inside library code:
 ///
 /// \code
-///   AM_STAT_COUNTER(NumSweeps, "dfa.sweeps");
-///   AM_STAT_INC(NumSweeps);              // one relaxed atomic add
-///   AM_STAT_ADD(NumSweeps, 4);
+///   AM_STAT_COUNTER(NumEvals, "dfa.blocks_processed");
+///   AM_STAT_INC(NumEvals);               // one relaxed atomic add
+///   AM_STAT_ADD(NumEvals, 4);
 ///
 ///   AM_STAT_GAUGE(LastBits, "dfa.last_bits");
 ///   AM_STAT_SET(LastBits, Problem.numBits());
@@ -41,7 +41,7 @@
 /// the clock is never read when observation is off.
 ///
 /// Counter naming convention: lower-case dotted paths,
-/// `<subsystem>.<quantity>[_<unit>]` — e.g. `dfa.sweeps`,
+/// `<subsystem>.<quantity>[_<unit>]` — e.g. `dfa.blocks_processed`,
 /// `am.rounds`, `flush.inits_deleted`, `dfa.solve_ns`.  Timers always end
 /// in `_ns`.
 ///

@@ -6,11 +6,11 @@
 ///
 /// \file
 /// A fixed-size worker pool for the batch-parallel dataflow solves: the
-/// transposed multi-pattern solver partitions the Table 1-3 problems into
-/// 64-pattern word slices and drains each slice's fixpoint independently
-/// (see dfa/MultiPattern.h).  The pool is deliberately minimal — fixed
+/// sliced engine partitions every dataflow problem into groups of 64-bit
+/// word slices and drains each group's fixpoint independently (see
+/// dfa/MultiPattern.h).  The pool is deliberately minimal — fixed
 /// workers, FIFO queue, futures with exception propagation — because the
-/// tasks it runs are coarse (one slice fixpoint each) and the determinism
+/// tasks it runs are coarse (one group fixpoint each) and the determinism
 /// contract forbids anything schedule-dependent from leaking out of them.
 ///
 /// Telemetry contract: submit() captures the *submitting* thread's

@@ -77,7 +77,6 @@ public:
     Rec.AssignsBefore = countAssignments(G);
     auto &Reg = stats::Registry::get();
     DfaSolves0 = Reg.counterValue("dfa.solves");
-    DfaSweeps0 = Reg.counterValue("dfa.sweeps");
     DfaBlocks0 = Reg.counterValue("dfa.blocks_processed");
     AmRounds0 = Reg.counterValue("am.rounds");
     AmElim0 = Reg.counterValue("am.eliminated");
@@ -99,7 +98,6 @@ public:
     Rec.AssignsAfter = countAssignments(G);
     auto &Reg = stats::Registry::get();
     Rec.DfaSolves = Reg.counterValue("dfa.solves") - DfaSolves0;
-    Rec.DfaSweeps = Reg.counterValue("dfa.sweeps") - DfaSweeps0;
     Rec.DfaBlocksProcessed =
         Reg.counterValue("dfa.blocks_processed") - DfaBlocks0;
     Rec.AmRounds = Reg.counterValue("am.rounds") - AmRounds0;
@@ -115,7 +113,6 @@ public:
     Span.arg("blocks_before", Rec.BlocksBefore);
     Span.arg("blocks_after", Rec.BlocksAfter);
     Span.arg("dfa_solves", Rec.DfaSolves);
-    Span.arg("dfa_sweeps", Rec.DfaSweeps);
     Span.arg("detail", Rec.Detail);
     return Rec;
   }
@@ -128,7 +125,7 @@ private:
   prof::Scope Prof;
   trace::TraceSpan Span;
   std::chrono::steady_clock::time_point Start;
-  uint64_t DfaSolves0 = 0, DfaSweeps0 = 0, DfaBlocks0 = 0;
+  uint64_t DfaSolves0 = 0, DfaBlocks0 = 0;
   uint64_t AmRounds0 = 0, AmElim0 = 0, AmHoist0 = 0;
   uint64_t FlushDel0 = 0, FlushSunk0 = 0;
 };
@@ -331,14 +328,14 @@ diag::Expected<PipelineLimits> am::parseLimitsSpec(const std::string &Spec) {
       L.MaxAmRounds = static_cast<unsigned>(Num);
     else if (Key == "growth")
       L.MaxInstrGrowth = Num;
-    else if (Key == "sweeps")
-      L.MaxSolverSweeps = static_cast<uint64_t>(Num);
+    else if (Key == "evals")
+      L.MaxSolverEvals = static_cast<uint64_t>(Num);
     else if (Key == "wall-ms")
       L.MaxWallMs = Num;
     else {
       diag::Diagnostic D = diag::Diagnostic::error(
           "limits", "unknown limit '" + Key + "'");
-      D.note("known limits: am-rounds, growth, sweeps, wall-ms");
+      D.note("known limits: am-rounds, growth, evals, wall-ms");
       return D;
     }
   }
@@ -396,7 +393,7 @@ PipelineResult am::runPipeline(const FlowGraph &G, const std::string &Spec,
   R.Graph = G;
   const uint64_t InputInstrs = G.numInstrs();
   auto &Reg = stats::Registry::get();
-  const uint64_t Sweeps0 = Reg.counterValue("dfa.sweeps");
+  const uint64_t Evals0 = Reg.counterValue("dfa.blocks_processed");
   const auto RunStart = std::chrono::steady_clock::now();
 
   for (const std::string &Name : Names) {
@@ -489,11 +486,11 @@ PipelineResult am::runPipeline(const FlowGraph &G, const std::string &Spec,
                     std::to_string(R.Graph.numInstrs()) + " exceeds " +
                     std::to_string(Opts.Limits.MaxInstrGrowth) + "x input (" +
                     std::to_string(InputInstrs) + ")";
-      else if (Opts.Limits.MaxSolverSweeps != 0 &&
-               Reg.counterValue("dfa.sweeps") - Sweeps0 >
-                   Opts.Limits.MaxSolverSweeps)
-        Exhausted = "solver sweep budget " +
-                    std::to_string(Opts.Limits.MaxSolverSweeps) + " exceeded";
+      else if (Opts.Limits.MaxSolverEvals != 0 &&
+               Reg.counterValue("dfa.blocks_processed") - Evals0 >
+                   Opts.Limits.MaxSolverEvals)
+        Exhausted = "solver evaluation budget " +
+                    std::to_string(Opts.Limits.MaxSolverEvals) + " exceeded";
       else if (Opts.Limits.MaxWallMs > 0.0) {
         double Ms = std::chrono::duration<double, std::milli>(
                         std::chrono::steady_clock::now() - RunStart)
@@ -538,7 +535,6 @@ std::string am::passRecordsJson(const std::vector<PassRecord> &Records) {
     W.key("assigns_before").value(Rec.AssignsBefore);
     W.key("assigns_after").value(Rec.AssignsAfter);
     W.key("dfa_solves").value(Rec.DfaSolves);
-    W.key("dfa_sweeps").value(Rec.DfaSweeps);
     W.key("dfa_blocks_processed").value(Rec.DfaBlocksProcessed);
     W.key("am_rounds").value(Rec.AmRounds);
     W.key("am_eliminated").value(Rec.AmEliminated);

@@ -34,7 +34,7 @@
 /// with the violation attached, a remark and a `pipeline.rollbacks` stat
 /// are emitted — and the remaining passes still run: one bad pass no
 /// longer poisons the run.  PipelineLimits bound AM rounds, instruction
-/// growth, solver sweeps and wall clock so adversarial inputs exhaust a
+/// growth, solver evaluations and wall clock so adversarial inputs exhaust a
 /// budget with a clean diagnostic and partial records instead of spinning.
 ///
 //===----------------------------------------------------------------------===//
@@ -91,7 +91,6 @@ struct PassRecord {
   // Dataflow solver work attributed to this pass (deltas of the stats
   // registry's dfa.* counters around the pass body).
   uint64_t DfaSolves = 0;
-  uint64_t DfaSweeps = 0;
   uint64_t DfaBlocksProcessed = 0;
 
   // AM fixpoint behaviour (uniform/am passes; zero elsewhere).
@@ -114,19 +113,20 @@ struct PipelineLimits {
   /// Max instruction count as a factor of the input's ("2.5" = the
   /// program may grow to 2.5x its input size).
   double MaxInstrGrowth = 0.0;
-  /// Cumulative dataflow solver sweep budget across the whole run
-  /// (requires the stats registry to be enabled, which it is by default).
-  uint64_t MaxSolverSweeps = 0;
+  /// Cumulative budget of dataflow transfer evaluations
+  /// (`dfa.blocks_processed`) across the whole run (requires the stats
+  /// registry to be enabled, which it is by default).
+  uint64_t MaxSolverEvals = 0;
   /// Cumulative wall-clock budget in milliseconds.
   double MaxWallMs = 0.0;
 
   bool any() const {
     return MaxAmRounds != 0 || MaxInstrGrowth > 0.0 ||
-           MaxSolverSweeps != 0 || MaxWallMs > 0.0;
+           MaxSolverEvals != 0 || MaxWallMs > 0.0;
   }
 };
 
-/// Parses a limits spec like "am-rounds=8,growth=2.5,sweeps=100000,
+/// Parses a limits spec like "am-rounds=8,growth=2.5,evals=100000,
 /// wall-ms=5000".  Unknown keys or malformed numbers are diagnostics, not
 /// aborts.
 diag::Expected<PipelineLimits> parseLimitsSpec(const std::string &Spec);

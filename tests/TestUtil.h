@@ -7,11 +7,14 @@
 #ifndef AM_TESTS_TESTUTIL_H
 #define AM_TESTS_TESTUTIL_H
 
+#include "dfa/Dataflow.h"
 #include "gen/RandomProgram.h"
 #include "interp/Interpreter.h"
 #include "ir/FlowGraph.h"
 #include "ir/Printer.h"
 #include "parser/Parser.h"
+
+#include <functional>
 
 #include <gtest/gtest.h>
 
@@ -124,6 +127,125 @@ run(const FlowGraph &G,
   for (const auto &[Name, Value] : Inputs)
     Map.emplace(Name, Value);
   return Interpreter::execute(G, Map, Seed);
+}
+
+//===----------------------------------------------------------------------===//
+// The round-robin dense oracle
+//===----------------------------------------------------------------------===//
+
+/// One problem in dense form: gen and kill write full-width vectors,
+/// computed without the production tables' cached masks or occurrence
+/// indices.
+struct DenseProblem {
+  Direction Dir;
+  Meet M;
+  size_t Bits;
+  std::function<void(const Instr &, BitVector &)> Gen;
+  std::function<void(const Instr &, BitVector &)> Kill;
+};
+
+struct DenseSolution {
+  std::vector<BitVector> Entry, Exit;
+};
+
+/// Full-width gen and kill of instruction \p Idx of block \p B.
+using DenseEffect = std::function<void(BlockId B, size_t Idx, const Instr &,
+                                       BitVector &Gen, BitVector &Kill)>;
+
+/// The reference solver: block transfers composed from dense
+/// per-instruction gen/kill, then round-robin sweeps in (reverse-graph)
+/// reverse postorder until no block changes.  Independent of the
+/// production engine's scheduling, packing and caches.
+inline DenseSolution denseSolve(const FlowGraph &G, Direction Dir, Meet M,
+                                size_t Bits, const BitVector &Boundary,
+                                const DenseEffect &Effect) {
+  bool Forward = Dir == Direction::Forward;
+  bool All = M == Meet::All;
+  size_t N = G.numBlocks();
+  std::vector<BitVector> TGen(N, BitVector(Bits)), TKill(N, BitVector(Bits));
+  BitVector Gen, Kill;
+  for (BlockId B = 0; B < N; ++B) {
+    const auto &Instrs = G.block(B).Instrs;
+    for (size_t Step = 0; Step < Instrs.size(); ++Step) {
+      size_t Idx = Forward ? Step : Instrs.size() - 1 - Step;
+      Effect(B, Idx, Instrs[Idx], Gen, Kill);
+      TGen[B].andNot(Kill);
+      TGen[B] |= Gen;
+      TKill[B] |= Kill;
+    }
+  }
+  std::vector<BitVector> In(N, BitVector(Bits, All)),
+      Out(N, BitVector(Bits, All));
+  BlockId BoundaryBlock = Forward ? G.start() : G.end();
+  std::vector<BlockId> Order =
+      Forward ? G.reversePostorder() : G.reverseGraphReversePostorder();
+  for (bool Changed = true; Changed;) {
+    Changed = false;
+    for (BlockId B : Order) {
+      BitVector NewIn(Bits, All);
+      const auto &Edges = Forward ? G.block(B).Preds : G.block(B).Succs;
+      if (B == BoundaryBlock) {
+        NewIn = Boundary;
+      } else if (!Edges.empty()) {
+        NewIn = Out[Edges[0]];
+        for (size_t E = 1; E < Edges.size(); ++E) {
+          if (All)
+            NewIn &= Out[Edges[E]];
+          else
+            NewIn |= Out[Edges[E]];
+        }
+      }
+      BitVector NewOut = NewIn;
+      NewOut.andNot(TKill[B]);
+      NewOut |= TGen[B];
+      if (NewIn != In[B] || NewOut != Out[B]) {
+        In[B] = NewIn;
+        Out[B] = NewOut;
+        Changed = true;
+      }
+    }
+  }
+  return Forward ? DenseSolution{In, Out} : DenseSolution{Out, In};
+}
+
+/// The oracle over a dense problem; boundary all-false.
+inline DenseSolution denseSolve(const FlowGraph &G, const DenseProblem &P) {
+  return denseSolve(G, P.Dir, P.M, P.Bits, BitVector(P.Bits),
+                    [&P](BlockId, size_t, const Instr &I, BitVector &Gen,
+                         BitVector &Kill) {
+                      P.Gen(I, Gen);
+                      P.Kill(I, Kill);
+                    });
+}
+
+/// The oracle over a production problem: each instruction's LocalEffect
+/// expanded into full-width gen and kill vectors.
+inline DenseSolution denseSolve(const FlowGraph &G, const DataflowProblem &P) {
+  size_t Bits = P.numBits();
+  BitVector Boundary;
+  P.boundary(Boundary);
+  LocalEffect E;
+  return denseSolve(G, P.direction(), P.meet(), Bits, Boundary,
+                    [&](BlockId B, size_t Idx, const Instr &I, BitVector &Gen,
+                        BitVector &Kill) {
+                      E.clear();
+                      P.effect(B, Idx, I, E);
+                      Gen.clearAndResize(Bits);
+                      Kill.clearAndResize(Bits);
+                      BitVector Scratch(Bits);
+                      E.apply(Scratch, &Kill);
+                      E.apply(Gen);
+                    });
+}
+
+/// Block-boundary agreement of a production result with the oracle.
+inline void expectMatchesDense(const FlowGraph &G, const DataflowResult &R,
+                               const DenseSolution &S,
+                               const std::string &Ctx) {
+  for (BlockId B = 0; B < G.numBlocks(); ++B) {
+    ASSERT_EQ(R.entry(B), S.Entry[B]) << Ctx << ": entry of b" << B;
+    ASSERT_EQ(R.exit(B), S.Exit[B]) << Ctx << ": exit of b" << B;
+  }
 }
 
 } // namespace am::test

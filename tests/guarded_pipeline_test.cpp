@@ -20,6 +20,9 @@
 #include "transform/UniformEmAm.h"
 #include "verify/GraphVerifier.h"
 
+#include <fstream>
+#include <sstream>
+
 #include <gtest/gtest.h>
 
 using namespace am;
@@ -66,11 +69,11 @@ TEST(Diag, ParsePassSpecValidatesNames) {
 }
 
 TEST(Diag, ParseLimitsSpec) {
-  auto L = parseLimitsSpec("am-rounds=8,growth=2.5,sweeps=100000,wall-ms=50");
+  auto L = parseLimitsSpec("am-rounds=8,growth=2.5,evals=100000,wall-ms=50");
   ASSERT_TRUE(L.ok());
   EXPECT_EQ(L->MaxAmRounds, 8u);
   EXPECT_DOUBLE_EQ(L->MaxInstrGrowth, 2.5);
-  EXPECT_EQ(L->MaxSolverSweeps, 100000u);
+  EXPECT_EQ(L->MaxSolverEvals, 100000u);
   EXPECT_DOUBLE_EQ(L->MaxWallMs, 50.0);
   EXPECT_TRUE(L->any());
 
@@ -270,6 +273,26 @@ TEST(PipelineLimitsTest, GrowthBudgetStopsTheRun) {
   EXPECT_EQ(R.Records.back().Status, PassStatus::LimitExhausted);
   EXPECT_NE(R.Records.back().Violation.find("growth"), std::string::npos);
   EXPECT_NE(R.Error.find("budget exhausted"), std::string::npos);
+}
+
+TEST(PipelineLimitsTest, EvalBudgetStopsTheGuardedPaperPipeline) {
+  // The Table 1-3 solves count their transfer evaluations like every
+  // other solve, so the budget bites on the paper's own pipeline.
+  std::ifstream In(std::string(AM_EXAMPLES_DIR) + "/filter_kernel.am");
+  std::stringstream Src;
+  Src << In.rdbuf();
+  PipelineOptions Opts;
+  Opts.Guarded = true;
+  Opts.Limits.MaxSolverEvals = 1;
+  PipelineResult R = runPipeline(parse(Src.str()), "uniform", Opts);
+  ASSERT_FALSE(R.ok());
+  EXPECT_TRUE(R.LimitsExhausted);
+  ASSERT_FALSE(R.Records.empty());
+  EXPECT_EQ(R.Records.back().Name, "uniform");
+  EXPECT_EQ(R.Records.back().Status, PassStatus::LimitExhausted);
+  EXPECT_NE(R.Error.find("solver evaluation budget 1 exceeded"),
+            std::string::npos)
+      << R.Error;
 }
 
 TEST(PipelineLimitsTest, WallClockBudgetStopsTheRun) {

@@ -191,9 +191,9 @@ TEST(IncrementalSolver, FullyCachedSolveDoesNoBlockWork) {
   FlowGraph G = generateStructuredProgram(7);
   TinyAssigned P(G);
   DataflowSolver Solver;
-  DataflowResult First = Solver.solve(G, P, SolverKind::Worklist);
+  DataflowResult First = Solver.solve(G, P);
   EXPECT_GT(First.BlocksProcessed, 0u);
-  DataflowResult Second = Solver.solve(G, P, SolverKind::Worklist);
+  DataflowResult Second = Solver.solve(G, P);
   EXPECT_EQ(Second.BlocksProcessed, 0u);
   expectSameFacts(G, First, Second, "cached re-solve");
 }
@@ -203,7 +203,7 @@ TEST(IncrementalSolver, LocalEditResolvesIncrementallyAndExactly) {
     FlowGraph G = generateStructuredProgram(Seed);
     TinyAssigned P(G);
     DataflowSolver Solver;
-    DataflowResult First = Solver.solve(G, P, SolverKind::Worklist);
+    DataflowResult First = Solver.solve(G, P);
 
     // Append a definition of an existing variable to one mid block —
     // a stamped local edit, as every transform performs.
@@ -214,9 +214,9 @@ TEST(IncrementalSolver, LocalEditResolvesIncrementallyAndExactly) {
                                       : G.block(0).Instrs.front());
     G.touchBlock(Target);
 
-    DataflowResult Incremental = Solver.solve(G, P, SolverKind::Worklist);
+    DataflowResult Incremental = Solver.solve(G, P);
     DataflowSolver FreshSolver;
-    DataflowResult Fresh = FreshSolver.solve(G, P, SolverKind::Worklist);
+    DataflowResult Fresh = FreshSolver.solve(G, P);
     expectSameFacts(G, Incremental, Fresh,
                     "seed " + std::to_string(Seed));
     // The dirty closure is a strict subset of the graph here, so the
@@ -231,15 +231,14 @@ TEST(IncrementalSolver, RoundRobinStillMatchesWorklistAfterEdits) {
     FlowGraph G = generateIrreducibleCfg(Seed);
     TinyAssigned P(G);
     DataflowSolver Solver;
-    Solver.solve(G, P, SolverKind::Worklist);
+    Solver.solve(G, P);
     if (!G.block(1).Instrs.empty()) {
       G.block(1).Instrs.pop_back();
       G.touchBlock(1);
     }
-    DataflowResult Incremental = Solver.solve(G, P, SolverKind::Worklist);
-    DataflowResult RoundRobin = solve(G, P, SolverKind::RoundRobin);
-    expectSameFacts(G, Incremental, RoundRobin,
-                    "irreducible seed " + std::to_string(Seed));
+    DataflowResult Incremental = Solver.solve(G, P);
+    expectMatchesDense(G, Incremental, denseSolve(G, P),
+                       "irreducible seed " + std::to_string(Seed));
   }
 }
 
@@ -247,10 +246,10 @@ TEST(IncrementalSolver, StructuralChangeInvalidatesAndStaysExact) {
   FlowGraph G = figure10a();
   TinyAssigned P(G);
   DataflowSolver Solver;
-  Solver.solve(G, P, SolverKind::Worklist);
+  Solver.solve(G, P);
   G.splitCriticalEdges(); // structural: new blocks and rewired edges
-  DataflowResult AfterSplit = Solver.solve(G, P, SolverKind::Worklist);
-  DataflowResult Fresh = solve(G, P, SolverKind::Worklist);
+  DataflowResult AfterSplit = Solver.solve(G, P);
+  DataflowResult Fresh = solve(G, P);
   expectSameFacts(G, AfterSplit, Fresh, "after split");
 }
 

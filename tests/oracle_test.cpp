@@ -7,10 +7,11 @@
 /// \file
 /// Differential oracle for the sparse local-effect substrate.  The dense
 /// algorithms the library used to run — full-width gen/kill vectors per
-/// instruction derived straight from the pattern definitions, a
-/// round-robin block solve over them, an instruction-by-instruction
-/// replay, and the N-LATEST / N-INIT / RECONSTRUCT / X-INIT formulas over
-/// materialized vectors — live here as the reference.  Every production
+/// instruction derived straight from the pattern definitions, the
+/// round-robin block solve over them (denseSolve, tests/TestUtil.h), an
+/// instruction-by-instruction replay, and the N-LATEST / N-INIT /
+/// RECONSTRUCT / X-INIT formulas over materialized vectors — live here as
+/// the reference.  Every production
 /// problem (Tables 1-3, LCM, liveness, copy analysis, PDE sinking) must
 /// agree with it at every block boundary and every instruction boundary,
 /// and the sparse flush plan must equal the dense one, over the 120-seed
@@ -32,7 +33,6 @@
 
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -45,75 +45,6 @@ namespace {
 //===----------------------------------------------------------------------===//
 // The dense reference
 //===----------------------------------------------------------------------===//
-
-/// One problem in the old dense form: gen and kill write full-width
-/// vectors, computed from the pattern definitions without the tables'
-/// cached masks or occurrence indices.
-struct DenseProblem {
-  Direction Dir;
-  Meet M;
-  size_t Bits;
-  std::function<void(const Instr &, BitVector &)> Gen;
-  std::function<void(const Instr &, BitVector &)> Kill;
-};
-
-struct DenseSolution {
-  std::vector<BitVector> Entry, Exit;
-};
-
-/// Round-robin fixpoint over block transfers composed from the dense
-/// per-instruction gen/kill — the old solver, boundary all-false.
-DenseSolution denseSolve(const FlowGraph &G, const DenseProblem &P) {
-  bool Forward = P.Dir == Direction::Forward;
-  bool All = P.M == Meet::All;
-  size_t N = G.numBlocks();
-  std::vector<BitVector> TGen(N, BitVector(P.Bits)),
-      TKill(N, BitVector(P.Bits));
-  BitVector Gen, Kill;
-  for (BlockId B = 0; B < N; ++B) {
-    const auto &Instrs = G.block(B).Instrs;
-    for (size_t Step = 0; Step < Instrs.size(); ++Step) {
-      const Instr &I = Instrs[Forward ? Step : Instrs.size() - 1 - Step];
-      P.Gen(I, Gen);
-      P.Kill(I, Kill);
-      TGen[B].andNot(Kill);
-      TGen[B] |= Gen;
-      TKill[B] |= Kill;
-    }
-  }
-  std::vector<BitVector> In(N, BitVector(P.Bits, All)),
-      Out(N, BitVector(P.Bits, All));
-  BlockId Boundary = Forward ? G.start() : G.end();
-  std::vector<BlockId> Order =
-      Forward ? G.reversePostorder() : G.reverseGraphReversePostorder();
-  for (bool Changed = true; Changed;) {
-    Changed = false;
-    for (BlockId B : Order) {
-      BitVector NewIn(P.Bits, All);
-      const auto &Edges = Forward ? G.block(B).Preds : G.block(B).Succs;
-      if (B == Boundary) {
-        NewIn = BitVector(P.Bits);
-      } else if (!Edges.empty()) {
-        NewIn = Out[Edges[0]];
-        for (size_t E = 1; E < Edges.size(); ++E) {
-          if (All)
-            NewIn &= Out[Edges[E]];
-          else
-            NewIn |= Out[Edges[E]];
-        }
-      }
-      BitVector NewOut = NewIn;
-      NewOut.andNot(TKill[B]);
-      NewOut |= TGen[B];
-      if (NewIn != In[B] || NewOut != Out[B]) {
-        In[B] = NewIn;
-        Out[B] = NewOut;
-        Changed = true;
-      }
-    }
-  }
-  return Forward ? DenseSolution{In, Out} : DenseSolution{Out, In};
-}
 
 /// The old instrFacts replay: Before/After vectors of every instruction.
 DataflowResult::InstrFacts denseFacts(const FlowGraph &G,
@@ -318,9 +249,10 @@ DenseProblem denseCopies(const CopyUniverse &U) {
 void expectSameSolution(const FlowGraph &G, const DenseProblem &P,
                         const DataflowResult &R, const std::string &Ctx) {
   DenseSolution S = denseSolve(G, P);
+  expectMatchesDense(G, R, S, Ctx);
+  if (::testing::Test::HasFatalFailure())
+    return;
   for (BlockId B = 0; B < G.numBlocks(); ++B) {
-    ASSERT_EQ(R.entry(B), S.Entry[B]) << Ctx << ": entry of b" << B;
-    ASSERT_EQ(R.exit(B), S.Exit[B]) << Ctx << ": exit of b" << B;
     DataflowResult::InstrFacts Want = denseFacts(G, P, S, B);
     DataflowResult::InstrFacts Got = R.instrFacts(B);
     ASSERT_EQ(Got.Before, Want.Before) << Ctx << ": before, b" << B;
@@ -458,7 +390,7 @@ void checkSnapshot(const FlowGraph &G, const std::string &Ctx) {
     expectSameHoistPredicates(G, Pats, Ctx + " hoistability");
     BlockingProblem Hoist(Pats, Direction::Backward);
     expectSameSolution(G, denseBlocking(Pats, Direction::Backward),
-                       solve(G, Hoist, SolverKind::Worklist),
+                       solve(G, Hoist),
                        Ctx + " hoistability facts");
     BlockingProblem Sink(Pats, Direction::Forward);
     expectSameSolution(G, denseBlocking(Pats, Direction::Forward),

@@ -227,9 +227,6 @@ TEST(Pipeline, RecordsCaptureIrDeltasOnTheRunningExample) {
   EXPECT_GT(Rec.AmRounds, 0u);
   EXPECT_GT(Rec.AmEliminated, 0u); // assignments eliminated > 0
   EXPECT_GT(Rec.DfaSolves, 0u);
-  // Sweeps are a round-robin notion; the paper analyses default to the
-  // worklist schedule, so the solver-independent work metric is blocks
-  // processed.
   EXPECT_GT(Rec.DfaBlocksProcessed, 0u);
   EXPECT_GT(Rec.FlushInitsDeleted, 0u); // the flush drops unjustified inits
   EXPECT_GE(Rec.WallMs, 0.0);

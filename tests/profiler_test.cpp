@@ -196,14 +196,12 @@ TEST(ProfilerTest, SolveSplitsIntoComposeFixpointAndMaterialize) {
   // (the transposed engine's slices run inside it) and a wide export
   // only where a caller needs one — the one-shot flush solves, never a
   // rae/aht round, whose consumers read the solver's own words.
-  setSolverLayout(SolverLayout::Transposed);
   std::string Shape;
   {
     ProfiledSession P;
     runUniformEmAm(figure4());
     Shape = P.prof().treeShape();
   }
-  setSolverLayout(SolverLayout::Auto);
   std::regex Split("dfa\\.solve\\(\\d+\\)\\{dfa\\.compose\\(\\d+\\),"
                    "dfa\\.fixpoint\\(\\d+\\)\\{"
                    "dfa\\.solve\\.slice\\(\\d+\\)\\}");

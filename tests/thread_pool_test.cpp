@@ -6,11 +6,13 @@
 //
 // The worker pool itself (futures, exception propagation, the N=1 inline
 // collapse, partitioning) and the determinism contract of the parallel
-// solves: for every thread count and either solver layout, the optimized
-// program is byte-identical and the machine-independent counters agree.
+// solves: for every thread count the optimized program is byte-identical,
+// the machine-independent counters agree, and every group width of the
+// sliced engine matches the dense oracle.
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestUtil.h"
 #include "dfa/Dataflow.h"
 #include "gen/RandomProgram.h"
 #include "ir/Printer.h"
@@ -30,13 +32,10 @@ using namespace am;
 
 namespace {
 
-/// Restores the process thread count and solver layout on scope exit so a
-/// failing test cannot poison its neighbors.
+/// Restores the process thread count on scope exit so a failing test
+/// cannot poison its neighbors.
 struct PolicyGuard {
-  ~PolicyGuard() {
-    threads::setGlobalThreadCount(0);
-    setSolverLayout(SolverLayout::Auto);
-  }
+  ~PolicyGuard() { threads::setGlobalThreadCount(0); }
 };
 
 //===----------------------------------------------------------------------===//
@@ -197,23 +196,13 @@ TEST(ThreadPool, ParallelForRethrowsAfterJoin) {
 //===----------------------------------------------------------------------===//
 
 /// The counters that must be invariant across thread counts (all of the
-/// bench gate's counters, including the substrate-dependent dfa.* work
-/// counters: thread count never changes which substrate runs or how much
-/// work it reports).
+/// bench gate's counters, including the dfa.* work counters: the thread
+/// count never changes the group width or how much work it reports).
 const char *AllGated[] = {
-    "dfa.solves",          "dfa.sweeps",         "dfa.blocks_processed",
-    "dfa.words_touched",   "dfa.transfers_recomputed",
-    "am.rounds",           "am.hoist_rounds",    "am.eliminated",
+    "dfa.solves",          "dfa.blocks_processed", "dfa.words_touched",
+    "dfa.transfers_recomputed",
+    "am.rounds",           "am.hoist_rounds",      "am.eliminated",
     "flush.inits_deleted", "flush.inits_sunk",
-};
-
-/// The subset that must also be invariant across solver *layouts*: the
-/// algorithm-level counters.  (dfa.blocks_processed counts slice-block
-/// evaluations on the transposed substrate, whole-block evaluations on
-/// the scalar one, so it and words_touched legitimately differ.)
-const char *LayoutInvariant[] = {
-    "dfa.solves", "am.rounds",           "am.hoist_rounds",
-    "am.eliminated", "flush.inits_deleted", "flush.inits_sunk",
 };
 
 template <size_t N>
@@ -255,10 +244,10 @@ TEST(ThreadsDifferential, CorpusIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(ThreadsDifferential, WideUniverseIdenticalAcrossLayoutsAndThreads) {
+TEST(ThreadsDifferential, WideUniverseIdenticalAcrossThreads) {
   PolicyGuard Guard;
-  // A pattern universe wider than one machine word, so Auto (and forced
-  // Transposed) actually slice; 20 seeds keep the sweep fast.
+  // A pattern universe wider than one machine word, so the engine runs
+  // several slices per group; 20 seeds keep the sweep fast.
   GenOptions Opts;
   Opts.TargetStmts = 200;
   Opts.NumVars = 12;
@@ -267,44 +256,99 @@ TEST(ThreadsDifferential, WideUniverseIdenticalAcrossLayoutsAndThreads) {
     FlowGraph In = generateStructuredProgram(Seed, Opts);
     std::string Reference;
     std::map<std::string, uint64_t> ReferenceCounters;
-    bool First = true;
-    for (SolverLayout Layout : {SolverLayout::Scalar, SolverLayout::Transposed}) {
-      for (unsigned Threads : {1u, 8u}) {
-        setSolverLayout(Layout);
-        threads::setGlobalThreadCount(Threads);
-        stats::Registry::get().resetAll();
-        std::string Out = runUniform(In);
-        std::map<std::string, uint64_t> Counters =
-            counterSnapshot(LayoutInvariant);
-        if (First) {
-          Reference = Out;
-          ReferenceCounters = Counters;
-          First = false;
-        } else {
-          EXPECT_EQ(Out, Reference)
-              << "seed " << Seed << ", layout "
-              << (Layout == SolverLayout::Scalar ? "scalar" : "transposed")
-              << ", " << Threads << " threads: output diverged";
-          EXPECT_EQ(Counters, ReferenceCounters)
-              << "seed " << Seed << ", " << Threads << " threads";
-        }
+    for (unsigned Threads : {1u, 2u, 8u}) {
+      threads::setGlobalThreadCount(Threads);
+      stats::Registry::get().resetAll();
+      std::string Out = runUniform(In);
+      std::map<std::string, uint64_t> Counters = counterSnapshot(AllGated);
+      if (Threads == 1) {
+        Reference = Out;
+        ReferenceCounters = Counters;
+      } else {
+        EXPECT_EQ(Out, Reference) << "seed " << Seed << ", " << Threads
+                                  << " threads: output diverged";
+        EXPECT_EQ(Counters, ReferenceCounters)
+            << "seed " << Seed << ", " << Threads << " threads";
       }
     }
   }
 }
 
-TEST(ThreadsDifferential, ForcedTransposedHandlesNarrowUniverses) {
+/// A synthetic problem of any width: instruction Idx of block B gens and
+/// kills bits picked by a hash of (B, Idx), and every eighth one also
+/// kills a mask striped across all slices — so every slice of every group
+/// carries facts, whatever the width.
+class WidthProbe : public DataflowProblem {
+public:
+  WidthProbe(size_t Bits, Direction Dir, Meet M)
+      : Bits(Bits), Dir(Dir), M(M), Stripes(Bits) {
+    for (size_t Bit = 0; Bit < Bits; Bit += 3)
+      Stripes.set(Bit);
+  }
+  Direction direction() const override { return Dir; }
+  Meet meet() const override { return M; }
+  size_t numBits() const override { return Bits; }
+  void effect(BlockId B, size_t Idx, const Instr &,
+              LocalEffect &E) const override {
+    uint64_t H = (B + 1) * 0x9E3779B97F4A7C15ull ^
+                 (Idx + 1) * 0xBF58476D1CE4E5B9ull;
+    H ^= H >> 31;
+    E.gen(H % Bits);
+    E.gen((H >> 17) % Bits);
+    E.kill((H >> 34) % Bits);
+    if ((H >> 51) % 8 == 0)
+      E.killMask(&Stripes);
+  }
+
+private:
+  size_t Bits;
+  Direction Dir;
+  Meet M;
+  BitVector Stripes;
+};
+
+TEST(ThreadsDifferential, GroupWidthEdgesMatchDenseOracle) {
   PolicyGuard Guard;
-  // Narrow problems (<= 64 patterns, one slice) through the sliced
-  // engine must match the scalar fixpoint too.
-  setSolverLayout(SolverLayout::Transposed);
-  for (uint64_t Seed = 0; Seed < 30; ++Seed) {
-    FlowGraph In = generateStructuredProgram(Seed);
-    std::string Forced = runUniform(In);
-    setSolverLayout(SolverLayout::Scalar);
-    std::string Ref = runUniform(In);
-    setSolverLayout(SolverLayout::Transposed);
-    EXPECT_EQ(Forced, Ref) << "seed " << Seed;
+  // One slice, a partial and a full single word, one bit past it, five
+  // slices in an eight-slice group, a full 16-slice group and one bit
+  // into a second group.
+  for (size_t Bits : {1u, 63u, 64u, 65u, 300u, 1024u, 1025u}) {
+    for (unsigned Threads : {1u, 8u}) {
+      threads::setGlobalThreadCount(Threads);
+      for (uint64_t Seed = 0; Seed < 3; ++Seed) {
+        for (Direction Dir : {Direction::Forward, Direction::Backward}) {
+          for (Meet M : {Meet::All, Meet::Any}) {
+            std::string Ctx = std::to_string(Bits) + " bits, " +
+                              std::to_string(Threads) + " threads, seed " +
+                              std::to_string(Seed) +
+                              (Dir == Direction::Forward ? ", fwd" : ", bwd") +
+                              (M == Meet::All ? ", all" : ", any");
+            FlowGraph G = generateIrreducibleCfg(Seed);
+            WidthProbe P(Bits, Dir, M);
+            DataflowSolver Solver;
+            test::expectMatchesDense(G, Solver.solve(G, P),
+                                     test::denseSolve(G, P), Ctx + ", full");
+            // A stamped local edit: the block's effects shift by one
+            // instruction, and the next solve restarts incrementally.
+            BlockId Target = G.numBlocks() / 2;
+            G.block(Target).Instrs.insert(G.block(Target).Instrs.begin(),
+                                          Instr::skip());
+            G.touchBlock(Target);
+            uint64_t Inc0 = stats::Registry::get().counterValue(
+                "dfa.solves.incremental");
+            DataflowResult R = Solver.solve(G, P);
+            EXPECT_EQ(stats::Registry::get().counterValue(
+                          "dfa.solves.incremental"),
+                      Inc0 + 1)
+                << Ctx;
+            test::expectMatchesDense(G, R, test::denseSolve(G, P),
+                                     Ctx + ", incremental");
+            if (HasFatalFailure())
+              return;
+          }
+        }
+      }
+    }
   }
 }
 

@@ -486,7 +486,7 @@ int main(int argc, char **argv) {
   Parser.flag("--unguarded", Unguarded,
               "run the plain pipeline (default is guarded with rollback)");
   Parser.option("--limits", LimitsSpec, "per-job resource budgets",
-                "am-rounds=N,growth=F,sweeps=N,wall-ms=F");
+                "am-rounds=N,growth=F,evals=N,wall-ms=F");
   Parser.option("--threads", ThreadSpec,
                 "job-level worker threads (events/aggregate identical for "
                 "every value)",

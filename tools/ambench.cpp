@@ -198,8 +198,8 @@ std::vector<Preset> buildPresets() {
 
   // Solver-scaling points: the Table 1-2 analyses (hoistability,
   // redundancy) over large structured programs with a pattern universe
-  // far wider than one machine word — the workload the transposed
-  // multi-pattern substrate targets (dfa/MultiPattern.h).  Generation and
+  // far wider than one machine word, so the sliced engine
+  // (dfa/MultiPattern.h) runs at its full group width.  Generation and
   // pattern-table construction happen in Setup; the timed body is full
   // dataflow solves only.
   struct SolvePoint {

@@ -66,7 +66,7 @@
 //   --verify-ir    verify IR invariants after every pass (no rollback;
 //                  the run stops at the first violation).
 //   --limits=SPEC  resource budgets, e.g.
-//                  "am-rounds=8,growth=2.5,sweeps=100000,wall-ms=5000".
+//                  "am-rounds=8,growth=2.5,evals=100000,wall-ms=5000".
 //   --inject=C[:N] arm deterministic fault class C (rae-flip,
 //                  aht-skip-block, aht-misplace, edge-corrupt) at its N-th
 //                  opportunity, to demonstrate the guards catch it.
@@ -162,7 +162,7 @@ int usage() {
                "rolls failing passes\n"
                "back; --verify-ir checks IR invariants without rollback; "
                "--limits bounds\n"
-               "am-rounds/growth/sweeps/wall-ms; --inject arms a "
+               "am-rounds/growth/evals/wall-ms; --inject arms a "
                "deterministic fault class\n"
                "(rae-flip|aht-skip-block|aht-misplace|edge-corrupt[:site]) "
                "for guard testing.\n"
@@ -291,7 +291,7 @@ int main(int argc, char **argv) {
               "verify IR invariants after every pass (no rollback)");
   Parser.option("--limits", LimitsSpec,
                 "resource budgets; exceeded budgets exit 4",
-                "am-rounds=N,growth=F,sweeps=N,wall-ms=F");
+                "am-rounds=N,growth=F,evals=N,wall-ms=F");
   Parser.option("--inject", InjectSpec,
                 "arm a deterministic fault class for guard testing",
                 "rae-flip|aht-skip-block|aht-misplace|edge-corrupt[:site]");

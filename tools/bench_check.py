@@ -5,7 +5,7 @@ Counter gate (the default): runs ``amopt --stats=json`` for every preset
 in ``bench/BENCH_baseline.json`` and compares the solver/transform
 counters against the committed baseline.  Counters are machine-independent
 (they count work items, never time), so any growth beyond the tolerance is
-a real algorithmic regression — more solves, more sweeps, more words
+a real algorithmic regression — more solves, more evaluations, more words
 touched — and fails the check.  Wall time is recorded per preset for
 context but never enforced there: CI machines are too noisy for raw
 wall-clock gates.
@@ -45,13 +45,10 @@ import sys
 import tempfile
 import time
 
-# Machine-independent counters gated by the check.  Timers and the
-# "which solver strategy ran" breakdown counters are excluded on purpose:
-# the former are time, the latter may legitimately shift between equally
-# good strategies.
+# Machine-independent counters gated by the check.  Timers are excluded on
+# purpose: they are time.
 GATED_COUNTERS = [
     "dfa.solves",
-    "dfa.sweeps",
     "dfa.blocks_processed",
     "dfa.words_touched",
     "dfa.transfers_recomputed",
