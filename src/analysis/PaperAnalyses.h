@@ -174,9 +174,6 @@ public:
   WordRow locBlocked(BlockId B) const { return side(B, /*GenSide=*/false); }
   WordRow locHoistable(BlockId B) const { return side(B, /*GenSide=*/true); }
 
-  /// Unbinds from the solver (AmContext::reset).
-  void invalidate() { Solver = nullptr; }
-
 private:
   WordRow side(BlockId B, bool GenSide) const {
     WordRow Gen, Kill;

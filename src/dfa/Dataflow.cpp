@@ -67,13 +67,6 @@ void am::setSolveObserver(void (*Fn)(const SolveInfo &, void *), void *Ctx) {
 DataflowSolver::DataflowSolver() = default;
 DataflowSolver::~DataflowSolver() { detach(); }
 
-void DataflowSolver::invalidate() {
-  HaveSolution = false;
-  SolG = nullptr;
-  OrderG = nullptr;
-  Engine.invalidate();
-}
-
 bool DataflowSolver::solutionValid(const FlowGraph &G,
                                    const DataflowProblem &P,
                                    uint64_t ProblemGen) const {

@@ -220,13 +220,6 @@ public:
   DataflowResult solve(const FlowGraph &G, const DataflowProblem &P,
                        uint64_t ProblemGen = 0);
 
-  /// Drops the cached solution, transfers and iteration order — every
-  /// graph-identity-keyed cache — so the next solve is full.  This is
-  /// the cross-graph reset: after it the solver may be pointed at a
-  /// *different* graph without risk of a recycled address (with ticks
-  /// that happen to validate) reviving stale state.  Capacity is kept.
-  void invalidate();
-
   /// The composed transfer of block \p B from the last solve, as word
   /// views (Gen / Kill sides).
   void transferRows(BlockId B, WordRow &Gen, WordRow &Kill) const;

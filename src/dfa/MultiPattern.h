@@ -225,14 +225,6 @@ public:
                const std::vector<BlockId> &Order,
                const std::vector<size_t> &OrderIndex);
 
-  /// Forgets the cached graph identity (next refresh is a full rebuild)
-  /// — required before binding to a different graph, whose address and
-  /// ticks could alias the cached ones.
-  void invalidate() {
-    Valid = false;
-    CachedG = nullptr;
-  }
-
   /// Position-space CSR: the meet neighbors of position I are
   /// meetPos()[meetOff()[I] .. meetOff()[I + 1]), likewise the requeue
   /// dependents.
@@ -291,10 +283,6 @@ public:
 
   /// Word views of block \p B's packed gen/kill transfer.
   void transferRows(BlockId B, WordRow &Gen, WordRow &Kill) const;
-
-  /// Forgets the packed transfers' graph identity — the cross-graph
-  /// reset (see DataflowSolver::invalidate).
-  void invalidate() { Transfers.invalidate(); }
 
 private:
   /// Drains group \p Gr with the instantiation for groupWidth() and

@@ -11,8 +11,8 @@
 /// and the flight-recorder hook slot (report/Recorder.h).  Before this
 /// refactor each of those was a process-wide singleton; now the
 /// singletons' `get()` accessors resolve through the calling thread's
-/// *current* session, so a multi-client daemon (ROADMAP item 1) can run
-/// one job per worker thread with fully isolated telemetry — nothing the
+/// *current* session, so a corpus runner (tools/ambatch) can run one job
+/// per worker thread with fully isolated telemetry — nothing the
 /// optimizer observes is process-global any more.
 ///
 /// Compatibility contract: code that never installs a session keeps the

@@ -42,9 +42,10 @@ namespace am {
 /// recorder's fact tables — consumers use the table's first-occurrence
 /// rank, so the output is what a fresh numbering would give.
 ///
-/// The context is bound to the one live graph the phase mutates; do not
-/// reuse it for a different graph.  The plain two-argument entry points
-/// construct a throwaway context, so one-shot callers are unaffected.
+/// A context lives for one pass: it is bound to the one live graph the
+/// phase mutates and is never reused for a different graph.  The plain
+/// entry points construct a throwaway context, so one-shot callers are
+/// unaffected.
 class AmContext {
 public:
   /// Rebuilds the pattern table if the graph changed since the last
@@ -64,23 +65,6 @@ public:
   DataflowSolver &redundancySolver() { return RedundancySolver; }
   DataflowSolver &hoistSolver() { return HoistSolver; }
   HoistLocalPredicates &hoistLocals() { return HoistLocals; }
-
-  /// Detaches the context from its graph so it may be bound to another
-  /// one: every graph-identity-keyed cache (pattern numbering and tick,
-  /// solver solutions/transfers/orders, block-local predicates) is
-  /// dropped — a different graph's address and ticks could otherwise
-  /// alias a stale cache — while arenas, scratch capacity and the pattern
-  /// generation counter survive.  This is what lets a long-lived
-  /// service worker reuse one context across requests (per-worker
-  /// context reuse, support/Service.h) without reallocating.
-  void reset() {
-    PatsValid = false;
-    PatsTick = 0;
-    Pats.clear();
-    RedundancySolver.invalidate();
-    HoistSolver.invalidate();
-    HoistLocals.invalidate();
-  }
 
 private:
   AssignPatternTable Pats;

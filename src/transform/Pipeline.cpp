@@ -143,17 +143,14 @@ void ensureSplit(FlowGraph &G, PipelineResult &R) {
 }
 
 /// Runs one named pass over R.Graph, appending its record and log line.
-/// \p Limits carries the per-pass AM round cap (0 = unlimited); \p Ctx,
-/// when non-null, is the caller's reusable AM context (reset at each
-/// rebinding — see PipelineOptions::Context).
+/// \p Limits carries the per-pass AM round cap (0 = unlimited).
 void runOnePass(const std::string &Name, PipelineResult &R,
-                const PipelineLimits &Limits, AmContext *Ctx) {
+                const PipelineLimits &Limits) {
   std::ostringstream Line;
   if (Name == "uniform") {
     PassScope Scope(Name, R.Graph);
     UniformOptions UO;
     UO.MaxAmIterations = Limits.MaxAmRounds;
-    UO.Context = Ctx;
     UniformStats Stats;
     R.Graph = runUniformEmAm(R.Graph, UO, &Stats);
     Line << Stats.AmPhase.Iterations << " AM iterations, "
@@ -165,7 +162,6 @@ void runOnePass(const std::string &Name, PipelineResult &R,
     UO.RunInitialization = false;
     UO.RunFinalFlush = false;
     UO.MaxAmIterations = Limits.MaxAmRounds;
-    UO.Context = Ctx;
     UniformStats Stats;
     R.Graph = runUniformEmAm(R.Graph, UO, &Stats);
     Line << Stats.AmPhase.Iterations << " AM iterations, "
@@ -178,25 +174,12 @@ void runOnePass(const std::string &Name, PipelineResult &R,
     R.Records.push_back(Scope.finish(R.Graph, Line.str()));
   } else if (Name == "rae") {
     PassScope Scope(Name, R.Graph);
-    if (Ctx) {
-      Ctx->reset();
-      Line << runRedundantAssignmentElimination(R.Graph, *Ctx)
-           << " eliminated";
-    } else {
-      Line << runRedundantAssignmentElimination(R.Graph) << " eliminated";
-    }
+    Line << runRedundantAssignmentElimination(R.Graph) << " eliminated";
     R.Records.push_back(Scope.finish(R.Graph, Line.str()));
   } else if (Name == "aht") {
     ensureSplit(R.Graph, R);
     PassScope Scope(Name, R.Graph);
-    bool Changed;
-    if (Ctx) {
-      Ctx->reset();
-      Changed = runAssignmentHoisting(R.Graph, *Ctx);
-    } else {
-      Changed = runAssignmentHoisting(R.Graph);
-    }
-    Line << (Changed ? "changed" : "no change");
+    Line << (runAssignmentHoisting(R.Graph) ? "changed" : "no change");
     R.Records.push_back(Scope.finish(R.Graph, Line.str()));
   } else if (Name == "flush") {
     ensureSplit(R.Graph, R);
@@ -397,27 +380,13 @@ PipelineResult am::runPipeline(const FlowGraph &G, const std::string &Spec,
   const auto RunStart = std::chrono::steady_clock::now();
 
   for (const std::string &Name : Names) {
-    // External cancellation (a service watchdog's deadline) stops the
-    // pipeline at the pass boundary: everything committed so far is
-    // verified and semantics-preserving, the pass that would run next
-    // never starts.  Reported as budget exhaustion so callers share one
-    // "stopped early, graph is safe" path with the wall-clock limit.
-    if (Opts.Cancel && Opts.Cancel->load(std::memory_order_relaxed)) {
-      R.LimitsExhausted = true;
-      R.Diag = diag::Diagnostic::error(
-          "pipeline",
-          "canceled before pass '" + Name + "': deadline exceeded");
-      R.Error = R.Diag.Message;
-      return R;
-    }
-
     AM_STAT_INC(NumPasses);
 
     FlowGraph Snapshot;
     if (Guarded)
       Snapshot = R.Graph;
 
-    runOnePass(Name, R, Opts.Limits, Opts.Context);
+    runOnePass(Name, R, Opts.Limits);
     PassRecord &Rec = R.Records.back();
     maybeCorruptEdge(R.Graph);
 

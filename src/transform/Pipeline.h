@@ -9,8 +9,8 @@
 /// e.g. "lcm,cp,lcm" (the paper's Section 6 EM+CP interleaving) or
 /// "uniform,pde".  Used by the `amopt` CLI (tools/amopt.cpp) via
 /// `amopt --passes=p1,p2,...` — optionally with `--stats[=json]` and
-/// `--trace=out.json` to observe the run — and by experiments that
-/// compare pass orders.
+/// `--trace=out.json` to observe the run — by `ambatch`'s corpus jobs
+/// (tools/ambatch.cpp), and by experiments that compare pass orders.
 ///
 /// Known pass names:
 ///   uniform      the full paper algorithm
@@ -45,14 +45,11 @@
 #include "ir/FlowGraph.h"
 #include "support/Diag.h"
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 namespace am {
-
-class AmContext;
 
 namespace telemetry {
 class Session;
@@ -117,7 +114,8 @@ struct PipelineLimits {
   /// (`dfa.blocks_processed`) across the whole run (requires the stats
   /// registry to be enabled, which it is by default).
   uint64_t MaxSolverEvals = 0;
-  /// Cumulative wall-clock budget in milliseconds.
+  /// Cumulative wall-clock budget in milliseconds, checked after each
+  /// pass — the run's only deadline.
   double MaxWallMs = 0.0;
 
   bool any() const {
@@ -161,21 +159,6 @@ struct PipelineOptions {
   /// optimized output and all machine-independent counters are identical
   /// for every value — threads only change wall-clock.
   unsigned Threads = 0;
-  /// External cancellation flag (a service watchdog's deadline, see
-  /// support/Service.h).  Checked at every pass boundary: once set, the
-  /// pipeline stops before the next pass with LimitsExhausted and a
-  /// "canceled" diagnostic — the graph keeps only fully committed (and,
-  /// under Guarded, verified) passes, never a half-applied one.  Null
-  /// means no external cancellation.
-  const std::atomic<bool> *Cancel = nullptr;
-  /// Caller-owned AM analysis context reused across the run's uniform/
-  /// am/rae/aht passes *and* across runs (the service's per-worker
-  /// context).  Each pass rebinding resets the context's validity (the
-  /// graph identity changes between passes and requests) but keeps its
-  /// arenas and scratch capacity, so a warm worker stops allocating.
-  /// Null uses throwaway contexts — the pre-service behaviour.  Outputs
-  /// are byte-identical either way.
-  AmContext *Context = nullptr;
 };
 
 /// Outcome of a pipeline run.

@@ -40,16 +40,7 @@ FlowGraph am::runUniformEmAm(const FlowGraph &G, const UniformOptions &Options,
   if (Rec)
     Rec->snapshot(Work, "init");
 
-  if (Options.Context) {
-    // The shared context was last bound to some other graph (a previous
-    // request, an earlier pass); detach it before binding to Work.
-    Options.Context->reset();
-    S.AmPhase =
-        runAssignmentMotionPhase(Work, *Options.Context,
-                                 Options.MaxAmIterations);
-  } else {
-    S.AmPhase = runAssignmentMotionPhase(Work, Options.MaxAmIterations);
-  }
+  S.AmPhase = runAssignmentMotionPhase(Work, Options.MaxAmIterations);
 
   if (Options.RunFinalFlush)
     S.FlushChanged = runFinalFlush(Work);

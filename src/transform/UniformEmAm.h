@@ -38,12 +38,6 @@ struct UniformOptions {
   unsigned MaxAmIterations = 0;
   /// Drop skips and splice out empty synthetic blocks at the end.
   bool SimplifyResult = true;
-  /// Caller-owned AM context for the motion phase, reset here before
-  /// use (the phase runs on an internal working copy of the graph) so
-  /// its arenas and scratch survive across calls — the service's
-  /// per-worker reuse.  Null (the default) uses a throwaway context.
-  /// The output is byte-identical either way.
-  class AmContext *Context = nullptr;
 };
 
 /// Statistics of one pipeline run.

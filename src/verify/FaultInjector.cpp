@@ -38,12 +38,6 @@ const char *fault::faultClassName(FaultClass C) {
     return "aht-misplace";
   case FaultClass::CorruptEdge:
     return "edge-corrupt";
-  case FaultClass::SvcWorkerThrow:
-    return "svc-worker-throw";
-  case FaultClass::SvcSlowRequest:
-    return "svc-slow-request";
-  case FaultClass::SvcBadAlloc:
-    return "svc-bad-alloc";
   }
   return "?";
 }

@@ -25,18 +25,6 @@
 ///                  updating the predecessor list — a structural fault
 ///                  GraphVerifier's adjacency check catches.
 ///
-/// The service-level classes fire inside support/Service.h's request
-/// engine instead of a transform, proving the daemon's failure envelope
-/// (the response statuses) rather than the guard detectors:
-///
-///   svc-worker-throw a worker thread throws mid-request — the engine
-///                    must answer `error` and keep serving;
-///   svc-slow-request the worker wedges past the request deadline — the
-///                    watchdog/deadline path must answer `timeout` with
-///                    the input intact;
-///   svc-bad-alloc    the request allocator fails — downgraded to a
-///                    `resource_exhausted` response, never process death.
-///
 /// Cost model mirrors report::RecorderSession: every hook is
 /// `if (FaultInjector *FI = FaultInjector::current())` — one relaxed
 /// atomic load when injection is off, which is always outside tests and
@@ -62,12 +50,9 @@ enum class FaultClass : uint8_t {
   AhtSkipBlockage,   ///< "aht-skip-block"
   AhtMisplaceInsert, ///< "aht-misplace"
   CorruptEdge,       ///< "edge-corrupt"
-  SvcWorkerThrow,    ///< "svc-worker-throw"
-  SvcSlowRequest,    ///< "svc-slow-request"
-  SvcBadAlloc,       ///< "svc-bad-alloc"
 };
 
-constexpr unsigned NumFaultClasses = 7;
+constexpr unsigned NumFaultClasses = 4;
 
 const char *faultClassName(FaultClass C);
 
@@ -81,8 +66,8 @@ parseFaultSpec(const std::string &Spec);
 /// One armed fault per class, fired at a deterministic site.  Install one
 /// instance process-wide; the hooks in the transforms consult current().
 /// arm()/install() are setup-time (single-threaded); fire() serializes
-/// its site counting internally, so the service workers of `amserved`
-/// can race through the svc-* hooks without corrupting the slots.
+/// its site counting internally, so pipelines running concurrently on
+/// several threads under one installed injector cannot corrupt the slots.
 class FaultInjector {
 public:
   FaultInjector() = default;

@@ -50,6 +50,7 @@ TEST(FaultSpec, ParsesClassAndSite) {
   EXPECT_EQ(Sited->second, 3u);
 
   EXPECT_FALSE(fault::parseFaultSpec("frobnicate").ok());
+  EXPECT_FALSE(fault::parseFaultSpec("svc-worker-throw").ok());
   EXPECT_FALSE(fault::parseFaultSpec("rae-flip:x").ok());
   EXPECT_FALSE(fault::parseFaultSpec("").ok());
 }

@@ -387,26 +387,6 @@ TEST(AmContextTest, UniverseGrowthBetweenRoundsMatchesFreshSolves) {
   }
 }
 
-TEST(AmContextTest, ResetContextMatchesFreshContexts) {
-  // One context carried across different programs (as a service worker
-  // does) must give each program the output a fresh context gives it.
-  std::vector<FlowGraph> Programs = {figure4(), generateStructuredProgram(3),
-                                     figure10a(), generateIrreducibleCfg(7),
-                                     generateStructuredProgram(11)};
-  AmContext Shared;
-  for (size_t I = 0; I < Programs.size(); ++I) {
-    FlowGraph A = amInput(Programs[I]);
-    FlowGraph B = A;
-    Shared.reset();
-    AmPhaseStats SA = runAssignmentMotionPhase(A, Shared);
-    AmContext Fresh;
-    AmPhaseStats SB = runAssignmentMotionPhase(B, Fresh);
-    EXPECT_EQ(printGraph(A), printGraph(B)) << "program " << I;
-    EXPECT_EQ(SA.Iterations, SB.Iterations) << "program " << I;
-    EXPECT_EQ(SA.Eliminated, SB.Eliminated) << "program " << I;
-  }
-}
-
 //===----------------------------------------------------------------------===//
 // Differential sweeps: incremental vs from-scratch
 //===----------------------------------------------------------------------===//

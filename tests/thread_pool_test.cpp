@@ -100,11 +100,11 @@ TEST(ThreadPool, ExceptionPropagatesThroughFuture) {
   }
 }
 
-// The service regression (PR 10): two workers throwing *simultaneously*
-// must each deliver their own exception through their own future, with no
-// deadlock, no lost worker, and every job queued behind them still
-// running.  (A pool that loses a worker to an unhandled exception would
-// hang amserved the first time two requests failed together.)
+// Two workers throwing *simultaneously* must each deliver their own
+// exception through their own future, with no deadlock, no lost worker,
+// and every job queued behind them still running.  (A pool that loses a
+// worker to an unhandled exception would hang ambatch the first time two
+// jobs failed together.)
 TEST(ThreadPool, ConcurrentFailuresBothPropagateAndPoolSurvives) {
   threads::ThreadPool Pool(2);
   std::atomic<int> AtBarrier{0};

@@ -7,8 +7,7 @@
 // ambatch — drive a corpus of programs through guarded pipelines on a
 // thread pool, one telemetry session per job, and turn the per-job sinks
 // into fleet-level observability (the corpus-scale counterpart of one
-// amopt run, and the measurement substrate for ROADMAP item 1's
-// optimization-as-a-service direction).
+// amopt run).
 //
 //   ambatch [--passes=p1,...] [--unguarded] [--limits=k=v,...]
 //           [--threads=N|max] [--gen=N[:seed]] [--gen-stmts=N]
@@ -56,9 +55,7 @@
 #include "support/ArgParser.h"
 #include "support/EventLog.h"
 #include "support/History.h"
-#include "support/Ipc.h"
 #include "support/Profiler.h"
-#include "support/Service.h"
 #include "support/Remarks.h"
 #include "support/Stats.h"
 #include "support/Telemetry.h"
@@ -76,10 +73,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
-
-#include <unistd.h>
 
 using namespace am;
 namespace fs = std::filesystem;
@@ -126,7 +120,6 @@ struct BatchConfig {
   std::string PassSpec = "uniform";
   bool Guarded = true;
   PipelineLimits Limits;
-  std::string LimitsSpec; ///< Raw --limits text, forwarded over --connect.
 };
 
 /// Runs one job under its own telemetry session and fills the event
@@ -228,89 +221,6 @@ fleet::JobEvent runJob(const JobSpec &Spec, const BatchConfig &Cfg,
   E.BlocksAfter = R.Graph.numBlocks();
   E.InstrsAfter = R.Graph.numInstrs();
   Finish();
-  return E;
-}
-
-/// Runs one job against a remote amserved over its Unix socket instead of
-/// the in-process pipeline.  Shed (`overloaded`) responses and transient
-/// connect/IO failures — the daemon starting up or draining — are retried
-/// with deterministic jittered exponential backoff, honoring the server's
-/// retry_after_ms hint.  The returned event carries the *server's*
-/// counters and remark digest, so events/aggregates/dashboards work
-/// unchanged; cached responses replay the original run's counters, which
-/// is what makes a warm re-run's aggregate byte-identical to the cold one.
-fleet::JobEvent runRemoteJob(const JobSpec &Spec, const BatchConfig &Cfg,
-                             const std::string &Socket,
-                             std::vector<std::string> &Diags) {
-  fleet::JobEvent E;
-  E.Index = Spec.Index;
-  E.Name = Spec.Name;
-  E.Preset = Spec.Preset;
-
-  service::Request Req;
-  Req.Id = Spec.Index;
-  Req.Passes = Cfg.PassSpec;
-  Req.LimitsSpec = Cfg.LimitsSpec;
-  Req.Guarded = Cfg.Guarded;
-  if (Spec.Path.empty()) {
-    GenOptions GOpts;
-    GOpts.TargetStmts = Spec.GenStmts;
-    Req.Source = printGraph(generateStructuredProgram(Spec.Seed, GOpts));
-  } else {
-    std::ifstream In(Spec.Path);
-    std::ostringstream Buf;
-    Buf << In.rdbuf();
-    if (!In.good() && !In.eof()) {
-      E.Status = "error";
-      E.Error = "cannot read '" + Spec.Path + "'";
-      Diags.push_back("[" + Spec.Name + "] " + E.Error);
-      return E;
-    }
-    Req.Source = Buf.str();
-  }
-
-  const unsigned MaxAttempts = 8;
-  std::string LastErr;
-  for (unsigned Attempt = 0; Attempt < MaxAttempts; ++Attempt) {
-    if (Attempt != 0) {
-      uint64_t Delay = service::backoffDelayMs(
-          Attempt - 1, /*BaseMs=*/5, /*CapMs=*/250, fleet::fnv1a64(Spec.Name));
-      std::this_thread::sleep_for(std::chrono::milliseconds(Delay));
-    }
-    service::Response Resp;
-    bool Got = false;
-    int Fd = ipc::connectUnix(Socket, &LastErr);
-    if (Fd >= 0) {
-      if (ipc::writeLine(Fd, service::renderRequest(Req))) {
-        ipc::LineReader Reader(Fd);
-        std::string Line;
-        if (Reader.readLine(Line) == ipc::LineReader::Status::Line)
-          Got = service::parseResponse(Line, Resp, &LastErr);
-        else
-          LastErr = "connection closed before response";
-      } else {
-        LastErr = "write failed";
-      }
-      ::close(Fd);
-    }
-    if (Got && Resp.Status != "overloaded") {
-      E = service::responseEvent(Resp, Spec.Index);
-      E.Name = Spec.Name;
-      E.Preset = Spec.Preset;
-      if (!E.Error.empty())
-        Diags.push_back("[" + Spec.Name + "] " + Resp.Status + ": " + E.Error);
-      return E;
-    }
-    if (Got && Resp.RetryAfterMs != 0) {
-      LastErr = "overloaded";
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(Resp.RetryAfterMs));
-    }
-  }
-  E.Status = "error";
-  E.Error = "service unavailable after " + std::to_string(MaxAttempts) +
-            " attempts: " + LastErr;
-  Diags.push_back("[" + Spec.Name + "] " + E.Error);
   return E;
 }
 
@@ -473,7 +383,7 @@ int main(int argc, char **argv) {
   std::string Passes = "uniform";
   std::string LimitsSpec, ThreadSpec, GenSpec, EventsPath, AggregatePath;
   std::string ReportPath, FromPath, DiffSpec, TopSpec, GenStmtsSpec;
-  std::string HistoryPath, ConnectPath;
+  std::string HistoryPath;
   bool Unguarded = false, Quiet = false;
 
   support::ArgParser Parser(
@@ -506,10 +416,6 @@ int main(int argc, char **argv) {
                 "append this run to an amhist-v1 run-history file "
                 "(for tools/amtrend)",
                 "F.jsonl");
-  Parser.option("--connect", ConnectPath,
-                "send jobs to a running amserved over its Unix socket "
-                "(retrying shed requests with jittered backoff)",
-                "SOCK");
   Parser.option("--from", FromPath,
                 "load an existing event log instead of running jobs",
                 "run.jsonl");
@@ -527,10 +433,6 @@ int main(int argc, char **argv) {
     std::fputs(Parser.helpText().c_str(), stdout);
     return 0;
   }
-  // A server that disappears mid-write must surface as a retryable EPIPE
-  // on the --connect path, not kill the whole batch.
-  ipc::ignoreSigpipe();
-
   unsigned TopK = 10;
   if (!TopSpec.empty()) {
     char *End = nullptr;
@@ -603,7 +505,6 @@ int main(int argc, char **argv) {
       return usage();
     }
     Cfg.Limits = *L;
-    Cfg.LimitsSpec = LimitsSpec;
   }
 
   unsigned JobThreads = 1;
@@ -725,13 +626,10 @@ int main(int argc, char **argv) {
     Futures.reserve(Specs.size());
     for (const JobSpec &Spec : Specs)
       Futures.push_back(Pool.submit([&Spec, &Cfg, &Events, &Writer, &DiagMu,
-                                     &ConnectPath, Quiet] {
+                                     Quiet] {
         std::vector<std::string> Diags;
         try {
-          Events[Spec.Index] =
-              ConnectPath.empty()
-                  ? runJob(Spec, Cfg, Diags)
-                  : runRemoteJob(Spec, Cfg, ConnectPath, Diags);
+          Events[Spec.Index] = runJob(Spec, Cfg, Diags);
         } catch (const std::exception &Ex) {
           Events[Spec.Index].Index = Spec.Index;
           Events[Spec.Index].Name = Spec.Name;
@@ -764,8 +662,8 @@ int main(int argc, char **argv) {
       ++NumOk;
     else if (E.Status == "rolled_back")
       ++NumRolledBack;
-    else if (E.Status == "limits" || E.Status == "timeout")
-      ++NumLimits; // a remote deadline is a budget stop, not a job error
+    else if (E.Status == "limits")
+      ++NumLimits;
     else
       ++NumError;
   }

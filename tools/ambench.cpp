@@ -42,7 +42,6 @@
 #include "support/ArgParser.h"
 #include "support/History.h"
 #include "support/Json.h"
-#include "support/Service.h"
 #include "support/Telemetry.h"
 #include "support/ThreadPool.h"
 #include "transform/CopyPropagation.h"
@@ -269,7 +268,7 @@ std::vector<Preset> buildPresets() {
                        {"blocks_in", G->numBlocks()}};
     };
     P.Body = [G] {
-      telemetry::Session S; // a fresh session per rep, like a daemon job
+      telemetry::Session S; // a fresh session per rep, like an ambatch job
       PipelineOptions Opts;
       Opts.Telemetry = &S;
       PipelineResult R = runPipeline(*G, "lcm,cp,lcm", Opts);
@@ -397,51 +396,6 @@ std::vector<Preset> buildPresets() {
         Opts.Guarded = true;
         Opts.Telemetry = &S;
         Acc += instrCount(runPipeline(G, "uniform", Opts).Graph);
-      }
-      return Acc;
-    };
-    Out.push_back(std::move(P));
-  }
-
-  {
-    // The amserved workload as a bench preset: every example program
-    // through the in-process request engine as a full amserve-v1 round
-    // trip — render the request line, parse it back, execute it (guarded
-    // uniform pipeline under a per-request telemetry session and the
-    // reused worker context), render and re-parse the response.  The
-    // result cache stays at its default capacity and the warmup reps
-    // populate it, so the timed number is the daemon's steady-state
-    // warm-cache request cost: protocol framing + canonicalization +
-    // cache hit, the overhead `amserved` adds over the optimization
-    // itself (which batch/examples-throughput times cold).
-    Preset P;
-    P.Name = "serve/examples-throughput";
-    auto Texts = std::make_shared<std::vector<std::string>>();
-    auto Eng = std::make_shared<service::Engine>(service::ServiceLimits{});
-    P.Setup = [Texts, Eng, exampleProgramTexts] {
-      uint64_t Parsed = 0, TotalInstrs = 0;
-      *Texts = exampleProgramTexts(Parsed);
-      for (const std::string &Text : *Texts)
-        TotalInstrs += parseProgram(Text).Graph.numInstrs();
-      return WorkFacts{{"programs", Texts->size()},
-                       {"parsed", Parsed},
-                       {"instrs_in", TotalInstrs}};
-    };
-    P.Body = [Texts, Eng] {
-      uint64_t Acc = 0, Id = 0;
-      for (const std::string &Text : *Texts) {
-        service::Request Req;
-        Req.Id = ++Id;
-        Req.Source = Text;
-        service::Request Wire;
-        if (!service::parseRequest(service::renderRequest(Req), Wire,
-                                   nullptr))
-          continue;
-        service::Response Resp;
-        if (!service::parseResponse(
-                service::renderResponse(Eng->handle(Wire)), Resp, nullptr))
-          continue;
-        Acc += Resp.InstrsAfter + Resp.Program.size();
       }
       return Acc;
     };

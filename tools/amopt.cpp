@@ -426,9 +426,9 @@ int main(int argc, char **argv) {
 
   // One telemetry session per optimization job: the stats registry,
   // remark sink, recorder hook and profiler below all belong to this run
-  // rather than to the process, so embedding amopt's logic elsewhere (or
-  // a future daemon serving many jobs) gets isolated observability for
-  // free.
+  // rather than to the process, so embedding amopt's logic elsewhere (as
+  // ambatch does, one session per corpus job) gets isolated observability
+  // for free.
   telemetry::Session Job;
   telemetry::SessionScope JobScope(Job);
   if (!ProfilePath.empty())

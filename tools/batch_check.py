@@ -47,11 +47,7 @@ EVENT_REQUIRED = {
     "counters": dict,
     "remarks": dict,
 }
-# The batch statuses plus the amserved failure envelope (service logs
-# reuse the amevents-v1 schema, one record per request).
-STATUSES = {"ok", "rolled_back", "limits", "error",
-            "timeout", "resource_exhausted", "oversized", "overloaded",
-            "bad_request"}
+STATUSES = {"ok", "rolled_back", "limits", "error"}
 
 
 def fail(msg):
