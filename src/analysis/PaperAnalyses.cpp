@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/PaperAnalyses.h"
-#include "support/Profiler.h"
+#include "support/Telemetry.h"
 
 using namespace am;
 
@@ -117,7 +117,7 @@ RedundancyAnalysis RedundancyAnalysis::run(const FlowGraph &G,
                                            const AssignPatternTable &Pats,
                                            DataflowSolver &Solver,
                                            uint64_t PatsGen) {
-  AM_PROF_SCOPE("analysis.redundancy");
+  AM_SPAN(Span, "analysis.redundancy");
   RedundancyAnalysis A;
   A.G = &G;
   A.Pats = &Pats;
@@ -145,7 +145,7 @@ HoistabilityAnalysis HoistabilityAnalysis::run(const FlowGraph &G,
                                                DataflowSolver &Solver,
                                                HoistLocalPredicates &Locals,
                                                uint64_t PatsGen) {
-  AM_PROF_SCOPE("analysis.hoistability");
+  AM_SPAN(Span, "analysis.hoistability");
   HoistabilityAnalysis A;
   A.G = &G;
   A.Problem = std::make_unique<BlockingProblem>(Pats, Direction::Backward);
@@ -210,11 +210,11 @@ FlushAnalysis FlushAnalysis::run(const FlowGraph &G) {
   A.DelayProblem = std::make_unique<DelayabilityProblem>(*A.UniversePtr);
   A.UsableProblem = std::make_unique<UsabilityProblem>(*A.UniversePtr);
   {
-    AM_PROF_SCOPE("analysis.delayability");
+    AM_SPAN(Span, "analysis.delayability");
     A.Delay = solve(G, *A.DelayProblem);
   }
   {
-    AM_PROF_SCOPE("analysis.usability");
+    AM_SPAN(Span, "analysis.usability");
     A.Usable = solve(G, *A.UsableProblem);
   }
   return A;

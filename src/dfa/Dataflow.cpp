@@ -31,9 +31,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "dfa/Dataflow.h"
-#include "support/Profiler.h"
 #include "support/Stats.h"
-#include "support/Trace.h"
+#include "support/Telemetry.h"
 
 #include <algorithm>
 #include <atomic>
@@ -112,7 +111,7 @@ void DataflowSolver::transferRows(BlockId B, WordRow &Gen,
 }
 
 void DataflowSolver::materialize(DataflowResult::Solution &S) const {
-  AM_PROF_SCOPE("dfa.materialize");
+  AM_SPAN(Span, "dfa.materialize");
   S.Entry.resize(SolBlocks);
   S.Exit.resize(SolBlocks);
   // Tiled: a row at a time would stride the whole of a packed plane once
@@ -172,17 +171,14 @@ DataflowResult DataflowSolver::solve(const FlowGraph &G,
   AM_STAT_COUNTER(NumSolves, "dfa.solves");
   AM_STAT_COUNTER(NumSolvesCached, "dfa.solves.cached");
   AM_STAT_COUNTER(NumSolvesIncremental, "dfa.solves.incremental");
-  AM_STAT_TIMER(SolveTimer, "dfa.solve_ns");
   AM_STAT_INC(NumSolves);
   uint64_t Serial =
       GlobalSolveSerial.fetch_add(1, std::memory_order_relaxed) + 1;
-  AM_STAT_TIME_SCOPE(SolveTimer);
-  AM_PROF_SCOPE("dfa.solve");
+  AM_SPAN(Span, "dfa.solve");
   // A result still held from the previous solve gets its own copy before
   // anything below can overwrite the storage it reads.
   detach();
 
-  trace::TraceSpan Span("dfa.solve");
   Span.arg("bits", Bits);
   Span.arg("blocks", NumBlocks);
   Span.arg("direction", Forward ? "forward" : "backward");

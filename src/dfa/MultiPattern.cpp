@@ -8,6 +8,7 @@
 #include "dfa/Dataflow.h"
 #include "support/Profiler.h"
 #include "support/Stats.h"
+#include "support/Telemetry.h"
 #include "support/ThreadPool.h"
 
 #include <algorithm>
@@ -270,10 +271,10 @@ uint64_t TransposedEngine::solve(const SolveRequest &R) {
     InM.reshape(NumPos, Bits);
   }
   {
-    AM_PROF_SCOPE("dfa.compose");
+    AM_SPAN(Span, "dfa.compose");
     Transfers.refresh(G, P, R.ProblemGen, LaneM, *R.Order, *R.OrderIndex);
   }
-  AM_PROF_SCOPE("dfa.fixpoint");
+  AM_SPAN(Span, "dfa.fixpoint");
   ClosurePos.clear();
   if (R.Incremental) {
     for (BlockId B : *R.Dirty)
@@ -304,7 +305,7 @@ uint64_t TransposedEngine::solve(const SolveRequest &R) {
 
   auto RunGroup = [&](size_t Gr) {
     prof::OverrideScope Ov(Prof ? GroupProfs[Gr].get() : nullptr);
-    AM_PROF_SCOPE("dfa.solve.slice");
+    AM_SPAN(SliceSpan, "dfa.solve.slice");
     uint64_t *Out = OutM.groupRow(Gr);
     uint64_t InitW[MaxGroupWidth];
     for (size_t W = 0; W < GW; ++W)

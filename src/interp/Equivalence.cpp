@@ -6,7 +6,7 @@
 
 #include "interp/Equivalence.h"
 #include "support/Stats.h"
-#include "support/Trace.h"
+#include "support/Telemetry.h"
 
 #include <algorithm>
 
@@ -17,10 +17,8 @@ EquivalenceReport am::checkEquivalent(
     const std::unordered_map<std::string, int64_t> &Inputs,
     uint64_t NondetSeed, Interpreter::Options Opts) {
   AM_STAT_COUNTER(NumChecks, "equivalence.checks");
-  AM_STAT_TIMER(CheckTimer, "equivalence.check_ns");
   AM_STAT_INC(NumChecks);
-  AM_STAT_TIME_SCOPE(CheckTimer);
-  trace::TraceSpan Span("equivalence.check");
+  AM_SPAN(Span, "equivalence.check");
   EquivalenceReport Rep;
   Rep.Lhs = Interpreter::execute(A, Inputs, NondetSeed, Opts);
   Rep.Rhs = Interpreter::execute(B, Inputs, NondetSeed, Opts);
@@ -62,4 +60,13 @@ EquivalenceReport am::checkEquivalent(
   }
   Rep.Detail = "execution statuses differ";
   return Rep;
+}
+
+std::unordered_map<std::string, int64_t>
+am::equivalenceInputs(const FlowGraph &G, uint64_t Round) {
+  std::unordered_map<std::string, int64_t> Inputs;
+  for (uint32_t V = 0; V < G.Vars.size(); ++V)
+    Inputs[G.Vars.name(makeVarId(V))] =
+        static_cast<int64_t>((Round * 2654435761u + V * 40503u) % 41) - 20;
+  return Inputs;
 }

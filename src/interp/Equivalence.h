@@ -17,7 +17,9 @@
 
 #include "interp/Interpreter.h"
 
+#include <cstdint>
 #include <string>
+#include <unordered_map>
 
 namespace am {
 
@@ -38,6 +40,12 @@ EquivalenceReport checkEquivalent(
     const std::unordered_map<std::string, int64_t> &Inputs,
     uint64_t NondetSeed = 0,
     Interpreter::Options Opts = Interpreter::Options());
+
+/// The pseudo-random input battery of the guarded pipeline and
+/// `amopt --verify`: one small signed value per variable of \p G,
+/// deterministic in (round, variable index).
+std::unordered_map<std::string, int64_t>
+equivalenceInputs(const FlowGraph &G, uint64_t Round);
 
 } // namespace am
 

@@ -199,10 +199,10 @@ namespace {
 thread_local Profiler *ThreadOverride = nullptr;
 } // namespace
 
-Profiler &Profiler::get() {
-  if (ThreadOverride)
-    return *ThreadOverride;
-  return telemetry::Session::current().profiler();
+Profiler &Profiler::get() { return of(telemetry::Session::current()); }
+
+Profiler &Profiler::of(telemetry::Session &S) {
+  return ThreadOverride ? *ThreadOverride : S.profiler();
 }
 
 Profiler *Profiler::setThreadOverride(Profiler *P) {

@@ -6,31 +6,31 @@
 ///
 /// \file
 /// A hierarchical scoped self-profiler for the optimizer: every
-/// `AM_PROF_SCOPE("phase")` opens a node in a phase tree keyed by the
-/// stack of enclosing scopes, and the node accumulates inclusive wall
-/// time, a call count, and the heap-allocation delta (bytes and
-/// allocation count) observed while the scope was open.  The tree answers
-/// the question the flat stats registry cannot: *where* does the time go
-/// — parse vs. the rae/aht fixpoint vs. each Table 1-3 analysis vs. the
-/// final flush — and what does each phase allocate.
+/// `AM_SPAN(Span, "phase")` (support/Telemetry.h) opens a node in a phase
+/// tree keyed by the stack of enclosing scopes, and the node accumulates
+/// inclusive wall time, a call count, and the heap-allocation delta
+/// (bytes and allocation count) observed while the scope was open.  The
+/// tree answers the question the flat stats registry cannot: *where* does
+/// the time go — parse vs. the rae/aht fixpoint vs. each Table 1-3
+/// analysis vs. the final flush — and what does each phase allocate.
 ///
 /// Usage inside library code:
 ///
 /// \code
 ///   void runHoistingPhase(...) {
-///     AM_PROF_SCOPE("aht");
+///     AM_SPAN(Span, "aht");
 ///     ...
 ///   }
 /// \endcode
 ///
-/// Cost model mirrors support/Stats.h: a scope costs two thread-local
-/// loads and one relaxed atomic load when profiling is off (the common
-/// case), and under `-DAM_DISABLE_STATS` the macro expands to nothing at
-/// all.  When on, enter/leave each read the steady clock once and the two
-/// process-wide allocation counters; total overhead over an uninstrumented
-/// run stays below 5% because scopes wrap coarse phases, never per-bit
-/// work.  The profiler never mutates the program, so optimized output is
-/// byte-identical with profiling on, off, or compiled out.
+/// Cost model mirrors support/Stats.h: a span's profiler sink costs one
+/// thread-local load and one relaxed atomic load when profiling is off (the
+/// common case), and under `-DAM_DISABLE_STATS` the span does not exist at all.
+/// When on, enter/leave each read the steady clock once and the two
+/// process-wide allocation counters; total overhead over an uninstrumented run
+/// stays below 5% because scopes wrap coarse phases, never per-bit work.  The
+/// profiler never mutates the program, so optimized output is byte-identical
+/// with profiling on, off, or compiled out.
 ///
 /// Timestamps: every node additionally records the first-entry/last-exit
 /// microsecond offsets on the *same* steady-clock epoch the Chrome tracer
@@ -57,6 +57,9 @@
 namespace am::stats {
 class Registry;
 } // namespace am::stats
+namespace am::telemetry {
+class Session;
+} // namespace am::telemetry
 
 namespace am::prof {
 
@@ -124,12 +127,16 @@ public:
   /// shared (non-thread-safe) session one.
   static Profiler &get();
 
+  /// As get(), for a session the caller already looked up: the thread
+  /// override if one is installed, else \p S's profiler.
+  static Profiler &of(telemetry::Session &S);
+
   /// Installs \p P as this thread's profiler (nullptr removes the
   /// override and get() falls back to the session profiler).  Returns
   /// the previous override.  Prefer OverrideScope.
   static Profiler *setThreadOverride(Profiler *P);
 
-  /// Runtime switch.  Off by default; Scope reads it once at entry.
+  /// Runtime switch.  Off by default; a span reads it once at entry.
   void setEnabled(bool On) { Enabled.store(On, std::memory_order_relaxed); }
   bool enabled() const { return Enabled.load(std::memory_order_relaxed); }
 
@@ -198,7 +205,7 @@ private:
   std::atomic<bool> Enabled{false};
 };
 
-/// RAII thread-profiler override: while alive, AM_PROF_SCOPE on this
+/// RAII thread-profiler override: while alive, AM_SPAN on this
 /// thread records into \p P instead of the session profiler.  The worker
 /// pattern: give each parallel task its own Profiler, open scopes inside
 /// the task, and after the join merge() the task profilers into the
@@ -214,46 +221,6 @@ private:
   Profiler *Prev;
 };
 
-/// RAII scope — the normal way in.  Captures the session profiler and its
-/// enabled bit once at construction, so a scope stays balanced even if
-/// the session or switch changes while it is open.
-class Scope {
-public:
-  explicit Scope(std::string_view Name) : P(&Profiler::get()) {
-    if (!P->enabled())
-      P = nullptr;
-    else
-      P->enter(Name);
-  }
-  ~Scope() {
-    if (P)
-      P->leave();
-  }
-  Scope(const Scope &) = delete;
-  Scope &operator=(const Scope &) = delete;
-
-private:
-  Profiler *P;
-};
-
 } // namespace am::prof
-
-//===----------------------------------------------------------------------===//
-// Instrumentation macro (mirrors AM_STAT_* / AM_REMARKS_*)
-//===----------------------------------------------------------------------===//
-
-#ifndef AM_DISABLE_STATS
-
-#define AM_PROF_CONCAT_IMPL(A, B) A##B
-#define AM_PROF_CONCAT(A, B) AM_PROF_CONCAT_IMPL(A, B)
-/// Profiles the rest of the enclosing scope as phase \p Name.
-#define AM_PROF_SCOPE(Name)                                                    \
-  ::am::prof::Scope AM_PROF_CONCAT(am_prof_scope_, __LINE__)(Name)
-
-#else // AM_DISABLE_STATS — the scope does not exist at all.
-
-#define AM_PROF_SCOPE(Name) do { } while (false)
-
-#endif // AM_DISABLE_STATS
 
 #endif // AM_SUPPORT_PROFILER_H

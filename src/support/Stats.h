@@ -25,9 +25,10 @@
 ///   AM_STAT_GAUGE(LastBits, "dfa.last_bits");
 ///   AM_STAT_SET(LastBits, Problem.numBits());
 ///
-///   AM_STAT_TIMER(SolveTimer, "dfa.solve_ns");
-///   { am::stats::TimerScope T(SolveTimer); ...hot work... }
 /// \endcode
+///
+/// Timers are fed by spans: `AM_SPAN(Span, "dfa.solve")`
+/// (support/Telemetry.h) times its scope into the timer `dfa.solve_ns`.
 ///
 /// Cost model: `AM_STAT_COUNTER` declares a function-local thread-local
 /// cache of the instrument, keyed on the current registry's generation
@@ -36,9 +37,9 @@
 /// one integer compare and a single relaxed atomic add — no map lookups,
 /// no locks, no allocation.  Compiling with `-DAM_DISABLE_STATS` turns
 /// every macro into nothing at all (branch-free: the counter update is
-/// not conditionally skipped, it does not exist).  Timer scopes
-/// additionally honor the runtime `Registry::setEnabled(false)` switch so
-/// the clock is never read when observation is off.
+/// not conditionally skipped, it does not exist).  Spans additionally
+/// honor the runtime `Registry::setEnabled(false)` switch so the clock is
+/// never read for a timer when observation is off.
 ///
 /// Counter naming convention: lower-case dotted paths,
 /// `<subsystem>.<quantity>[_<unit>]` — e.g. `dfa.blocks_processed`,
@@ -51,7 +52,6 @@
 #define AM_SUPPORT_STATS_H
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
@@ -183,7 +183,7 @@ public:
   const Gauge *findGauge(const std::string &Name) const;
   const Timer *findTimer(const std::string &Name) const;
 
-  /// Runtime switch consulted by TimerScope (and by the tracer).  Counter
+  /// Runtime switch for the timers spans feed (support/Telemetry.h).  Counter
   /// and gauge updates are always live — they are one relaxed atomic and
   /// not worth a branch.
   void setEnabled(bool On) { Enabled.store(On, std::memory_order_relaxed); }
@@ -284,51 +284,24 @@ private:
   Gauge *Ptr = nullptr;
 };
 
-/// As CachedCounter, for timers.
+/// As CachedCounter, for timers; resolved against the registry of the
+/// session a span already looked up.
 class CachedTimer {
 public:
   explicit constexpr CachedTimer(const char *Name) : Name(Name) {}
 
-  Timer &ref() {
-    Registry &R = Registry::get();
+  Timer &ref(Registry &R) {
     if (Gen != R.generation()) {
       Ptr = &R.timer(Name);
       Gen = R.generation();
     }
     return *Ptr;
   }
-  operator Timer &() { return ref(); }
-
-  void record(uint64_t Ns) { ref().record(Ns); }
 
 private:
   const char *Name;
   uint64_t Gen = 0;
   Timer *Ptr = nullptr;
-};
-
-/// RAII wall-clock scope feeding a Timer.  Does not touch the clock when
-/// the registry is disabled at runtime.
-class TimerScope {
-public:
-  explicit TimerScope(Timer &T)
-      : Target(Registry::get().enabled() ? &T : nullptr) {
-    if (Target)
-      Start = std::chrono::steady_clock::now();
-  }
-  ~TimerScope() {
-    if (Target)
-      Target->record(static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - Start)
-              .count()));
-  }
-  TimerScope(const TimerScope &) = delete;
-  TimerScope &operator=(const TimerScope &) = delete;
-
-private:
-  Timer *Target;
-  std::chrono::steady_clock::time_point Start;
 };
 
 } // namespace am::stats
@@ -352,12 +325,6 @@ private:
   static thread_local ::am::stats::CachedGauge Var{Name}
 #define AM_STAT_SET(Var, Value) (Var).set(static_cast<int64_t>(Value))
 
-#define AM_STAT_TIMER(Var, Name)                                               \
-  static thread_local ::am::stats::CachedTimer Var{Name}
-/// RAII: times the rest of the enclosing scope into timer \p Var.
-#define AM_STAT_TIME_SCOPE(Var)                                                \
-  ::am::stats::TimerScope am_stat_scope_##Var(Var)
-
 #else // AM_DISABLE_STATS — everything compiles away; branch-free because
       // the update does not exist at all.
 
@@ -366,8 +333,6 @@ private:
 #define AM_STAT_ADD(Var, Delta) do { } while (false)
 #define AM_STAT_GAUGE(Var, Name) do { } while (false)
 #define AM_STAT_SET(Var, Value) do { } while (false)
-#define AM_STAT_TIMER(Var, Name) do { } while (false)
-#define AM_STAT_TIME_SCOPE(Var) do { } while (false)
 
 #endif // AM_DISABLE_STATS
 

@@ -9,8 +9,6 @@
 #include "support/Remarks.h"
 #include "support/Stats.h"
 
-#include <atomic>
-
 using namespace am;
 using namespace am::telemetry;
 
@@ -48,3 +46,49 @@ SessionScope::SessionScope(Session &S) : Prev(CurrentSession) {
 }
 
 SessionScope::~SessionScope() { CurrentSession = Prev; }
+
+//===----------------------------------------------------------------------===//
+// Span
+//===----------------------------------------------------------------------===//
+
+Span::Span(std::string_view Name, stats::CachedTimer &T) : Name(Name) {
+  Session &S = Session::current();
+  open(S, S.stats().enabled() ? &T.ref(S.stats()) : nullptr);
+}
+
+Span::Span(std::string_view Name) : Name(Name) {
+  Session &S = Session::current();
+  open(S, S.stats().enabled()
+              ? &S.stats().timer(std::string(Name) + "_ns")
+              : nullptr);
+}
+
+void Span::open(Session &S, stats::Timer *T) {
+  prof::Profiler &P = prof::Profiler::of(S);
+  if (P.enabled()) {
+    Prof = &P;
+    P.enter(Name);
+  }
+  if (S.tracing()) {
+    Tracing = true;
+    StartUs = trace::epochNowUs();
+  }
+  if (T) {
+    Timer = T;
+    Start = std::chrono::steady_clock::now();
+  }
+}
+
+Span::~Span() {
+  if (Timer)
+    Timer->record(static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - Start)
+            .count()));
+  // Spans that straddle a trace::stop() are dropped rather than
+  // half-recorded.
+  if (Tracing && trace::enabled())
+    trace::complete(std::string(Name), StartUs, std::move(Args));
+  if (Prof)
+    Prof->leave();
+}

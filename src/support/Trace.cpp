@@ -6,8 +6,8 @@
 
 #include "support/Trace.h"
 #include "support/Json.h"
+#include "support/Telemetry.h"
 
-#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
@@ -20,7 +20,7 @@ using namespace am::trace;
 namespace {
 
 struct Event {
-  const char *Name;
+  std::string Name;
   char Phase; // 'X' complete, 'i' instant
   uint64_t TsUs;
   uint64_t DurUs; // complete events only
@@ -40,13 +40,17 @@ Collector &collector() {
   return *C;
 }
 
-std::atomic<bool> TracingOn{false};
-
 uint64_t nowUs() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - collector().Origin)
           .count());
+}
+
+void record(Event E) {
+  Collector &C = collector();
+  std::lock_guard<std::mutex> Lock(C.Mu);
+  C.Events.push_back(std::move(E));
 }
 
 uint64_t currentTid() {
@@ -92,20 +96,22 @@ std::string renderJson(std::vector<Event> Events) {
 
 } // namespace
 
-bool trace::enabled() { return TracingOn.load(std::memory_order_relaxed); }
+bool trace::enabled() { return telemetry::Session::current().tracing(); }
 
 uint64_t trace::epochNowUs() { return nowUs(); }
 
 void trace::start() {
   Collector &C = collector();
-  std::lock_guard<std::mutex> Lock(C.Mu);
-  C.Events.clear();
-  C.Origin = std::chrono::steady_clock::now();
-  TracingOn.store(true, std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> Lock(C.Mu);
+    C.Events.clear();
+    C.Origin = std::chrono::steady_clock::now();
+  }
+  telemetry::Session::current().setTracing(true);
 }
 
 std::string trace::stopToJson() {
-  TracingOn.store(false, std::memory_order_relaxed);
+  telemetry::Session::current().setTracing(false);
   Collector &C = collector();
   std::vector<Event> Events;
   {
@@ -125,40 +131,16 @@ bool trace::stopToFile(const std::string &Path) {
 }
 
 void trace::instant(const char *Name, std::initializer_list<Arg> Args) {
-  if (!enabled())
-    return;
-  Collector &C = collector();
-  Event E{Name, 'i', nowUs(), 0, currentTid(), std::vector<Arg>(Args)};
-  std::lock_guard<std::mutex> Lock(C.Mu);
-  if (TracingOn.load(std::memory_order_relaxed))
-    C.Events.push_back(std::move(E));
+  if (enabled())
+    record({Name, 'i', nowUs(), 0, currentTid(), std::vector<Arg>(Args)});
 }
 
-TraceSpan::TraceSpan(const char *Name) : Name(Name), Live(trace::enabled()) {
-  if (Live)
-    StartUs = nowUs();
-}
-
-TraceSpan::~TraceSpan() {
-  if (!Live)
-    return;
+void trace::complete(std::string Name, uint64_t StartUs,
+                     std::vector<Arg> Args) {
   uint64_t EndUs = nowUs();
-  Collector &C = collector();
-  Event E{Name, 'X', StartUs, EndUs - StartUs, currentTid(), std::move(Args)};
-  std::lock_guard<std::mutex> Lock(C.Mu);
-  // Spans that straddle a stop() are dropped rather than half-recorded.
-  if (TracingOn.load(std::memory_order_relaxed))
-    C.Events.push_back(std::move(E));
-}
-
-void TraceSpan::arg(const char *Key, int64_t Value) {
-  if (Live)
-    Args.emplace_back(Key, Value);
-}
-
-void TraceSpan::arg(const char *Key, const std::string &Value) {
-  if (Live)
-    Args.emplace_back(Key, Value);
+  // A start() inside the span moved the origin past its start.
+  uint64_t DurUs = EndUs > StartUs ? EndUs - StartUs : 0;
+  record({std::move(Name), 'X', StartUs, DurUs, currentTid(), std::move(Args)});
 }
 
 //===----------------------------------------------------------------------===//
@@ -184,7 +166,7 @@ void flushSessionAtExit() {
       Path = *SessionPath;
   }
   // Only fires when a session is still open: close() clears the path.
-  if (!Path.empty() && trace::enabled())
+  if (!Path.empty())
     trace::stopToFile(Path);
 }
 

@@ -11,8 +11,12 @@
 /// one span per pipeline pass, nested spans per dataflow solve, instant
 /// events per AM fixpoint round.
 ///
-/// Tracing is off by default and costs one relaxed atomic load per
-/// call site when off.  Turn it on around a region:
+/// Whether a span or instant is recorded is a switch of the calling
+/// thread's telemetry session (telemetry::Session::tracing, off by
+/// default; one relaxed atomic load per call site).  The event collector,
+/// its clock origin and the atexit flush below are process-wide: one
+/// timeline per process is what trace viewers expect.  Turn tracing on
+/// for the current session around a region:
 ///
 /// \code
 ///   am::trace::start();
@@ -20,10 +24,11 @@
 ///   std::string J = am::trace::stopToJson();   // or stopToFile(path)
 /// \endcode
 ///
-/// Inside instrumented code:
+/// Inside instrumented code, spans come from AM_SPAN (support/Telemetry.h),
+/// which feeds the profiler and the stats timer from the same scope:
 ///
 /// \code
-///   am::trace::TraceSpan Span("dfa.solve");
+///   AM_SPAN(Span, "dfa.solve");
 ///   Span.arg("bits", NumBits);      // attached when the span closes
 ///   ...
 ///   am::trace::instant("am.round", {{"eliminated", N}});
@@ -63,7 +68,8 @@ struct Arg {
   bool IsInt;
 };
 
-/// True while events are being collected.  One relaxed atomic load.
+/// True while the calling thread's telemetry session records trace
+/// events.  One relaxed atomic load.
 bool enabled();
 
 /// Microseconds since the tracer's timestamp origin (the most recent
@@ -74,57 +80,32 @@ bool enabled();
 /// not trace-aligned.
 uint64_t epochNowUs();
 
-/// Starts collecting (clears any previously collected events; resets the
-/// timestamp origin).
+/// Clears any previously collected events, resets the timestamp origin
+/// and switches tracing on for the calling thread's telemetry session.
 void start();
 
-/// Stops collecting and renders everything as a Chrome trace_event JSON
-/// object: {"traceEvents": [...], "displayTimeUnit": "ms"}.
+/// Switches tracing off for the calling thread's session and renders
+/// everything collected as a Chrome trace_event JSON object:
+/// {"traceEvents": [...], "displayTimeUnit": "ms"}.
 std::string stopToJson();
 
-/// Stops collecting and writes the JSON to \p Path.  False on I/O error.
+/// As stopToJson, writing the JSON to \p Path.  False on I/O error.
 bool stopToFile(const std::string &Path);
 
 /// Emits a zero-duration instant event (phase "i") when enabled.
 void instant(const char *Name, std::initializer_list<Arg> Args = {});
 
-/// RAII span: records a complete event ("ph":"X") from construction to
-/// destruction.  A span constructed while tracing is disabled is inert,
-/// including args added later.  \p Name must outlive the span (string
-/// literals in practice).
-class TraceSpan {
-public:
-  explicit TraceSpan(const char *Name);
-  ~TraceSpan();
-  TraceSpan(const TraceSpan &) = delete;
-  TraceSpan &operator=(const TraceSpan &) = delete;
+/// Records a complete event ("ph":"X") named \p Name that started at
+/// \p StartUs (an epochNowUs() reading) and ends now.  Called by the
+/// telemetry span (AM_SPAN), which checks its session's tracing switch.
+void complete(std::string Name, uint64_t StartUs, std::vector<Arg> Args);
 
-  /// Attaches an argument, rendered when the span closes.
-  void arg(const char *Key, int64_t Value);
-  template <typename T, typename = std::enable_if_t<std::is_integral_v<T> &&
-                                                    !std::is_same_v<T, int64_t>>>
-  void arg(const char *Key, T Value) {
-    arg(Key, static_cast<int64_t>(Value));
-  }
-  void arg(const char *Key, const std::string &Value);
-
-  /// Whether this particular span is recording.
-  bool live() const { return Live; }
-
-private:
-  const char *Name;
-  uint64_t StartUs = 0;
-  std::vector<Arg> Args;
-  bool Live;
-};
-
-/// RAII trace session bound to an output file: construction starts
-/// collection, destruction (or an explicit close()) stops and writes the
-/// file.  The session also registers a one-time `std::atexit` fallback
-/// that flushes the registered file if the process exits while a session
-/// is still open — so a pipeline that dies mid-run via exit() (a failed
-/// assertion message path, an early fatal error) still leaves its trace
-/// on disk instead of losing everything buffered.
+/// RAII trace file: construction calls start(), destruction (or an explicit
+/// close()) stops and writes the file.  The session also registers a one-time
+/// `std::atexit` fallback that flushes the registered file if the process exits
+/// while a session is still open — so a pipeline that dies mid-run via exit()
+/// (a failed assertion message path, an early fatal error) still leaves its
+/// trace on disk instead of losing everything buffered.
 class Session {
 public:
   explicit Session(std::string Path);

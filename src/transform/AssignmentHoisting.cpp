@@ -9,8 +9,8 @@
 #include "ir/InstrNumbering.h"
 #include "ir/Printer.h"
 #include "report/Recorder.h"
-#include "support/Profiler.h"
 #include "support/Remarks.h"
+#include "support/Telemetry.h"
 #include "transform/AssignmentMotion.h"
 #include "verify/FaultInjector.h"
 
@@ -35,7 +35,7 @@ bool am::runAssignmentHoisting(FlowGraph &G, AmContext &Ctx,
                                const HoistFilter &Filter) {
   assert(!G.hasCriticalEdges() &&
          "assignment hoisting requires split critical edges");
-  AM_PROF_SCOPE("aht");
+  AM_SPAN(Span, "aht");
   AM_REMARK_PASS_SCOPE("aht");
   if (AM_REMARKS_ENABLED())
     ensureInstrIds(G);
@@ -66,7 +66,7 @@ bool am::runAssignmentHoisting(FlowGraph &G, AmContext &Ctx,
   };
   std::vector<BlockDecision> Decisions(G.numBlocks());
 
-  AM_PROF_SCOPE("aht.insert");
+  AM_SPAN(InsertSpan, "aht.insert");
   // Insertions are realized in first-occurrence (rank) order — the order
   // a fresh numbering would give bit order — and only for patterns that
   // still occur: a dead slot of the stable numbering is no pattern of

@@ -6,9 +6,9 @@
 
 #include "transform/AssignmentMotion.h"
 #include "report/Recorder.h"
-#include "support/Profiler.h"
 #include "support/Remarks.h"
 #include "support/Stats.h"
+#include "support/Telemetry.h"
 #include "support/Trace.h"
 #include "transform/AssignmentHoisting.h"
 #include "transform/RedundantAssignElim.h"
@@ -25,11 +25,8 @@ AmPhaseStats am::runAssignmentMotionPhase(FlowGraph &G, AmContext &Ctx,
   AM_STAT_COUNTER(NumRounds, "am.rounds");
   AM_STAT_COUNTER(NumEliminated, "am.eliminated");
   AM_STAT_COUNTER(NumHoistRounds, "am.hoist_rounds");
-  AM_STAT_TIMER(FixpointTimer, "am.fixpoint_ns");
   AM_STAT_INC(NumFixpoints);
-  AM_STAT_TIME_SCOPE(FixpointTimer);
-  AM_PROF_SCOPE("am.fixpoint");
-  trace::TraceSpan Span("am.fixpoint");
+  AM_SPAN(Span, "am.fixpoint");
 
   // The phase provably terminates (Section 4.5); the hard cap below is a
   // defensive backstop far above the quadratic worst case.  Computed in

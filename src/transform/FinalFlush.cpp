@@ -9,10 +9,9 @@
 #include "ir/InstrNumbering.h"
 #include "ir/Printer.h"
 #include "report/Recorder.h"
-#include "support/Profiler.h"
 #include "support/Remarks.h"
 #include "support/Stats.h"
-#include "support/Trace.h"
+#include "support/Telemetry.h"
 
 using namespace am;
 
@@ -57,7 +56,7 @@ struct PendingRemark {
 bool am::runFinalFlush(FlowGraph &G) {
   assert(!G.hasCriticalEdges() &&
          "the final flush requires split critical edges");
-  AM_PROF_SCOPE("flush");
+  AM_SPAN(Span, "flush");
   AM_REMARK_PASS_SCOPE("flush");
   if (AM_REMARKS_ENABLED())
     ensureInstrIds(G);
@@ -65,7 +64,6 @@ bool am::runFinalFlush(FlowGraph &G) {
   AM_STAT_COUNTER(NumInitsDeleted, "flush.inits_deleted");
   AM_STAT_COUNTER(NumInitsSunk, "flush.inits_sunk");
   AM_STAT_INC(NumFlushes);
-  trace::TraceSpan Span("flush.run");
 
   FlushAnalysis Analysis = FlushAnalysis::run(G);
   const FlushUniverse &U = Analysis.universe();
@@ -82,7 +80,7 @@ bool am::runFinalFlush(FlowGraph &G) {
   };
   std::vector<BlockDecision> Decisions(G.numBlocks());
   {
-    AM_PROF_SCOPE("flush.plan");
+    AM_SPAN(PlanSpan, "flush.plan");
     for (BlockId B = 0; B < G.numBlocks(); ++B)
       Decisions[B].Plan = Analysis.plan(B);
   }

@@ -7,13 +7,13 @@
 #include "transform/Initialization.h"
 #include "ir/InstrNumbering.h"
 #include "ir/Printer.h"
-#include "support/Profiler.h"
 #include "support/Remarks.h"
+#include "support/Telemetry.h"
 
 using namespace am;
 
 unsigned am::runInitializationPhase(FlowGraph &G) {
-  AM_PROF_SCOPE("init");
+  AM_SPAN(Span, "init");
   AM_REMARK_PASS_SCOPE("init");
   if (AM_REMARKS_ENABLED())
     ensureInstrIds(G);

@@ -8,12 +8,9 @@
 #include "interp/Equivalence.h"
 #include "report/Recorder.h"
 #include "support/Json.h"
-#include "support/Profiler.h"
 #include "support/Remarks.h"
 #include "support/Stats.h"
 #include "support/Telemetry.h"
-#include "support/ThreadPool.h"
-#include "support/Trace.h"
 #include "transform/AssignmentHoisting.h"
 #include "transform/AssignmentMotion.h"
 #include "transform/BusyCodeMotion.h"
@@ -25,12 +22,15 @@
 #include "transform/Normalize.h"
 #include "transform/PartialDeadCodeElim.h"
 #include "transform/RedundantAssignElim.h"
+#include "transform/RestrictedAssignmentMotion.h"
 #include "transform/UniformEmAm.h"
 #include "verify/FaultInjector.h"
 #include "verify/GraphVerifier.h"
 
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <optional>
 #include <sstream>
 
@@ -65,12 +65,12 @@ uint64_t countAssignments(const FlowGraph &G) {
 }
 
 /// Captures registry counters and IR shape around one pass body, then
-/// fills in the delta fields of a PassRecord and the enclosing trace
-/// span's args.
+/// fills in the delta fields of a PassRecord and the pass span's trace
+/// args.
 class PassScope {
 public:
-  PassScope(const std::string &Name, const FlowGraph &G)
-      : Rec(), Prof(Name), Span("pipeline.pass") {
+  PassScope(const std::string &PassName, const FlowGraph &G)
+      : Name(PassName), Span(Name) {
     Rec.Name = Name;
     Rec.BlocksBefore = G.numBlocks();
     Rec.InstrsBefore = G.numInstrs();
@@ -83,11 +83,11 @@ public:
     AmHoist0 = Reg.counterValue("am.hoist_rounds");
     FlushDel0 = Reg.counterValue("flush.inits_deleted");
     FlushSunk0 = Reg.counterValue("flush.inits_sunk");
-    Span.arg("pass", Name);
     Start = std::chrono::steady_clock::now();
   }
 
-  /// Finalizes the record against the post-pass graph.
+  /// Finalizes the record against the post-pass graph and hands it over;
+  /// the scope is done with it.
   PassRecord finish(const FlowGraph &G, std::string Detail) {
     Rec.WallMs = std::chrono::duration<double, std::milli>(
                      std::chrono::steady_clock::now() - Start)
@@ -114,16 +114,17 @@ public:
     Span.arg("blocks_after", Rec.BlocksAfter);
     Span.arg("dfa_solves", Rec.DfaSolves);
     Span.arg("detail", Rec.Detail);
-    return Rec;
+    return std::move(Rec);
   }
 
 private:
+  /// Outlives the span, which refers to it (finish() moves Rec out).
+  std::string Name;
+  /// The span named after the pass; the transform's own spans ("rae",
+  /// "analysis.redundancy", ...) nest beneath it, so the phase tree and
+  /// the trace mirror the pipeline structure.
+  telemetry::Span Span;
   PassRecord Rec;
-  /// Profiler node for this pass; the transform's own AM_PROF_SCOPE
-  /// ("rae", "analysis.redundancy", ...) nests beneath it, so the phase
-  /// tree mirrors the pipeline structure.
-  prof::Scope Prof;
-  trace::TraceSpan Span;
   std::chrono::steady_clock::time_point Start;
   uint64_t DfaSolves0 = 0, DfaBlocks0 = 0;
   uint64_t AmRounds0 = 0, AmElim0 = 0, AmHoist0 = 0;
@@ -146,81 +147,53 @@ void ensureSplit(FlowGraph &G, PipelineResult &R) {
 /// \p Limits carries the per-pass AM round cap (0 = unlimited).
 void runOnePass(const std::string &Name, PipelineResult &R,
                 const PipelineLimits &Limits) {
+  if (Name == "init" || Name == "aht" || Name == "flush" || Name == "pde")
+    ensureSplit(R.Graph, R);
+  PassScope Scope(Name, R.Graph);
   std::ostringstream Line;
-  if (Name == "uniform") {
-    PassScope Scope(Name, R.Graph);
+  if (Name == "uniform" || Name == "am") {
+    // "am" is the motion phase alone: no initialization, no flush.
     UniformOptions UO;
+    UO.RunInitialization = UO.RunFinalFlush = Name == "uniform";
     UO.MaxAmIterations = Limits.MaxAmRounds;
     UniformStats Stats;
     R.Graph = runUniformEmAm(R.Graph, UO, &Stats);
     Line << Stats.AmPhase.Iterations << " AM iterations, "
          << Stats.AmPhase.Eliminated << " eliminated";
-    R.Records.push_back(Scope.finish(R.Graph, Line.str()));
-  } else if (Name == "am") {
-    PassScope Scope(Name, R.Graph);
-    UniformOptions UO;
-    UO.RunInitialization = false;
-    UO.RunFinalFlush = false;
-    UO.MaxAmIterations = Limits.MaxAmRounds;
-    UniformStats Stats;
-    R.Graph = runUniformEmAm(R.Graph, UO, &Stats);
-    Line << Stats.AmPhase.Iterations << " AM iterations, "
-         << Stats.AmPhase.Eliminated << " eliminated";
-    R.Records.push_back(Scope.finish(R.Graph, Line.str()));
   } else if (Name == "init") {
-    ensureSplit(R.Graph, R);
-    PassScope Scope(Name, R.Graph);
     Line << runInitializationPhase(R.Graph) << " decompositions";
-    R.Records.push_back(Scope.finish(R.Graph, Line.str()));
   } else if (Name == "rae") {
-    PassScope Scope(Name, R.Graph);
     Line << runRedundantAssignmentElimination(R.Graph) << " eliminated";
-    R.Records.push_back(Scope.finish(R.Graph, Line.str()));
   } else if (Name == "aht") {
-    ensureSplit(R.Graph, R);
-    PassScope Scope(Name, R.Graph);
     Line << (runAssignmentHoisting(R.Graph) ? "changed" : "no change");
-    R.Records.push_back(Scope.finish(R.Graph, Line.str()));
   } else if (Name == "flush") {
-    ensureSplit(R.Graph, R);
-    PassScope Scope(Name, R.Graph);
     Line << (runFinalFlush(R.Graph) ? "changed" : "no change");
-    R.Records.push_back(Scope.finish(R.Graph, Line.str()));
   } else if (Name == "lcm") {
-    PassScope Scope(Name, R.Graph);
     R.Graph = runLazyCodeMotion(R.Graph);
     Line << "done";
-    R.Records.push_back(Scope.finish(R.Graph, Line.str()));
   } else if (Name == "bcm") {
-    PassScope Scope(Name, R.Graph);
     R.Graph = runBusyCodeMotion(R.Graph);
     Line << "done";
-    R.Records.push_back(Scope.finish(R.Graph, Line.str()));
+  } else if (Name == "restricted") {
+    RestrictedAmStats Stats;
+    R.Graph = runRestrictedAssignmentMotion(R.Graph, &Stats);
+    Line << Stats.ProfitableHoistings << " profitable hoistings, "
+         << Stats.Eliminated << " eliminated";
   } else if (Name == "cp") {
-    PassScope Scope(Name, R.Graph);
     Line << runCopyPropagation(R.Graph) << " uses rewritten";
-    R.Records.push_back(Scope.finish(R.Graph, Line.str()));
   } else if (Name == "lvn") {
-    PassScope Scope(Name, R.Graph);
     Line << runLocalValueNumbering(R.Graph) << " reuses";
-    R.Records.push_back(Scope.finish(R.Graph, Line.str()));
   } else if (Name == "pde") {
-    ensureSplit(R.Graph, R);
-    PassScope Scope(Name, R.Graph);
     PdeStats Stats = runPartialDeadCodeElim(R.Graph);
     Line << Stats.Rounds << " rounds, net " << Stats.Removed << " removed";
-    R.Records.push_back(Scope.finish(R.Graph, Line.str()));
   } else if (Name == "split") {
-    PassScope Scope(Name, R.Graph);
     Line << R.Graph.splitCriticalEdges() << " edges split";
-    R.Records.push_back(Scope.finish(R.Graph, Line.str()));
   } else { // simplify
-    PassScope Scope(Name, R.Graph);
     R.Graph = simplified(R.Graph);
     Line << "done";
-    R.Records.push_back(Scope.finish(R.Graph, Line.str()));
   }
-  R.Log.push_back(Line.str().empty() ? Name : (Name + ": " + Line.str()));
+  R.Records.push_back(Scope.finish(R.Graph, Line.str()));
+  R.Log.push_back(Name + ": " + Line.str());
 }
 
 /// The edge-corrupt fault class fires here, between the pass body and the
@@ -245,17 +218,6 @@ void maybeCorruptEdge(FlowGraph &G) {
   }
 }
 
-/// Pseudo-random input battery shared with `amopt --verify`: small signed
-/// values, deterministic in (round, variable index).
-std::unordered_map<std::string, int64_t>
-equivalenceInputs(const FlowGraph &G, uint64_t Round) {
-  std::unordered_map<std::string, int64_t> Inputs;
-  for (uint32_t V = 0; V < G.Vars.size(); ++V)
-    Inputs[G.Vars.name(makeVarId(V))] =
-        static_cast<int64_t>((Round * 2654435761u + V * 40503u) % 41) - 20;
-  return Inputs;
-}
-
 } // namespace
 
 const char *am::passStatusName(PassStatus S) {
@@ -271,9 +233,10 @@ const char *am::passStatusName(PassStatus S) {
 }
 
 bool am::isKnownPass(const std::string &Name) {
-  static const char *Known[] = {"uniform", "am",   "init",  "rae",  "aht",
-                                "flush",   "lcm",  "bcm",   "cp",   "lvn",
-                                "pde",     "split", "simplify"};
+  static const char *Known[] = {"uniform", "am",    "init", "rae",
+                                "aht",     "flush", "lcm",  "bcm",
+                                "cp",      "lvn",   "pde",  "restricted",
+                                "split",   "simplify"};
   for (const char *K : Known)
     if (Name == K)
       return true;
@@ -303,10 +266,16 @@ diag::Expected<PipelineLimits> am::parseLimitsSpec(const std::string &Spec) {
     std::string Val = Item.substr(Eq + 1);
     char *End = nullptr;
     double Num = std::strtod(Val.c_str(), &End);
-    if (End == Val.c_str() || *End != '\0' || Num < 0)
+    if (End == Val.c_str() || *End != '\0' || !std::isfinite(Num) || Num < 0)
       return diag::Diagnostic::error(
           "limits", "value '" + Val + "' for '" + Key +
-                        "' is not a non-negative number");
+                        "' is not a finite non-negative number");
+    // The integer budgets must fit their fields: casting a larger double
+    // is undefined behaviour (2^64 is the first double past uint64_t).
+    if ((Key == "am-rounds" && Num > std::numeric_limits<unsigned>::max()) ||
+        (Key == "evals" && Num >= 18446744073709551616.0))
+      return diag::Diagnostic::error(
+          "limits", "value '" + Val + "' for '" + Key + "' is out of range");
     if (Key == "am-rounds")
       L.MaxAmRounds = static_cast<unsigned>(Num);
     else if (Key == "growth")
@@ -325,10 +294,6 @@ diag::Expected<PipelineLimits> am::parseLimitsSpec(const std::string &Spec) {
   return L;
 }
 
-PipelineResult am::runPipeline(const FlowGraph &G, const std::string &Spec) {
-  return runPipeline(G, Spec, PipelineOptions());
-}
-
 PipelineResult am::runPipeline(const FlowGraph &G, const std::string &Spec,
                                const PipelineOptions &Opts) {
   // When the caller owns a telemetry session, make it current for the
@@ -338,9 +303,8 @@ PipelineResult am::runPipeline(const FlowGraph &G, const std::string &Spec,
   std::optional<telemetry::SessionScope> SessionGuard;
   if (Opts.Telemetry)
     SessionGuard.emplace(*Opts.Telemetry);
-  if (Opts.Threads != 0)
-    threads::setGlobalThreadCount(Opts.Threads);
-  AM_PROF_SCOPE("pipeline");
+  AM_SPAN(Span, "pipeline");
+  Span.arg("spec", Spec);
 
   PipelineResult R;
   diag::Expected<std::vector<std::string>> Parsed = parsePassSpec(Spec);
@@ -357,8 +321,6 @@ PipelineResult am::runPipeline(const FlowGraph &G, const std::string &Spec,
   AM_STAT_COUNTER(NumPasses, "pipeline.passes");
   AM_STAT_COUNTER(NumRollbacks, "pipeline.rollbacks");
   AM_STAT_INC(NumPipelines);
-  trace::TraceSpan PipeSpan("pipeline.run");
-  PipeSpan.arg("spec", Spec);
 
   if (VerifyIR) {
     // A broken *input* is the caller's bug, not a pass's: report it as an

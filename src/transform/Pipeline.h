@@ -7,10 +7,10 @@
 /// \file
 /// Composes the library's passes from a comma-separated specification,
 /// e.g. "lcm,cp,lcm" (the paper's Section 6 EM+CP interleaving) or
-/// "uniform,pde".  Used by the `amopt` CLI (tools/amopt.cpp) via
-/// `amopt --passes=p1,p2,...` — optionally with `--stats[=json]` and
-/// `--trace=out.json` to observe the run — by `ambatch`'s corpus jobs
-/// (tools/ambatch.cpp), and by experiments that compare pass orders.
+/// "uniform,pde".  Every tool job reaches it through `runJob`
+/// (job/Job.h): `amopt --passes=p1,p2,...` (or `--pass=p`), `ambatch`'s
+/// corpus jobs and `ambench`'s pipeline presets; experiments that compare
+/// pass orders call it directly.
 ///
 /// Known pass names:
 ///   uniform      the full paper algorithm
@@ -20,6 +20,7 @@
 ///   aht          one assignment-hoisting pass
 ///   flush        the final flush alone
 ///   lcm | bcm    lazy / busy code motion
+///   restricted   restricted assignment motion (the Dhamdhere baseline)
 ///   cp           copy propagation
 ///   lvn          local value numbering
 ///   pde          partial dead code elimination
@@ -153,12 +154,6 @@ struct PipelineOptions {
   /// calling thread's current one.  Null inherits the caller's session
   /// (or the process default) — the pre-session behaviour.
   telemetry::Session *Telemetry = nullptr;
-  /// Worker threads for the batch-parallel dataflow solves (see
-  /// support/ThreadPool.h).  0 inherits the process policy (`--threads` /
-  /// AM_THREADS / 1); any other value pins the count for this run.  The
-  /// optimized output and all machine-independent counters are identical
-  /// for every value — threads only change wall-clock.
-  unsigned Threads = 0;
 };
 
 /// Outcome of a pipeline run.
@@ -187,14 +182,11 @@ struct PipelineResult {
 /// is a diagnostic, as is any unknown pass name.
 diag::Expected<std::vector<std::string>> parsePassSpec(const std::string &Spec);
 
-/// Splits \p Spec on commas and runs each named pass over \p G in order.
-/// Unknown names abort before anything runs.
-PipelineResult runPipeline(const FlowGraph &G, const std::string &Spec);
-
-/// As above with explicit execution options (guarded mode, IR
-/// verification, resource limits).
+/// Splits \p Spec on commas and runs each named pass over \p G in order,
+/// under the execution options \p Opts (guarded mode, IR verification,
+/// resource limits).  Unknown names abort before anything runs.
 PipelineResult runPipeline(const FlowGraph &G, const std::string &Spec,
-                           const PipelineOptions &Opts);
+                           const PipelineOptions &Opts = PipelineOptions());
 
 /// True if \p Name is a known pass name.
 bool isKnownPass(const std::string &Name);

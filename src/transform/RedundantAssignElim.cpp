@@ -9,8 +9,8 @@
 #include "ir/InstrNumbering.h"
 #include "ir/Printer.h"
 #include "report/Recorder.h"
-#include "support/Profiler.h"
 #include "support/Remarks.h"
+#include "support/Telemetry.h"
 #include "transform/AssignmentMotion.h"
 #include "verify/FaultInjector.h"
 
@@ -44,7 +44,7 @@ std::string describeDefiner(const FlowGraph &G, BlockId B, size_t Idx,
 } // namespace
 
 unsigned am::runRedundantAssignmentElimination(FlowGraph &G, AmContext &Ctx) {
-  AM_PROF_SCOPE("rae");
+  AM_SPAN(Span, "rae");
   AM_REMARK_PASS_SCOPE("rae");
   if (AM_REMARKS_ENABLED())
     ensureInstrIds(G);
@@ -59,7 +59,7 @@ unsigned am::runRedundantAssignmentElimination(FlowGraph &G, AmContext &Ctx) {
 
   // Record each block's decisions — one N-REDUNDANT bit per occurrence,
   // decided by an in-block scan — then mutate the block.
-  AM_PROF_SCOPE("rae.facts");
+  AM_SPAN(FactsSpan, "rae.facts");
   unsigned NumEliminated = 0;
   std::vector<bool> Remove;
   for (BlockId B = 0; B < G.numBlocks(); ++B) {

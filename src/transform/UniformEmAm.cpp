@@ -6,7 +6,7 @@
 
 #include "transform/UniformEmAm.h"
 #include "report/Recorder.h"
-#include "support/Profiler.h"
+#include "support/Telemetry.h"
 #include "transform/FinalFlush.h"
 #include "transform/Initialization.h"
 #include "transform/Normalize.h"
@@ -15,7 +15,7 @@ using namespace am;
 
 FlowGraph am::runUniformEmAm(const FlowGraph &G, const UniformOptions &Options,
                              UniformStats *Stats) {
-  AM_PROF_SCOPE("uniform");
+  AM_SPAN(Span, "uniform");
   UniformStats Local;
   UniformStats &S = Stats ? *Stats : Local;
   report::RecorderSession *Rec = report::RecorderSession::current();
@@ -23,7 +23,7 @@ FlowGraph am::runUniformEmAm(const FlowGraph &G, const UniformOptions &Options,
   FlowGraph Work = G;
   removeSkips(Work);
   if (Options.SplitCriticalEdges) {
-    AM_PROF_SCOPE("split");
+    AM_SPAN(SplitSpan, "split");
     S.EdgesSplit = Work.splitCriticalEdges();
   }
   if (Rec)

@@ -9,7 +9,7 @@
 #include "ir/Patterns.h"
 #include "ir/Printer.h"
 #include "support/Stats.h"
-#include "support/Trace.h"
+#include "support/Telemetry.h"
 #include "transform/AssignmentHoisting.h"
 #include "transform/FinalFlush.h"
 #include "transform/Initialization.h"
@@ -75,7 +75,7 @@ EnumerationResult am::enumerateUniverse(const FlowGraph &G,
   AM_STAT_COUNTER(NumCandidates, "enumerate.candidates");
   AM_STAT_COUNTER(NumDistinctStates, "enumerate.states");
   AM_STAT_INC(NumEnumerations);
-  trace::TraceSpan Span("enumerate.universe");
+  AM_SPAN(Span, "enumerate.universe");
 
   EnumerationResult Result;
   std::unordered_set<std::string> Seen;

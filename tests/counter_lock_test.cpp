@@ -20,6 +20,7 @@
 #include "support/EventLog.h"
 #include "support/Stats.h"
 #include "support/Telemetry.h"
+#include "support/ThreadPool.h"
 #include "transform/Pipeline.h"
 
 #include <gtest/gtest.h>
@@ -35,8 +36,10 @@ TEST(CounterLock, Uniform20kSeed61) {
   telemetry::Session Job;
   PipelineOptions P;
   P.Telemetry = &Job;
-  P.Threads = 1;
+  const unsigned PrevThreads = threads::globalThreadCount();
+  threads::setGlobalThreadCount(1);
   PipelineResult R = runPipeline(G, "uniform", P);
+  threads::setGlobalThreadCount(PrevThreads);
   ASSERT_TRUE(R.ok()) << R.Error;
   const stats::Registry &S = Job.stats();
   EXPECT_EQ(S.counterValue("am.rounds"), 8u);

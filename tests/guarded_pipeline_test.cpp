@@ -83,6 +83,12 @@ TEST(Diag, ParseLimitsSpec) {
   EXPECT_FALSE(parseLimitsSpec("growth=abc").ok());
   EXPECT_FALSE(parseLimitsSpec("growth=-1").ok());
   EXPECT_FALSE(parseLimitsSpec("frobs=3").ok());
+  // Non-finite values and values past the field's type would be
+  // undefined behaviour to cast.
+  EXPECT_FALSE(parseLimitsSpec("growth=nan").ok());
+  EXPECT_FALSE(parseLimitsSpec("evals=inf").ok());
+  EXPECT_FALSE(parseLimitsSpec("am-rounds=1e20").ok());
+  EXPECT_FALSE(parseLimitsSpec("wall-ms=inf").ok());
 }
 
 //===----------------------------------------------------------------------===//

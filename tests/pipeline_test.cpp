@@ -271,10 +271,10 @@ TEST(Pipeline, TraceOfAPipelineRunIsValidChromeTraceJson) {
   // One span per pass, nested spans per dataflow solve, instants per AM
   // fixpoint round.
   EXPECT_NE(Trace.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(Trace.find("\"pipeline.pass\""), std::string::npos);
+  EXPECT_NE(Trace.find("\"name\":\"uniform\""), std::string::npos);
   EXPECT_NE(Trace.find("\"dfa.solve\""), std::string::npos);
   EXPECT_NE(Trace.find("\"am.round\""), std::string::npos);
-  EXPECT_NE(Trace.find("\"flush.run\""), std::string::npos);
+  EXPECT_NE(Trace.find("\"name\":\"flush\""), std::string::npos);
 }
 
 TEST(Pipeline, RandomProgramsSurviveLongPipelines) {

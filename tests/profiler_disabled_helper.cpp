@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 //
 // This translation unit is compiled with -DAM_DISABLE_STATS (see
-// tests/CMakeLists.txt): AM_PROF_SCOPE must expand to nothing, so the
-// scopes below can never create phase-tree nodes — even when the calling
+// tests/CMakeLists.txt): AM_SPAN must compile away, so the spans below
+// can never create phase-tree nodes — even when the calling
 // test has *enabled* the session's profiler.  profiler_test.cpp asserts
 // exactly that.
 //
@@ -17,18 +17,19 @@
 #endif
 
 #include "support/Profiler.h"
+#include "support/Telemetry.h"
 
 namespace am::test {
 
-/// Runs nested compiled-out profiler scopes; returns how many phase-tree
+/// Runs nested compiled-out spans; returns how many phase-tree
 /// nodes the session profiler gained (must be 0).
 size_t profileCompiledOutScopes() {
   prof::Profiler &P = prof::Profiler::get();
   size_t Before = P.numNodes();
   {
-    AM_PROF_SCOPE("test.compiled_out_phase");
+    AM_SPAN(TestCompiledOutPhase, "test.compiled_out_phase");
     {
-      AM_PROF_SCOPE("test.compiled_out_inner");
+      AM_SPAN(TestCompiledOutInner, "test.compiled_out_inner");
     }
   }
   return P.numNodes() - Before;

@@ -47,7 +47,7 @@ TEST(ProfilerTest, DisabledByDefaultCreatesNoNodes) {
   telemetry::Session S;
   telemetry::SessionScope Scope(S);
   {
-    AM_PROF_SCOPE("never");
+    AM_SPAN(Never, "never");
   }
   EXPECT_EQ(S.profiler().numNodes(), 1u); // just the root
   EXPECT_EQ(S.profiler().treeShape(), "root");
@@ -56,16 +56,16 @@ TEST(ProfilerTest, DisabledByDefaultCreatesNoNodes) {
 TEST(ProfilerTest, BuildsTheTreeInFirstEntryOrder) {
   ProfiledSession P;
   for (int I = 0; I < 2; ++I) {
-    AM_PROF_SCOPE("outer");
+    AM_SPAN(Outer, "outer");
     {
-      AM_PROF_SCOPE("first");
+      AM_SPAN(First, "first");
     }
     {
-      AM_PROF_SCOPE("second");
+      AM_SPAN(Second, "second");
     }
   }
   {
-    AM_PROF_SCOPE("tail");
+    AM_SPAN(Tail, "tail");
   }
   EXPECT_EQ(P.prof().treeShape(),
             "root{outer(2){first(2),second(2)},tail(1)}");
@@ -74,12 +74,12 @@ TEST(ProfilerTest, BuildsTheTreeInFirstEntryOrder) {
 TEST(ProfilerTest, SameNameUnderDifferentParentsIsDifferentNodes) {
   ProfiledSession P;
   {
-    AM_PROF_SCOPE("a");
-    AM_PROF_SCOPE("solve");
+    AM_SPAN(A, "a");
+    AM_SPAN(Solve, "solve");
   }
   {
-    AM_PROF_SCOPE("b");
-    AM_PROF_SCOPE("solve");
+    AM_SPAN(B, "b");
+    AM_SPAN(Solve, "solve");
   }
   EXPECT_EQ(P.prof().treeShape(), "root{a(1){solve(1)},b(1){solve(1)}}");
   EXPECT_EQ(P.prof().numNodes(), 5u);
@@ -88,7 +88,7 @@ TEST(ProfilerTest, SameNameUnderDifferentParentsIsDifferentNodes) {
 TEST(ProfilerTest, AccumulatesWallTimeAndCalls) {
   ProfiledSession P;
   for (int I = 0; I < 3; ++I) {
-    AM_PROF_SCOPE("work");
+    AM_SPAN(Work, "work");
     // Touch the heap so the allocation delta is visibly attributed.
     std::vector<int> V(1024, I);
     ASSERT_EQ(V.size(), 1024u);
@@ -111,7 +111,7 @@ TEST(ProfilerTest, UnbalancedLeaveIsIgnored) {
   P.prof().leave();
   EXPECT_EQ(P.prof().depth(), 0u);
   {
-    AM_PROF_SCOPE("ok");
+    AM_SPAN(Ok, "ok");
   }
   P.prof().leave(); // unbalanced again, after real traffic
   EXPECT_EQ(P.prof().treeShape(), "root{ok(1)}");
@@ -128,11 +128,11 @@ TEST(ProfilerTest, DanglingEnterSurvivesReset) {
 }
 
 TEST(ProfilerTest, ScopeCapturesProfilerAtEntry) {
-  // Disabling mid-scope must not unbalance the stack: Scope latched the
-  // enabled decision at construction.
+  // Disabling mid-scope must not unbalance the stack: the span latched
+  // the enabled decision at construction.
   ProfiledSession P;
   {
-    AM_PROF_SCOPE("latch");
+    AM_SPAN(Latch, "latch");
     P.prof().setEnabled(false);
   }
   EXPECT_EQ(P.prof().depth(), 0u);
@@ -226,8 +226,8 @@ TEST(ProfilerTest, CompiledOutScopesCreateNothingEvenWhenEnabled) {
 TEST(ProfilerTest, JsonIsValidAndCarriesTheSchema) {
   ProfiledSession P;
   {
-    AM_PROF_SCOPE("phase");
-    AM_PROF_SCOPE("sub");
+    AM_SPAN(Phase, "phase");
+    AM_SPAN(Sub, "sub");
   }
   std::string J = P.prof().toJsonString();
   std::string Error;
@@ -241,8 +241,8 @@ TEST(ProfilerTest, JsonIsValidAndCarriesTheSchema) {
 TEST(ProfilerTest, CollapsedStacksJoinThePathWithSemicolons) {
   ProfiledSession P;
   {
-    AM_PROF_SCOPE("a");
-    AM_PROF_SCOPE("b");
+    AM_SPAN(A, "a");
+    AM_SPAN(B, "b");
   }
   std::string Folded = P.prof().toCollapsedString();
   EXPECT_NE(Folded.find("a "), std::string::npos) << Folded;

@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 //
 // This translation unit is compiled with -DAM_DISABLE_STATS (see
-// tests/CMakeLists.txt): every AM_STAT_* and AM_REMARK_* macro below must
-// expand to nothing, so none of the "test.compiled_out_*" instruments may
+// tests/CMakeLists.txt): every AM_STAT_*, AM_SPAN and AM_REMARK_* macro
+// below must compile away, so none of the "test.compiled_out_*" instruments may
 // ever appear in the registry and no remark instrumentation can run.
 // stats_test.cpp asserts exactly that.
 //
@@ -18,6 +18,7 @@
 
 #include "support/Remarks.h"
 #include "support/Stats.h"
+#include "support/Telemetry.h"
 
 namespace am::test {
 
@@ -27,8 +28,8 @@ void bumpCompiledOutStats() {
   AM_STAT_ADD(Ctr, 41);
   AM_STAT_GAUGE(Gauge, "test.compiled_out_gauge");
   AM_STAT_SET(Gauge, 7);
-  AM_STAT_TIMER(Tmr, "test.compiled_out_timer");
-  AM_STAT_TIME_SCOPE(Tmr);
+  AM_SPAN(Span, "test.compiled_out_timer");
+  Span.arg("ignored", 1);
 }
 
 bool compiledOutRemarksEnabled() {

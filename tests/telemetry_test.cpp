@@ -5,10 +5,10 @@
 //===----------------------------------------------------------------------===//
 //
 // telemetry::Session scoping (support/Telemetry.h): every observability
-// subsystem — stats registry, remark sink, profiler, recorder hook — is
-// owned per session, installed sessions route the singleton accessors,
-// nesting restores, and code that never installs a session keeps the
-// process-default singleton behaviour.
+// subsystem — stats registry, remark sink, profiler, recorder hook,
+// tracing switch — is owned per session, installed sessions route the
+// singleton accessors, nesting restores, and code that never installs a
+// session keeps the process-default singleton behaviour.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +18,7 @@
 #include "support/Remarks.h"
 #include "support/Stats.h"
 #include "support/Telemetry.h"
+#include "support/Trace.h"
 #include "transform/Pipeline.h"
 #include "transform/UniformEmAm.h"
 
@@ -109,14 +110,40 @@ TEST(TelemetryTest, ProfilerIsolatesPerSession) {
   B.profiler().setEnabled(true);
   {
     telemetry::SessionScope Scope(A);
-    AM_PROF_SCOPE("only_in_a");
+    AM_SPAN(OnlyInA, "only_in_a");
   }
   {
     telemetry::SessionScope Scope(B);
-    AM_PROF_SCOPE("only_in_b");
+    AM_SPAN(OnlyInB, "only_in_b");
   }
   EXPECT_EQ(A.profiler().treeShape(), "root{only_in_a(1)}");
   EXPECT_EQ(B.profiler().treeShape(), "root{only_in_b(1)}");
+}
+
+TEST(TelemetryTest, SpanSinksFollowTheirSessionsSwitches) {
+  // One session traces, the other has its timers switched off: a span
+  // feeds exactly the sinks its own session has on.
+  telemetry::Session A, B;
+  B.stats().setEnabled(false);
+  std::string J;
+  {
+    telemetry::SessionScope Scope(A);
+    trace::start(); // clears the collector and traces A
+    AM_SPAN(InA, "traced_in_a");
+  }
+  {
+    telemetry::SessionScope Scope(B);
+    AM_SPAN(InB, "untraced_in_b");
+  }
+  {
+    telemetry::SessionScope Scope(A);
+    J = trace::stopToJson();
+  }
+  EXPECT_NE(J.find("\"traced_in_a\""), std::string::npos) << J;
+  EXPECT_EQ(J.find("untraced_in_b"), std::string::npos) << J;
+  EXPECT_FALSE(A.tracing());
+  EXPECT_NE(A.stats().findTimer("traced_in_a_ns"), nullptr);
+  EXPECT_EQ(B.stats().findTimer("untraced_in_b_ns"), nullptr);
 }
 
 TEST(TelemetryTest, RecorderAttachesToTheCurrentSession) {

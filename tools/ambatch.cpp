@@ -47,27 +47,23 @@
 //===----------------------------------------------------------------------===//
 
 #include "gen/RandomProgram.h"
-#include "ir/InstrNumbering.h"
-#include "ir/Printer.h"
-#include "parser/Parser.h"
+#include "job/Job.h"
 #include "report/FleetReport.h"
 #include "support/Aggregate.h"
 #include "support/ArgParser.h"
 #include "support/EventLog.h"
 #include "support/History.h"
-#include "support/Profiler.h"
-#include "support/Remarks.h"
-#include "support/Stats.h"
-#include "support/Telemetry.h"
 #include "support/ThreadPool.h"
 #include "transform/Pipeline.h"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -80,33 +76,6 @@ namespace fs = std::filesystem;
 
 namespace {
 
-int usage() {
-  std::fprintf(
-      stderr,
-      "usage: ambatch [--passes=p1,...] [--unguarded] [--limits=k=v,...]\n"
-      "               [--threads=N|max] [--gen=N[:seed]] [--gen-stmts=N]\n"
-      "               [--events=F.jsonl] [--aggregate=F.json] "
-      "[--report=F.html]\n"
-      "               [--history=F.jsonl] [--top=K] [--quiet] "
-      "[FILE|DIR ...]\n"
-      "       ambatch --from=run.jsonl [--aggregate=F] [--report=F] "
-      "[--history=F]\n"
-      "       ambatch --diff=A.jsonl,B.jsonl [--report=F.html]\n"
-      "\n"
-      "Runs every corpus program through the (default guarded) pipeline "
-      "on a job\n"
-      "thread pool, one telemetry session per job, and writes fleet "
-      "telemetry:\n"
-      "a streaming amevents-v1 JSONL log, a deterministic amagg-v1 "
-      "aggregate\n"
-      "(byte-identical for any --threads), and an HTML dashboard.  DIR "
-      "arguments\n"
-      "add every *.am file inside; --gen adds seeded random programs.\n"
-      "Exit codes: 0 all ok, 1 usage/io, 2 parse/job error, 3 rollbacks, "
-      "4 limits.\n");
-  return 1;
-}
-
 struct JobSpec {
   uint64_t Index = 0;
   std::string Name;   // file stem or gen:<seed>
@@ -116,112 +85,63 @@ struct JobSpec {
   unsigned GenStmts = 40;
 };
 
-struct BatchConfig {
-  std::string PassSpec = "uniform";
-  bool Guarded = true;
-  PipelineLimits Limits;
-};
-
-/// Runs one job under its own telemetry session and fills the event
-/// record.  \p Diags receives attributable diagnostics ("[name hash]
-/// pass rolled back: ...") for the caller to print.
-fleet::JobEvent runJob(const JobSpec &Spec, const BatchConfig &Cfg,
-                       std::vector<std::string> &Diags) {
+/// One corpus job (job/Job.h) as its event record: \p Req carries the
+/// batch's passes, guards and sinks.  \p Diags receives the job's
+/// attributable diagnostics ("[name hash] pass rolled back: ...") for the
+/// caller to print.
+fleet::JobEvent runCorpusJob(const JobSpec &Spec, JobRequest Req,
+                             std::vector<std::string> &Diags) {
   fleet::JobEvent E;
   E.Index = Spec.Index;
-  E.Name = Spec.Name;
+  E.Name = Req.Name = Spec.Name;
   E.Preset = Spec.Preset;
 
-  telemetry::Session Job;
-  telemetry::SessionScope Scope(Job);
-  Job.profiler().setEnabled(true);
-  Job.remarks().setEnabled(true);
-
   auto T0 = std::chrono::steady_clock::now();
-  auto Finish = [&] {
-    E.WallNs = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - T0)
-            .count());
-    E.Counters = Job.stats().counterEntries();
-    const prof::Profiler &P = Job.profiler();
-    for (uint32_t Child : P.node(prof::Profiler::RootId).Children)
-      E.Phases.emplace_back(P.node(Child).Name, P.node(Child).WallNs);
-    static const remarks::Kind AllKinds[] = {
-        remarks::Kind::Decompose,   remarks::Kind::Hoist,
-        remarks::Kind::Eliminate,   remarks::Kind::SinkInit,
-        remarks::Kind::DeleteInit,  remarks::Kind::Reconstruct,
-        remarks::Kind::Blocked,     remarks::Kind::Rollback};
-    for (remarks::Kind K : AllKinds)
-      if (uint64_t N = Job.remarks().countKind(K))
-        E.RemarkKinds.emplace_back(remarks::kindName(K), N);
-  };
-
-  FlowGraph G;
-  {
-    AM_PROF_SCOPE("parse");
-    if (Spec.Path.empty()) {
-      GenOptions GOpts;
-      GOpts.TargetStmts = Spec.GenStmts;
-      G = generateStructuredProgram(Spec.Seed, GOpts);
-    } else {
-      std::ifstream In(Spec.Path);
-      std::ostringstream Buf;
-      Buf << In.rdbuf();
-      if (!In.good() && !In.eof()) {
-        E.Status = "error";
-        E.Error = "cannot read '" + Spec.Path + "'";
-        Diags.push_back("[" + Spec.Name + "] " + E.Error);
-        Finish();
-        return E;
-      }
-      ParseResult R = parseProgram(Buf.str());
-      if (!R.ok()) {
-        E.Status = "error";
-        E.Error = R.Error;
-        Diags.push_back("[" + Spec.Name + "] parse error: " + R.Error);
-        Finish();
-        return E;
-      }
-      G = std::move(R.Graph);
-    }
-  }
-  E.Hash = fleet::hex16(fleet::fnv1a64(printGraph(G)));
-  E.BlocksBefore = G.numBlocks();
-  E.InstrsBefore = G.numInstrs();
-  ensureInstrIds(G);
-
-  PipelineOptions POpts;
-  POpts.Guarded = Cfg.Guarded;
-  POpts.Limits = Cfg.Limits;
-  POpts.Telemetry = &Job;
-  // POpts.Threads stays 0: the job inherits the process policy, pinned
-  // to 1 worker so per-job solves run inline on this job's thread.
-  PipelineResult R = runPipeline(G, Cfg.PassSpec, POpts);
-
-  std::string Tag = "[" + Spec.Name + " " + E.Hash.substr(0, 8) + "]";
-  E.Rollbacks = R.RollbackCount;
-  E.LimitsHit = R.LimitsExhausted;
-  if (!R.ok() && !R.LimitsExhausted) {
-    E.Status = "error";
-    E.Error = R.Diag.empty() ? R.Error : R.Diag.render();
-    Diags.push_back(Tag + " pipeline error: " + E.Error);
-  } else if (R.LimitsExhausted) {
-    E.Status = "limits";
-    Diags.push_back(Tag + " " + R.Diag.render());
-  } else if (R.RollbackCount != 0) {
-    E.Status = "rolled_back";
-    for (const PassRecord &Rec : R.Records)
-      if (Rec.Status == PassStatus::RolledBack)
-        Diags.push_back(Tag + " pass '" + Rec.Name +
-                        "' rolled back: " + Rec.Violation);
+  if (Spec.Path.empty()) {
+    GenOptions GOpts;
+    GOpts.TargetStmts = Spec.GenStmts;
+    Req.Graph = generateStructuredProgram(Spec.Seed, GOpts);
   } else {
-    E.Status = "ok";
+    std::ifstream In(Spec.Path);
+    std::ostringstream Buf;
+    Buf << In.rdbuf();
+    if (!In.good() && !In.eof()) {
+      E.Status = "error";
+      E.Error = "cannot read '" + Spec.Path + "'";
+      Diags.push_back("[" + Spec.Name + "] " + E.Error);
+      return E;
+    }
+    Req.Source = Buf.str();
   }
-  E.BlocksAfter = R.Graph.numBlocks();
-  E.InstrsAfter = R.Graph.numInstrs();
-  Finish();
+  // The job's solves inherit the process policy, pinned to 1 worker, so
+  // they run inline on this job's thread.
+  JobResult R = runJob(std::move(Req));
+  E.WallNs = static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - T0)
+          .count());
+  E.Hash = R.Hash;
+  E.Status = R.Status;
+  E.Error = R.Error;
+  E.Rollbacks = R.Pipeline.RollbackCount;
+  E.LimitsHit = R.Status == "limits";
+  E.BlocksBefore = R.Input.numBlocks();
+  E.InstrsBefore = R.Input.numInstrs();
+  E.BlocksAfter = R.Pipeline.Graph.numBlocks();
+  E.InstrsAfter = R.Pipeline.Graph.numInstrs();
+  E.Phases = std::move(R.Phases);
+  E.Counters = std::move(R.Counters);
+  E.RemarkKinds = std::move(R.RemarkKinds);
+  Diags.insert(Diags.end(), R.Diags.begin(), R.Diags.end());
   return E;
+}
+
+/// Parses all of \p Text as an unsigned decimal number: no sign, no
+/// suffix, no overflow.
+bool parseWhole(const std::string &Text, uint64_t &Out) {
+  const char *End = Text.data() + Text.size();
+  auto [Ptr, Ec] = std::from_chars(Text.data(), End, Out);
+  return Ec == std::errc() && Ptr == End;
 }
 
 fleet::Aggregate aggregateInOrder(const std::vector<fleet::JobEvent> &Events) {
@@ -324,7 +244,7 @@ int runDiff(const std::string &DiffSpec, const std::string &ReportPath,
   if (Comma == std::string::npos || Comma == 0 ||
       Comma + 1 == DiffSpec.size()) {
     std::fprintf(stderr, "ambatch: --diff needs two files: A.jsonl,B.jsonl\n");
-    return usage();
+    return 1;
   }
   std::string PathA = DiffSpec.substr(0, Comma);
   std::string PathB = DiffSpec.substr(Comma + 1);
@@ -391,7 +311,15 @@ int main(int argc, char **argv) {
       "Drives a corpus of programs (files, directories of *.am, seeded\n"
       "random programs) through guarded pipelines on a thread pool and\n"
       "emits fleet telemetry: streaming events, deterministic aggregates,\n"
-      "an HTML dashboard, and corpus-to-corpus diffs.");
+      "an HTML dashboard, and corpus-to-corpus diffs.  --from re-renders an\n"
+      "event log without running jobs; --diff=A.jsonl,B.jsonl compares two.\n"
+      "Exit codes: 0 all ok, 1 usage/io, 2 parse/job error, 3 rollbacks,\n"
+      "4 limits.");
+  // A usage error prints the help on stderr and exits 1.
+  auto Usage = [&Parser] {
+    std::fputs(Parser.helpText().c_str(), stderr);
+    return 1;
+  };
   Parser.option("--passes", Passes, "pass pipeline for every job", "p1,p2,...");
   Parser.flag("--unguarded", Unguarded,
               "run the plain pipeline (default is guarded with rollback)");
@@ -427,7 +355,7 @@ int main(int argc, char **argv) {
               "suppress informational stderr (diagnostics and errors stay)");
   if (!Parser.parse(argc, argv)) {
     std::fprintf(stderr, "ambatch: %s\n", Parser.error().c_str());
-    return usage();
+    return Usage();
   }
   if (Parser.helpRequested()) {
     std::fputs(Parser.helpText().c_str(), stdout);
@@ -439,7 +367,7 @@ int main(int argc, char **argv) {
     long V = std::strtol(TopSpec.c_str(), &End, 10);
     if (!End || *End != '\0' || V <= 0) {
       std::fprintf(stderr, "ambatch: bad --top '%s'\n", TopSpec.c_str());
-      return usage();
+      return Usage();
     }
     TopK = static_cast<unsigned>(V);
   }
@@ -488,23 +416,25 @@ int main(int argc, char **argv) {
     return 0;
   }
 
-  BatchConfig Cfg;
-  Cfg.PassSpec = Passes;
-  Cfg.Guarded = !Unguarded;
+  // Every job's request but its program.
+  JobRequest Proto;
+  Proto.Passes = Passes;
+  Proto.Pipeline.Guarded = !Unguarded;
+  Proto.Profile = Proto.Remarks = true;
   {
     diag::Expected<std::vector<std::string>> Spec = parsePassSpec(Passes);
     if (!Spec.ok()) {
       std::fprintf(stderr, "ambatch: %s\n", Spec.diagnostic().render().c_str());
-      return usage();
+      return Usage();
     }
   }
   if (!LimitsSpec.empty()) {
     diag::Expected<PipelineLimits> L = parseLimitsSpec(LimitsSpec);
     if (!L.ok()) {
       std::fprintf(stderr, "ambatch: %s\n", L.diagnostic().render().c_str());
-      return usage();
+      return Usage();
     }
-    Cfg.Limits = *L;
+    Proto.Pipeline.Limits = *L;
   }
 
   unsigned JobThreads = 1;
@@ -513,7 +443,7 @@ int main(int argc, char **argv) {
     JobThreads = threads::parseThreadSpec(ThreadSpec, &ThreadsErr);
     if (JobThreads == 0) {
       std::fprintf(stderr, "ambatch: --threads: %s\n", ThreadsErr.c_str());
-      return usage();
+      return Usage();
     }
   }
 
@@ -552,50 +482,41 @@ int main(int argc, char **argv) {
     }
   }
   if (!GenSpec.empty()) {
-    unsigned GenStmts = 40;
-    if (!GenStmtsSpec.empty()) {
-      char *End = nullptr;
-      long V = std::strtol(GenStmtsSpec.c_str(), &End, 10);
-      if (!End || *End != '\0' || V <= 0) {
-        std::fprintf(stderr, "ambatch: bad --gen-stmts '%s'\n",
-                     GenStmtsSpec.c_str());
-        return usage();
-      }
-      GenStmts = static_cast<unsigned>(V);
+    uint64_t GenStmts = 40;
+    if (!GenStmtsSpec.empty() &&
+        (!parseWhole(GenStmtsSpec, GenStmts) || GenStmts == 0 ||
+         GenStmts > std::numeric_limits<unsigned>::max())) {
+      std::fprintf(stderr, "ambatch: bad --gen-stmts '%s'\n",
+                   GenStmtsSpec.c_str());
+      return Usage();
     }
     uint64_t Count = 0, Seed0 = 1;
     size_t Colon = GenSpec.find(':');
-    try {
-      Count = std::stoull(GenSpec.substr(0, Colon));
-      if (Colon != std::string::npos)
-        Seed0 = std::stoull(GenSpec.substr(Colon + 1));
-    } catch (...) {
-      Count = 0;
-    }
-    if (Count == 0) {
+    if (!parseWhole(GenSpec.substr(0, Colon), Count) || Count == 0 ||
+        (Colon != std::string::npos &&
+         !parseWhole(GenSpec.substr(Colon + 1), Seed0))) {
       std::fprintf(stderr, "ambatch: bad --gen '%s'\n", GenSpec.c_str());
-      return usage();
+      return Usage();
     }
     for (uint64_t I = 0; I < Count; ++I) {
       JobSpec S;
       S.Seed = Seed0 + I;
       S.Name = "gen:" + std::to_string(S.Seed);
       S.Preset = "gen";
-      S.GenStmts = GenStmts;
+      S.GenStmts = static_cast<unsigned>(GenStmts);
       Specs.push_back(std::move(S));
     }
   }
   if (Specs.empty()) {
     std::fprintf(stderr, "ambatch: empty corpus (no FILE/DIR and no --gen)\n");
-    return usage();
+    return Usage();
   }
   for (uint64_t I = 0; I < Specs.size(); ++I)
     Specs[I].Index = I;
 
   // Job-level parallelism only: per-job solves run inline on their
-  // worker.  A job submitting into the same pool it runs on would
-  // deadlock, and runPipeline with Threads!=0 would mutate this global —
-  // which is why jobs inherit the pinned policy instead.
+  // worker, because a job submitting into the same pool it runs on would
+  // deadlock.  Jobs inherit this pinned policy.
   threads::setGlobalThreadCount(1);
 
   std::optional<std::ofstream> EventsOut;
@@ -608,14 +529,14 @@ int main(int argc, char **argv) {
       return 1;
     }
     Writer.emplace(*EventsOut);
-    Writer->writeHeader(Cfg.PassSpec, Specs.size());
+    Writer->writeHeader(Proto.Passes, Specs.size());
   }
 
   if (!Quiet)
     std::fprintf(stderr,
                  "ambatch: %zu jobs, %u thread(s), passes=%s%s\n",
-                 Specs.size(), JobThreads, Cfg.PassSpec.c_str(),
-                 Cfg.Guarded ? " (guarded)" : "");
+                 Specs.size(), JobThreads, Proto.Passes.c_str(),
+                 Proto.Pipeline.Guarded ? " (guarded)" : "");
 
   std::vector<fleet::JobEvent> Events(Specs.size());
   std::mutex DiagMu;
@@ -625,11 +546,11 @@ int main(int argc, char **argv) {
     std::vector<std::future<void>> Futures;
     Futures.reserve(Specs.size());
     for (const JobSpec &Spec : Specs)
-      Futures.push_back(Pool.submit([&Spec, &Cfg, &Events, &Writer, &DiagMu,
+      Futures.push_back(Pool.submit([&Spec, &Proto, &Events, &Writer, &DiagMu,
                                      Quiet] {
         std::vector<std::string> Diags;
         try {
-          Events[Spec.Index] = runJob(Spec, Cfg, Diags);
+          Events[Spec.Index] = runCorpusJob(Spec, Proto, Diags);
         } catch (const std::exception &Ex) {
           Events[Spec.Index].Index = Spec.Index;
           Events[Spec.Index].Name = Spec.Name;
@@ -688,11 +609,11 @@ int main(int argc, char **argv) {
   if (!ReportPath.empty()) {
     fleet::EventLogFile Log;
     Log.Schema = "amevents-v1";
-    Log.Passes = Cfg.PassSpec;
+    Log.Passes = Proto.Passes;
     Log.JobsDeclared = Events.size();
     Log.Events = Events;
     report::FleetReportOptions ROpts;
-    ROpts.Title = "ambatch · " + Cfg.PassSpec;
+    ROpts.Title = "ambatch · " + Proto.Passes;
     ROpts.TopK = TopK;
     ROpts.RunWallNs = RunWallNs;
     ROpts.Threads = JobThreads;

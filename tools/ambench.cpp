@@ -38,16 +38,15 @@
 #include "ir/FlowGraph.h"
 #include "ir/Patterns.h"
 #include "ir/Printer.h"
+#include "job/Job.h"
 #include "parser/Parser.h"
 #include "support/ArgParser.h"
 #include "support/History.h"
 #include "support/Json.h"
-#include "support/Telemetry.h"
 #include "support/ThreadPool.h"
 #include "transform/CopyPropagation.h"
 #include "transform/LazyCodeMotion.h"
 #include "transform/PartialDeadCodeElim.h"
-#include "transform/Pipeline.h"
 #include "transform/UniformEmAm.h"
 
 #include <algorithm>
@@ -268,11 +267,10 @@ std::vector<Preset> buildPresets() {
                        {"blocks_in", G->numBlocks()}};
     };
     P.Body = [G] {
-      telemetry::Session S; // a fresh session per rep, like an ambatch job
-      PipelineOptions Opts;
-      Opts.Telemetry = &S;
-      PipelineResult R = runPipeline(*G, "lcm,cp,lcm", Opts);
-      return instrCount(R.Graph);
+      JobRequest Req; // one job per rep, like an ambatch job
+      Req.Graph = *G;
+      Req.Passes = "lcm,cp,lcm";
+      return instrCount(runJob(std::move(Req)).Pipeline.Graph);
     };
     Out.push_back(std::move(P));
   }
@@ -391,11 +389,10 @@ std::vector<Preset> buildPresets() {
     P.Body = [Corpus] {
       uint64_t Acc = 0;
       for (const FlowGraph &G : *Corpus) {
-        telemetry::Session S;
-        PipelineOptions Opts;
-        Opts.Guarded = true;
-        Opts.Telemetry = &S;
-        Acc += instrCount(runPipeline(G, "uniform", Opts).Graph);
+        JobRequest Req;
+        Req.Graph = G;
+        Req.Pipeline.Guarded = true;
+        Acc += instrCount(runJob(std::move(Req)).Pipeline.Graph);
       }
       return Acc;
     };

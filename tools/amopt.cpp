@@ -17,9 +17,11 @@
 //         [--annotate=redundancy|hoist|flush|live] [FILE]
 //
 // Reads FILE (or stdin) containing a `program { ... }` or `graph { ... }`
-// source, runs the selected pass (default: uniform EM & AM), and prints
-// the optimized program — or Graphviz DOT with --dot.  With no FILE and a
-// terminal on stdin, optimizes the paper's running example as a demo.
+// source, runs the selected passes (default: uniform EM & AM) as one job
+// (job/Job.h), and prints the optimized program — or Graphviz DOT with
+// --dot.  `--pass=P` is sugar for `--passes=P` (`--pass=pde` for
+// `--passes=pde,simplify`).  With no FILE and a terminal on stdin,
+// optimizes the paper's running example as a demo.
 //
 // Observability:
 //   --stats        human-readable per-pass log + registry dump on stderr
@@ -82,11 +84,10 @@
 #include "interp/Equivalence.h"
 #include "ir/InstrNumbering.h"
 #include "ir/Printer.h"
-#include "parser/Parser.h"
+#include "job/Job.h"
 #include "report/HtmlReport.h"
 #include "report/Recorder.h"
 #include "support/ArgParser.h"
-#include "support/EventLog.h"
 #include "support/Json.h"
 #include "support/Profiler.h"
 #include "support/Remarks.h"
@@ -94,20 +95,13 @@
 #include "support/Telemetry.h"
 #include "support/ThreadPool.h"
 #include "support/Trace.h"
-#include "transform/BusyCodeMotion.h"
-#include "transform/CopyPropagation.h"
-#include "transform/LazyCodeMotion.h"
-#include "transform/PartialDeadCodeElim.h"
 #include "transform/Pipeline.h"
-#include "transform/RestrictedAssignmentMotion.h"
-#include "transform/UniformEmAm.h"
 #include "verify/FaultInjector.h"
 #include "verify/RemarkVerifier.h"
 
-#include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -121,55 +115,6 @@
 using namespace am;
 
 namespace {
-
-int usage() {
-  std::fprintf(stderr,
-               "usage: amopt [--pass=uniform|am|lcm|bcm|restricted|cp|pde] "
-               "[--passes=p1,p2,...] [--dot]\n"
-               "             [--stats[=json]] [--trace=out.json] "
-               "[--profile=out.json]\n"
-               "             [--remarks[=out.json]]\n"
-               "             [--report=out.html] [--facts=out.json]\n"
-               "             [--explain=<var|instr-id>] [--verify] "
-               "[--verify-remarks]\n"
-               "             [--annotate=redundancy|hoist|flush|live] "
-               "[--threads=N|max] [FILE]\n"
-               "\n"
-               "Optimizes a `program { ... }` or `graph { ... }` source "
-               "(FILE or stdin).\n"
-               "--annotate prints analysis facts over the *input* instead "
-               "of transforming.\n"
-               "--stats reports per-pass IR deltas, timings and solver "
-               "counters on stderr\n"
-               "(machine-readable with --stats=json).  --trace writes "
-               "Chrome trace_event JSON\n"
-               "for about:tracing / Perfetto.  --profile writes the "
-               "optimizer's self-profile\n"
-               "(phase tree + collapsed stacks) as JSON.  --remarks "
-               "records every "
-               "transformation decision\n"
-               "with its justifying dataflow facts; --explain renders an "
-               "instruction's (or a\n"
-               "variable's) provenance chain; --verify-remarks replays "
-               "every remark's facts\n"
-               "against fresh analyses (uniform pass only).  --report "
-               "writes one self-contained\n"
-               "HTML optimization report (per-round snapshots, diffs, "
-               "Tables 1-3 facts);\n"
-               "--facts writes the same recording as machine-readable "
-               "JSON.\n"
-               "--guarded snapshots each pass, verifies the result and "
-               "rolls failing passes\n"
-               "back; --verify-ir checks IR invariants without rollback; "
-               "--limits bounds\n"
-               "am-rounds/growth/evals/wall-ms; --inject arms a "
-               "deterministic fault class\n"
-               "(rae-flip|aht-skip-block|aht-misplace|edge-corrupt[:site]) "
-               "for guard testing.\n"
-               "Exit codes: 0 ok, 1 usage/io, 2 parse, 3 verify failure or "
-               "rollback, 4 limits.\n");
-  return 1;
-}
 
 /// Final-position hook for remarks::explainId: renders "bB[i]: <instr>"
 /// for the instruction carrying \p Id in the optimized program, "" if the
@@ -243,8 +188,16 @@ int main(int argc, char **argv) {
       "amopt",
       "Optimizes a `program { ... }` or `graph { ... }` source (FILE or\n"
       "stdin); with no FILE and a terminal on stdin, optimizes the paper's\n"
-      "running example as a demo.");
-  Parser.option("--pass", Pass, "pass to run (default: uniform)",
+      "running example as a demo.\n"
+      "Exit codes: 0 ok, 1 usage/io, 2 parse, 3 verify failure or rollback,\n"
+      "4 limits.");
+  // A usage error prints the help on stderr and exits 1.
+  auto Usage = [&Parser] {
+    std::fputs(Parser.helpText().c_str(), stderr);
+    return 1;
+  };
+  Parser.option("--pass", Pass,
+                "one pass to run, sugar for --passes (default: uniform)",
                 "uniform|am|lcm|bcm|restricted|cp|pde");
   Parser.option("--passes", Passes, "comma-separated pass pipeline",
                 "p1,p2,...");
@@ -304,7 +257,7 @@ int main(int argc, char **argv) {
               "verification diagnostics stay)");
   if (!Parser.parse(argc, argv)) {
     std::fprintf(stderr, "amopt: %s\n", Parser.error().c_str());
-    return usage();
+    return Usage();
   }
   if (Parser.helpRequested()) {
     std::fputs(Parser.helpText().c_str(), stdout);
@@ -314,41 +267,32 @@ int main(int argc, char **argv) {
   if (EmitStats && !StatsValue.empty() && !StatsJson) {
     std::fprintf(stderr, "amopt: unknown stats format '%s'\n",
                  StatsValue.c_str());
-    return usage();
+    return Usage();
   }
   // Last positional wins, as the pre-ArgParser loop behaved.
   std::string File;
   if (!Parser.positional().empty())
     File = Parser.positional().back();
 
-  if (!TracePath.empty() && TracePath[0] == '-') {
-    std::fprintf(stderr, "amopt: suspicious trace path '%s'\n",
-                 TracePath.c_str());
-    return usage();
-  }
-  if (!ProfilePath.empty() && ProfilePath[0] == '-') {
-    std::fprintf(stderr, "amopt: suspicious profile path '%s'\n",
-                 ProfilePath.c_str());
-    return usage();
-  }
+  for (const auto &[What, Path] :
+       {std::pair{"trace", &TracePath}, std::pair{"profile", &ProfilePath}})
+    if (!Path->empty() && (*Path)[0] == '-') {
+      std::fprintf(stderr, "amopt: suspicious %s path '%s'\n", What,
+                   Path->c_str());
+      return Usage();
+    }
 
   // Validate flags before touching stdin so a bad invocation never blocks
-  // on input.
-  static const char *KnownPasses[] = {"uniform", "am", "lcm",  "bcm",
-                                      "restricted", "cp", "pde"};
-  bool PassOk = false;
-  for (const char *P : KnownPasses)
-    PassOk |= Pass == P;
-  if (!PassOk && Passes.empty()) {
-    std::fprintf(stderr, "amopt: unknown pass '%s'\n", Pass.c_str());
-    return usage();
-  }
-  if (!Passes.empty()) {
-    // Validate the pipeline spec before touching stdin.
-    diag::Expected<std::vector<std::string>> Spec = parsePassSpec(Passes);
-    if (!Spec.ok()) {
-      std::fprintf(stderr, "amopt: %s\n", Spec.diagnostic().render().c_str());
-      return usage();
+  // on input.  --pass is sugar for a one-pass --passes; its pde also
+  // simplifies, as the pass always has on the command line.
+  const std::string Spec =
+      !Passes.empty() ? Passes : (Pass == "pde" ? "pde,simplify" : Pass);
+  {
+    diag::Expected<std::vector<std::string>> Names = parsePassSpec(Spec);
+    if (!Names.ok()) {
+      std::fprintf(stderr, "amopt: %s\n",
+                   Names.diagnostic().render().c_str());
+      return Usage();
     }
   }
   if (!ThreadSpec.empty()) {
@@ -356,7 +300,7 @@ int main(int argc, char **argv) {
     unsigned N = threads::parseThreadSpec(ThreadSpec, &ThreadsErr);
     if (N == 0) {
       std::fprintf(stderr, "amopt: --threads: %s\n", ThreadsErr.c_str());
-      return usage();
+      return Usage();
     }
     threads::setGlobalThreadCount(N);
   }
@@ -365,7 +309,7 @@ int main(int argc, char **argv) {
     diag::Expected<PipelineLimits> L = parseLimitsSpec(LimitsSpec);
     if (!L.ok()) {
       std::fprintf(stderr, "amopt: %s\n", L.diagnostic().render().c_str());
-      return usage();
+      return Usage();
     }
     Limits = *L;
   }
@@ -375,138 +319,91 @@ int main(int argc, char **argv) {
     auto F = fault::parseFaultSpec(InjectSpec);
     if (!F.ok()) {
       std::fprintf(stderr, "amopt: %s\n", F.diagnostic().render().c_str());
-      return usage();
+      return Usage();
     }
     Injector.arm(F->first, F->second);
     Injector.install();
     Injecting = true;
   }
-  // Guarded execution (and --verify-ir / --limits) routes through the
-  // pipeline; translate a --pass selection into a one-pass pipeline spec.
-  const bool UsePipeline =
-      !Passes.empty() || Guarded || VerifyIR || Limits.any();
-  std::string EffectiveSpec = Passes;
-  if (UsePipeline && EffectiveSpec.empty()) {
-    if (!isKnownPass(Pass)) {
-      std::fprintf(stderr,
-                   "amopt: pass '%s' cannot run under "
-                   "--guarded/--verify-ir/--limits (no pipeline "
-                   "equivalent)\n",
-                   Pass.c_str());
-      return usage();
-    }
-    EffectiveSpec = Pass;
-  }
-  if (UsePipeline && VerifyRemarks) {
-    std::fprintf(stderr, "amopt: --verify-remarks cannot combine with "
-                         "--guarded/--verify-ir/--limits/--passes\n");
-    return usage();
+  // The remark verifier replays the plain uniform pipeline; it has no
+  // meaning for other passes or under the pipeline's guards.
+  if (VerifyRemarks && (Spec != "uniform" || Guarded || VerifyIR ||
+                        Limits.any())) {
+    std::fprintf(stderr,
+                 "amopt: --verify-remarks requires the default uniform "
+                 "pass and cannot combine with --guarded/--verify-ir/"
+                 "--limits\n");
+    return Usage();
   }
   AnnotationKind AnnotKind = AnnotationKind::Redundancy;
   if (!Annotation.empty() && !parseAnnotationKind(Annotation, AnnotKind)) {
     std::fprintf(stderr, "amopt: unknown annotation '%s'\n",
                  Annotation.c_str());
-    return usage();
-  }
-  // The remark verifier replays the uniform pipeline; it has no meaning
-  // for the other passes (which are not instrumented as a unit).
-  if (VerifyRemarks && (Pass != "uniform" || !Passes.empty())) {
-    std::fprintf(stderr,
-                 "amopt: --verify-remarks requires the default uniform "
-                 "pass\n");
-    return usage();
+    return Usage();
   }
   if ((VerifyRemarks || EmitRemarks || !Explain.empty() ||
        !ReportPath.empty() || !FactsPath.empty()) &&
       !Annotation.empty()) {
     std::fprintf(stderr, "amopt: --annotate does not transform; remark "
                          "and report flags have no effect with it\n");
-    return usage();
+    return Usage();
+  }
+  // A numeric --explain names an instruction id, which must fit 32 bits.
+  std::optional<uint32_t> ExplainId;
+  if (!Explain.empty() &&
+      Explain.find_first_not_of("0123456789") == std::string::npos) {
+    uint32_t Id = 0;
+    const char *End = Explain.data() + Explain.size();
+    if (std::from_chars(Explain.data(), End, Id).ec != std::errc()) {
+      std::fprintf(stderr, "amopt: --explain: instruction id '%s' is out "
+                           "of range\n",
+                   Explain.c_str());
+      return 1;
+    }
+    ExplainId = Id;
   }
 
-  // One telemetry session per optimization job: the stats registry,
-  // remark sink, recorder hook and profiler below all belong to this run
-  // rather than to the process, so embedding amopt's logic elsewhere (as
-  // ambatch does, one session per corpus job) gets isolated observability
-  // for free.
-  telemetry::Session Job;
-  telemetry::SessionScope JobScope(Job);
-  if (!ProfilePath.empty())
-    prof::Profiler::get().setEnabled(true);
-
-  FlowGraph Input;
-  {
-    AM_PROF_SCOPE("parse");
+  JobRequest Req;
+  Req.Name = File.empty() ? "<stdin>" : File;
+  if (!File.empty() || !isatty(STDIN_FILENO)) {
+    std::ifstream In;
     if (!File.empty()) {
-      std::ifstream In(File);
+      In.open(File);
       if (!In) {
         std::fprintf(stderr, "amopt: cannot open '%s'\n", File.c_str());
         return 1;
       }
-      std::ostringstream Buf;
-      Buf << In.rdbuf();
-      ParseResult R = parseProgram(Buf.str());
-      if (!R.ok()) {
-        std::fprintf(stderr, "amopt: %s: %s\n", File.c_str(),
-                     R.Error.c_str());
-        return 2;
-      }
-      Input = std::move(R.Graph);
-    } else if (!isatty(STDIN_FILENO)) {
-      std::ostringstream Buf;
-      Buf << std::cin.rdbuf();
-      ParseResult R = parseProgram(Buf.str());
-      if (!R.ok()) {
-        std::fprintf(stderr, "amopt: <stdin>: %s\n", R.Error.c_str());
-        return 2;
-      }
-      Input = std::move(R.Graph);
-    } else {
-      if (!Quiet)
-        std::fprintf(
-            stderr,
-            "amopt: no input; optimizing the paper's running example\n");
-      Input = figure4();
     }
+    std::ostringstream Buf;
+    Buf << (File.empty() ? std::cin.rdbuf() : In.rdbuf());
+    Req.Source = Buf.str();
+  } else {
+    if (!Quiet)
+      std::fprintf(stderr,
+                   "amopt: no input; optimizing the paper's running example\n");
+    Req.Graph = figure4();
   }
-
-  if (!Annotation.empty()) {
-    FlowGraph Prepared = Input;
-    Prepared.splitCriticalEdges();
-    std::fputs(annotate(Prepared, AnnotKind).c_str(), stdout);
-    return 0;
-  }
-
-  // A Session both starts collection and guarantees the file is written
-  // even if a pass dies through exit() (std::atexit fallback).
-  std::optional<trace::Session> TraceSession;
-  if (!TracePath.empty())
-    TraceSession.emplace(TracePath);
-
-  // Remark collection: number the input's instructions up front so every
-  // original occurrence has a stable id before any pass observes it.
-  // --verify-remarks manages the sink itself (it clears and renumbers),
-  // so only the direct collection paths prime it here.  --report/--facts
-  // imply collection: the report anchors remarks on snapshot instructions
-  // and the diffs key on the ids the sink assigns.
+  Req.Passes = Annotation.empty() ? Spec : std::string();
+  Req.Pipeline.Guarded = Guarded;
+  Req.Pipeline.VerifyIR = VerifyIR;
+  Req.Pipeline.Limits = Limits;
+  Req.Profile = !ProfilePath.empty();
+  Req.Trace = !TracePath.empty();
+  // --report/--facts imply remark collection: the report anchors remarks
+  // on snapshot instructions and the diffs key on the ids the sink
+  // assigns.
   bool Record = !ReportPath.empty() || !FactsPath.empty();
   bool CollectRemarks =
       EmitRemarks || !Explain.empty() || VerifyRemarks || Record;
-  std::optional<remarks::CollectionScope> RemarkScope;
-  if (CollectRemarks) {
-    RemarkScope.emplace(true);
-    if (!VerifyRemarks) {
-      remarks::Sink::get().clear();
-      ensureInstrIds(Input);
-    }
-  }
+  Req.Remarks = CollectRemarks;
+  Req.VerifyRemarks = VerifyRemarks;
 
-  // Flight recorder behind --report/--facts.  While installed, the
-  // transforms snapshot every pipeline phase and AM round and capture the
-  // Tables 1-3 facts at each analysis run (see report/Recorder.h).  The
-  // AM_DISABLE_STATS environment variable demonstrates the degraded mode:
-  // the report is still produced, with its counter panels marked
-  // unavailable instead of showing half-recorded numbers.
+  // Flight recorder behind --report/--facts: the transforms snapshot
+  // every pipeline phase and AM round and capture the Tables 1-3 facts at
+  // each analysis run (see report/Recorder.h).  The AM_DISABLE_STATS
+  // environment variable demonstrates the degraded mode: the report is
+  // still produced, with its counter panels marked unavailable instead of
+  // showing half-recorded numbers.
   report::RecorderSession Recorder;
   bool StatsAvailable = true;
 #ifdef AM_DISABLE_STATS
@@ -514,118 +411,52 @@ int main(int argc, char **argv) {
 #endif
   if (Record) {
     if (!StatsAvailable || std::getenv("AM_DISABLE_STATS")) {
-      stats::Registry::get().setEnabled(false);
       Recorder.setCaptureCounters(false);
       StatsAvailable = false;
     }
-    Recorder.install();
-    Recorder.snapshot(Input, "input");
+    Req.Recorder = &Recorder;
   }
 
-  FlowGraph Output;
-  UniformStats Stats;
-  std::vector<PassRecord> Records;
-  unsigned RollbackCount = 0;
-  bool LimitsExhausted = false;
-  RemarkVerifyReport RemarkReport;
-  if (VerifyRemarks) {
-    RemarkReport = verifyUniformRemarks(Input);
-    Output = RemarkReport.Output;
-  } else if (UsePipeline) {
-    PipelineOptions POpts;
-    POpts.Guarded = Guarded;
-    POpts.VerifyIR = VerifyIR;
-    POpts.Limits = Limits;
-    POpts.Telemetry = &Job;
-    PipelineResult R = runPipeline(Input, EffectiveSpec, POpts);
-    Records = std::move(R.Records);
-    RollbackCount = R.RollbackCount;
-    LimitsExhausted = R.LimitsExhausted;
-    if (!R.ok() && !R.LimitsExhausted) {
-      if (TraceSession)
-        TraceSession->close(); // flush what the partial run recorded
-      std::fprintf(stderr, "amopt: %s\n",
-                   R.Diag.empty() ? R.Error.c_str()
-                                  : R.Diag.render().c_str());
-      // Spec errors were caught up front; what remains is a bad input
-      // graph (nothing ran: exit 2) or a --verify-ir violation after some
-      // pass (exit 3).
-      return Records.empty() ? 2 : 3;
-    }
-    if (LimitsExhausted)
-      std::fprintf(stderr, "amopt: %s\n", R.Diag.render().c_str());
-    if (!(EmitStats && StatsJson)) {
-      // Rollback diagnostics name the program (file + content hash) so
-      // they stay attributable when many jobs share one stderr — the same
-      // "[name hash]" prefix ambatch uses for its per-job diagnostics.
-      std::string Tag =
-          "[" + (File.empty() ? std::string("<stdin>") : File) + " " +
-          fleet::hex16(fleet::fnv1a64(printGraph(Input))).substr(0, 8) + "]";
-      for (const PassRecord &Rec : Records)
-        if (Rec.Status == PassStatus::RolledBack)
-          std::fprintf(stderr, "amopt: %s pass '%s' rolled back: %s\n",
-                       Tag.c_str(), Rec.Name.c_str(), Rec.Violation.c_str());
-    }
-    if (EmitStats && !StatsJson)
-      for (const std::string &Line : R.Log)
-        std::fprintf(stderr, "amopt: %s\n", Line.c_str());
-    Output = std::move(R.Graph);
-  } else if (Pass == "uniform") {
-    Output = runUniformEmAm(Input, UniformOptions(), &Stats);
-  } else if (Pass == "am") {
-    Output = runAssignmentMotionOnly(Input, &Stats);
-  } else if (Pass == "lcm") {
-    Output = runLazyCodeMotion(Input);
-  } else if (Pass == "bcm") {
-    Output = runBusyCodeMotion(Input);
-  } else if (Pass == "restricted") {
-    Output = runRestrictedAssignmentMotion(Input);
-  } else if (Pass == "cp") {
-    Output = Input;
-    runCopyPropagation(Output);
-  } else { // "pde" — the pass list was validated up front
-    Output = Input;
-    Output.splitCriticalEdges();
-    runPartialDeadCodeElim(Output);
-    Output = simplified(Output);
-  }
+  // The trace file covers the whole job, emission included; a Session
+  // also guarantees the file is written even if a pass dies through
+  // exit() (std::atexit fallback).
+  std::optional<trace::Session> TraceSession;
+  if (!TracePath.empty() && Annotation.empty())
+    TraceSession.emplace(TracePath);
 
-  // Close the recording before anything downstream (verify interpreters,
-  // stats dumps) can run more solves against it.
-  if (Record) {
-    Recorder.snapshot(Output, "final");
-    Recorder.uninstall();
-  }
+  JobResult Job = runJob(std::move(Req));
+  // Everything below (verification, emission, the dumps) observes into
+  // the job's session too.
+  telemetry::SessionScope JobScope(*Job.Telemetry);
+  const FlowGraph &Input = Job.Input;
+  const FlowGraph &Output = Job.Pipeline.Graph;
+  // Under --stats=json rollbacks are reported inside the JSON object, so
+  // stderr stays machine-readable.
+  if (!(EmitStats && StatsJson && Job.Status == "rolled_back"))
+    for (const std::string &D : Job.Diags)
+      std::fprintf(stderr, "amopt: %s\n", D.c_str());
+  if (Job.Status == "error")
+    return Job.ExitCode;
 
-  if (TraceSession) {
-    if (!TraceSession->close()) {
-      std::fprintf(stderr, "amopt: cannot write trace '%s'\n",
-                   TracePath.c_str());
-      return 1;
-    }
-    // Keep stderr pure JSON under --stats=json so it can be piped
-    // straight into tooling.
-    if (!Quiet && !(EmitStats && StatsJson))
-      std::fprintf(stderr,
-                   "amopt: trace written to %s (open in about:tracing or "
-                   "ui.perfetto.dev)\n",
-                   TracePath.c_str());
+  if (!Annotation.empty()) {
+    FlowGraph Prepared = Input;
+    Prepared.splitCriticalEdges();
+    std::fputs(annotate(Prepared, AnnotKind).c_str(), stdout);
+    return 0;
   }
+  if (EmitStats && !StatsJson)
+    for (const std::string &Line : Job.Pipeline.Log)
+      std::fprintf(stderr, "amopt: %s\n", Line.c_str());
 
   if (Verify) {
     // Run both programs on a battery of pseudo-random inputs and
     // nondeterministic paths; any divergence is an optimizer bug.
     unsigned Failures = 0;
     for (uint64_t Round = 0; Round < 16; ++Round) {
-      std::unordered_map<std::string, int64_t> Inputs;
-      for (uint32_t V = 0; V < Input.Vars.size(); ++V)
-        Inputs[Input.Vars.name(makeVarId(V))] =
-            static_cast<int64_t>((Round * 2654435761u + V * 40503u) % 41) -
-            20;
       Interpreter::Options Opts;
       Opts.MaxSteps = 200000;
-      EquivalenceReport Rep =
-          checkEquivalent(Input, Output, Inputs, Round, Opts);
+      EquivalenceReport Rep = checkEquivalent(
+          Input, Output, equivalenceInputs(Input, Round), Round, Opts);
       if (!Rep.Equivalent) {
         ++Failures;
         std::fprintf(stderr, "amopt: VERIFY FAILED (round %llu): %s\n",
@@ -692,17 +523,64 @@ int main(int argc, char **argv) {
   }
 
   if (VerifyRemarks) {
-    for (const std::string &Line : RemarkReport.Failures)
+    const RemarkVerifyReport &Check = Job.RemarkCheck;
+    for (const std::string &Line : Check.Failures)
       std::fprintf(stderr, "amopt: REMARK VERIFY FAILED: %s\n", Line.c_str());
-    if (!RemarkReport.ok())
+    if (!Check.ok())
       return 3;
     if (!Quiet && !(EmitStats && StatsJson))
       std::fprintf(stderr,
                    "amopt: remark verify OK (%u remarks replayed against "
                    "fresh analyses)\n",
-                   RemarkReport.Checked);
+                   Check.Checked);
   }
 
+  // stdout: the provenance chains behind --explain, Graphviz DOT, or the
+  // optimized program.
+  {
+    AM_SPAN(Span, "emit");
+    if (!Explain.empty()) {
+      remarks::Provenance Prov = remarks::Provenance::build(AllRemarks);
+      std::vector<uint32_t> Ids;
+      if (ExplainId)
+        Ids.push_back(*ExplainId);
+      else
+        Ids = Prov.idsForVar(Explain, AllRemarks);
+      if (Ids.empty()) {
+        std::fprintf(stderr,
+                     "amopt: nothing to explain for '%s' (no remark "
+                     "mentions it)\n",
+                     Explain.c_str());
+        return 1;
+      }
+      // One chain per lineage family: ids whose family was already
+      // rendered are skipped so a variable's history is not repeated per
+      // member.
+      std::set<uint32_t> Covered;
+      for (uint32_t Id : Ids) {
+        if (Covered.count(Id))
+          continue;
+        for (uint32_t Member : Prov.family(Id))
+          Covered.insert(Member);
+        std::fputs(
+            remarks::explainId(Id, AllRemarks, Prov, finalLocation, &Output)
+                .c_str(),
+            stdout);
+      }
+    } else if (EmitDot) {
+      // Collected remarks annotate the instructions they touched.
+      std::unordered_map<uint32_t, std::string> Notes = dotNotes(AllRemarks);
+      auto Note = [&Notes](const Instr &I) {
+        auto It = Notes.find(I.Id);
+        return It == Notes.end() ? std::string() : It->second;
+      };
+      std::fputs(printDot(Output, Pass, Note).c_str(), stdout);
+    } else {
+      std::fputs(printGraph(Output).c_str(), stdout);
+    }
+  }
+
+  // The dumps come after emission so its span is in every one of them.
   // Fold process-memory gauges (peak RSS, cumulative allocations) into
   // the registry right before it is dumped; on platforms without the
   // sources the gauges are simply absent.
@@ -731,17 +609,13 @@ int main(int argc, char **argv) {
     }
     W.endObject();
     Out.pop_back(); // reopen the object to splice pre-rendered payloads
-    Out += ",\"passes\":" + passRecordsJson(Records);
+    Out += ",\"passes\":" + passRecordsJson(Job.Pipeline.Records);
     Out += ",\"registry\":" + stats::Registry::get().dumpJsonString();
     Out += "}";
     std::fprintf(stderr, "%s\n", Out.c_str());
   } else if (EmitStats) {
-    std::fprintf(stderr,
-                 "amopt: %zu -> %zu instructions; %u edges split, %u "
-                 "decompositions, %u AM iterations, %u eliminated\n",
-                 Input.numInstrs(), Output.numInstrs(), Stats.EdgesSplit,
-                 Stats.Decompositions, Stats.AmPhase.Iterations,
-                 Stats.AmPhase.Eliminated);
+    std::fprintf(stderr, "amopt: %zu -> %zu instructions\n",
+                 Input.numInstrs(), Output.numInstrs());
     std::ostringstream Reg;
     stats::Registry::get().dumpText(Reg);
     std::fputs(Reg.str().c_str(), stderr);
@@ -753,83 +627,34 @@ int main(int argc, char **argv) {
                  "amopt: note: injected fault '%s' never fired (no "
                  "opportunity in this run)\n",
                  InjectSpec.c_str());
-  // Guarded outcomes dominate the exit code once every artifact is out.
-  const int GuardRc = LimitsExhausted ? 4 : (RollbackCount != 0 ? 3 : 0);
 
-  // The profile is written after the "emit" scope closes so the phase
-  // tree covers emission too.  It goes to its own file: the program on
-  // stdout is byte-identical with or without --profile.
-  auto WriteProfile = [&]() -> bool {
-    if (ProfilePath.empty())
-      return true;
+  // The profile and the trace go to their own files: the program on
+  // stdout is byte-identical with or without them.
+  if (!ProfilePath.empty()) {
     if (!prof::Profiler::get().writeJsonFile(ProfilePath)) {
       std::fprintf(stderr, "amopt: cannot write profile '%s'\n",
                    ProfilePath.c_str());
-      return false;
+      return 1;
     }
     if (!Quiet && !(EmitStats && StatsJson))
       std::fprintf(stderr, "amopt: profile written to %s\n",
                    ProfilePath.c_str());
-    return true;
-  };
-
-  if (!Explain.empty()) {
-    // Provenance chains replace the program on stdout.
-    remarks::Provenance Prov = remarks::Provenance::build(AllRemarks);
-    std::vector<uint32_t> Ids;
-    bool Numeric = !Explain.empty() &&
-                   Explain.find_first_not_of("0123456789") == std::string::npos;
-    if (Numeric)
-      Ids.push_back(static_cast<uint32_t>(std::stoul(Explain)));
-    else
-      Ids = Prov.idsForVar(Explain, AllRemarks);
-    if (Ids.empty()) {
+  }
+  if (TraceSession) {
+    if (!TraceSession->close()) {
+      std::fprintf(stderr, "amopt: cannot write trace '%s'\n",
+                   TracePath.c_str());
+      return 1;
+    }
+    // Keep stderr pure JSON under --stats=json so it can be piped
+    // straight into tooling.
+    if (!Quiet && !(EmitStats && StatsJson))
       std::fprintf(stderr,
-                   "amopt: nothing to explain for '%s' (no remark mentions "
-                   "it)\n",
-                   Explain.c_str());
-      return 1;
-    }
-    // One chain per lineage family: ids whose family was already rendered
-    // are skipped so a variable's history is not repeated per member.
-    std::set<uint32_t> Covered;
-    for (uint32_t Id : Ids) {
-      if (Covered.count(Id))
-        continue;
-      for (uint32_t Member : Prov.family(Id))
-        Covered.insert(Member);
-      std::fputs(
-          remarks::explainId(Id, AllRemarks, Prov, finalLocation, &Output)
-              .c_str(),
-          stdout);
-    }
-    if (!WriteProfile())
-      return 1;
-    return GuardRc;
+                   "amopt: trace written to %s (open in about:tracing or "
+                   "ui.perfetto.dev)\n",
+                   TracePath.c_str());
   }
-
-  if (EmitDot && CollectRemarks) {
-    std::unordered_map<uint32_t, std::string> Notes = dotNotes(AllRemarks);
-    auto Note = [&Notes](const Instr &I) {
-      auto It = Notes.find(I.Id);
-      return It == Notes.end() ? std::string() : It->second;
-    };
-    {
-      AM_PROF_SCOPE("emit");
-      std::fputs(printDot(Output, Pass, Note).c_str(), stdout);
-    }
-    if (!WriteProfile())
-      return 1;
-    return GuardRc;
-  }
-
-  {
-    AM_PROF_SCOPE("emit");
-    std::fputs(EmitDot ? printDot(Output, Pass).c_str()
-                       : printGraph(Output).c_str(),
-               stdout);
-  }
-  if (!WriteProfile())
-    return 1;
-  return GuardRc;
+  // Guarded outcomes (rollbacks 3, exhausted budgets 4) set the exit code
+  // once every artifact is out.
+  return Job.ExitCode;
 }
