@@ -32,8 +32,15 @@ private:
 } // namespace
 
 LivenessAnalysis LivenessAnalysis::run(const FlowGraph &G) {
+  // The result is copied out when the throwaway solver dies at return.
+  DataflowSolver Solver;
+  return run(G, Solver);
+}
+
+LivenessAnalysis LivenessAnalysis::run(const FlowGraph &G,
+                                       DataflowSolver &Solver) {
   LivenessAnalysis A;
   A.Problem = std::make_unique<LivenessProblem>(G.Vars.size());
-  A.Result = solve(G, *A.Problem);
+  A.Result = Solver.solve(G, *A.Problem);
   return A;
 }

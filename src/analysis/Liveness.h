@@ -28,6 +28,10 @@ public:
   /// at the end node's exit; writes are observable only through `out`.
   static LivenessAnalysis run(const FlowGraph &G);
 
+  /// As above, against a caller-owned reusable solver: the result reads
+  /// the solver's storage and the next solve restarts from it.
+  static LivenessAnalysis run(const FlowGraph &G, DataflowSolver &Solver);
+
   const BitVector &liveIn(BlockId B) const { return Result.entry(B); }
   const BitVector &liveOut(BlockId B) const { return Result.exit(B); }
 

@@ -17,6 +17,16 @@
 /// transformation restricted to temporary initializations; this extension
 /// generalizes it to every assignment pattern.
 ///
+/// The pass iterates sinking rounds to a fixpoint on one SinkingContext,
+/// the way the AM phase shares an AmContext across its rae/aht rounds:
+/// one stably numbered pattern table, persistent delayability and
+/// liveness solvers that restart from the previous solution over the
+/// dirty closure only, and each block's last decision.  A round
+/// re-decides only the blocks whose decision inputs changed (see
+/// SinkingContext::round); every other block keeps its decision, re-sorted
+/// into the current first-occurrence rank order, which is the order the
+/// output depends on.
+///
 /// Note: eliminating dead assignments may reduce the potential of runtime
 /// errors (Section 3's caveat about dead-code elimination) — a trapping
 /// right-hand side of a dead assignment no longer traps.  This is why PDE
@@ -28,7 +38,15 @@
 #ifndef AM_TRANSFORM_PARTIALDEADCODEELIM_H
 #define AM_TRANSFORM_PARTIALDEADCODEELIM_H
 
+#include "analysis/Liveness.h"
+#include "analysis/PaperAnalyses.h"
+#include "dfa/Dataflow.h"
 #include "ir/FlowGraph.h"
+#include "ir/Patterns.h"
+
+#include <cstdint>
+#include <utility>
+#include <vector>
 
 namespace am {
 
@@ -40,15 +58,90 @@ struct PdeStats {
   int Removed = 0;
 };
 
-/// One assignment-sinking pass over \p G (critical edges must be split):
-/// deletes every assignment occurrence and re-materializes each pattern at
-/// its latest safe points, skipping points where the left-hand side is
-/// dead.  Returns true if the program changed.
-bool runAssignmentSinking(FlowGraph &G);
+/// State shared across the sinking rounds of one PDE run.  Sinking only
+/// re-materializes patterns that already occur, so the pattern universe
+/// is fixed after the first round: the table keeps every index, the
+/// delayability problem's generation never advances, and both solvers
+/// restart incrementally from their previous solutions.  A context is
+/// bound to the one live graph its rounds mutate.
+class SinkingContext {
+public:
+  /// One sinking round over \p G (critical edges must be split): deletes
+  /// every assignment occurrence and re-materializes each pattern at its
+  /// latest safe points, skipping points where the left-hand side is
+  /// dead.  Returns true if the program changed.
+  ///
+  /// A block's decision is a function of its instructions, its
+  /// delayability entry and exit, its successors' delayability entries
+  /// and its live-out set.  A round re-decides a block only if the
+  /// previous round rebuilt it or one of those facts changed (the exit
+  /// of a block the round did not rebuild changes only with its entry);
+  /// a kept decision is re-sorted into the current rank order and
+  /// rebuilt only if that order moved.
+  bool round(FlowGraph &G);
 
-/// Iterates sinking to a fixpoint, capturing second-order effects (a sunk
-/// assignment may unblock further sinking).  \p MaxRounds of 0 means until
-/// stabilization.
+  /// The last round's pattern table and facts, for tests.  The facts
+  /// describe the graph the round decided on and stay valid until the
+  /// next round.
+  const AssignPatternTable &patterns() const { return Pats; }
+  const DataflowResult &delayability() const { return Delay; }
+  const DataflowResult &liveness() const { return Live.result(); }
+
+private:
+  /// A block's last decision.  The removals need no storage: every
+  /// occurrence is deleted, and a kept decision belongs to a block the
+  /// previous round left unchanged, whose occurrences the table records.
+  struct BlockDecision {
+    /// (instruction, pattern) of each guarded N-LATEST point, by
+    /// instruction, co-located patterns in rank order.
+    std::vector<std::pair<uint32_t, uint32_t>> Before;
+    /// X-LATEST patterns guarded by liveness at exit, in rank order.
+    std::vector<uint32_t> AtExit;
+  };
+
+  /// Only patterns that still occur are patterns of this program: a dead
+  /// slot of the stable numbering is delayable nowhere a path reaches.
+  bool occurs(size_t Pat) const {
+    return Pats.rank(Pat) != AssignPatternTable::NoRank;
+  }
+  /// Derives block \p B's decision, co-located inserts in index order.
+  void decide(const FlowGraph &G, BlockId B, BlockWalker &DelayWalk,
+              BlockWalker &LiveWalk);
+  /// True if every pattern \p D inserts still occurs in the graph.
+  bool stillOccurs(const BlockDecision &D) const;
+  /// Sorts \p D's co-located inserts into the current rank order, the
+  /// order a fresh numbering gives; returns true if the order moved.
+  bool sortByRank(BlockDecision &D) const;
+  /// Applies block \p B's decision; returns true if the block changed.
+  bool rebuild(FlowGraph &G, BlockId B);
+
+  AssignPatternTable Pats;
+  uint64_t PatsGen = 0;
+  BlockingProblem DelayProblem{Pats, Direction::Forward};
+  DataflowSolver DelaySolver;
+  DataflowSolver LiveSolver;
+  // The results read their solvers' storage; declared after the solvers
+  // so they are released first and never copied out.
+  DataflowResult Delay;
+  LivenessAnalysis Live;
+
+  std::vector<BlockDecision> Decisions;
+  /// Blocks the last round rebuilt.
+  std::vector<bool> Touched;
+  /// The facts each decision was made against: delayability entry and
+  /// live-out, one row of words per block.
+  std::vector<uint64_t> PrevDelayIn, PrevLiveOut;
+  // Per-round scratch.
+  std::vector<bool> InChanged, Rebuild;
+  std::vector<std::pair<uint32_t, uint32_t>> Latest;
+  std::vector<bool> Keep;
+  std::vector<WordRow> SuccIn;
+  std::vector<Instr> NewInstrs;
+};
+
+/// Iterates sinking rounds on one SinkingContext to a fixpoint, capturing
+/// second-order effects (a sunk assignment may unblock further sinking).
+/// \p MaxRounds of 0 means until stabilization.
 PdeStats runPartialDeadCodeElim(FlowGraph &G, unsigned MaxRounds = 0);
 
 } // namespace am

@@ -11,6 +11,7 @@
 #include "gen/RandomProgram.h"
 #include "interp/Interpreter.h"
 #include "ir/FlowGraph.h"
+#include "ir/Patterns.h"
 #include "ir/Printer.h"
 #include "parser/Parser.h"
 
@@ -236,6 +237,73 @@ inline DenseSolution denseSolve(const FlowGraph &G, const DataflowProblem &P) {
                       E.apply(Scratch, &Kill);
                       E.apply(Gen);
                     });
+}
+
+/// Scans the pattern list for \p I's occurrence (no hash, no cache).
+inline size_t denseOccurrence(const AssignPatternTable &Pats, const Instr &I) {
+  if (!I.isAssign() || I.Rhs.isVarAtom(I.Lhs))
+    return AssignPatternTable::npos;
+  for (size_t P = 0; P < Pats.size(); ++P)
+    if (Pats.pattern(P).Lhs == I.Lhs && Pats.pattern(P).Rhs == I.Rhs)
+      return P;
+  return AssignPatternTable::npos;
+}
+
+/// Table 2's not-ASS-TRANSP, from the definition.
+inline void denseKilled(const AssignPatternTable &Pats, const Instr &I,
+                        BitVector &Out) {
+  Out = BitVector(Pats.size());
+  VarId Def = I.definedVar();
+  for (size_t P = 0; isValid(Def) && P < Pats.size(); ++P)
+    if (Pats.pattern(P).Lhs == Def || Pats.pattern(P).Rhs.usesVar(Def))
+      Out.set(P);
+}
+
+/// Definition 3.2's blocking, from the definition.
+inline void denseBlocked(const AssignPatternTable &Pats, const Instr &I,
+                         BitVector &Out) {
+  denseKilled(Pats, I, Out);
+  for (size_t P = 0; P < Pats.size(); ++P)
+    if (I.usesVar(Pats.pattern(P).Lhs))
+      Out.set(P);
+}
+
+/// \p I's own occurrence bit; with \p EligibleOnly, only for a pattern
+/// Table 2 ranges over (its left-hand side is no operand).
+inline void denseOccurrenceBit(const AssignPatternTable &Pats, const Instr &I,
+                               BitVector &Out, bool EligibleOnly) {
+  Out = BitVector(Pats.size());
+  size_t P = denseOccurrence(Pats, I);
+  if (P == AssignPatternTable::npos)
+    return;
+  if (EligibleOnly && Pats.pattern(P).Rhs.usesVar(Pats.pattern(P).Lhs))
+    return;
+  Out.set(P);
+}
+
+/// Definition 3.2 as a problem: occurrences generate, blockers kill.
+/// Backward it is Table 1's hoistability, forward PDE's delayability.
+inline DenseProblem denseBlocking(const AssignPatternTable &Pats,
+                                  Direction Dir) {
+  return {Dir, Meet::All, Pats.size(),
+          [&Pats](const Instr &I, BitVector &O) {
+            denseOccurrenceBit(Pats, I, O, /*EligibleOnly=*/false);
+          },
+          [&Pats](const Instr &I, BitVector &O) { denseBlocked(Pats, I, O); }};
+}
+
+/// Liveness over \p NumVars variables: uses generate, definitions kill.
+inline DenseProblem denseLiveness(size_t NumVars) {
+  return {Direction::Backward, Meet::Any, NumVars,
+          [NumVars](const Instr &I, BitVector &O) {
+            O = BitVector(NumVars);
+            I.forEachUsedVar([&](VarId V) { O.set(index(V)); });
+          },
+          [NumVars](const Instr &I, BitVector &O) {
+            O = BitVector(NumVars);
+            if (isValid(I.definedVar()))
+              O.set(index(I.definedVar()));
+          }};
 }
 
 /// Block-boundary agreement of a production result with the oracle.

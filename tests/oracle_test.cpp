@@ -7,8 +7,9 @@
 /// \file
 /// Differential oracle for the sparse local-effect substrate.  The dense
 /// algorithms the library used to run — full-width gen/kill vectors per
-/// instruction derived straight from the pattern definitions, the
-/// round-robin block solve over them (denseSolve, tests/TestUtil.h), an
+/// instruction derived straight from the pattern definitions (those of
+/// the assignment patterns and of liveness are shared with pde_test in
+/// tests/TestUtil.h), the round-robin block solve over them (denseSolve), an
 /// instruction-by-instruction replay, and the N-LATEST / N-INIT /
 /// RECONSTRUCT / X-INIT formulas over materialized vectors — live here as
 /// the reference.  Every production
@@ -70,60 +71,12 @@ DataflowResult::InstrFacts denseFacts(const FlowGraph &G,
   return F;
 }
 
-/// Scans the pattern list for \p I's occurrence (no hash, no cache).
-size_t denseOccurrence(const AssignPatternTable &Pats, const Instr &I) {
-  if (!I.isAssign() || I.Rhs.isVarAtom(I.Lhs))
-    return AssignPatternTable::npos;
-  for (size_t P = 0; P < Pats.size(); ++P)
-    if (Pats.pattern(P).Lhs == I.Lhs && Pats.pattern(P).Rhs == I.Rhs)
-      return P;
-  return AssignPatternTable::npos;
-}
-
-/// Table 2's not-ASS-TRANSP, from the definition.
-void denseKilled(const AssignPatternTable &Pats, const Instr &I,
-                 BitVector &Out) {
-  Out = BitVector(Pats.size());
-  VarId Def = I.definedVar();
-  for (size_t P = 0; isValid(Def) && P < Pats.size(); ++P)
-    if (Pats.pattern(P).Lhs == Def || Pats.pattern(P).Rhs.usesVar(Def))
-      Out.set(P);
-}
-
-/// Definition 3.2's blocking, from the definition.
-void denseBlocked(const AssignPatternTable &Pats, const Instr &I,
-                  BitVector &Out) {
-  denseKilled(Pats, I, Out);
-  for (size_t P = 0; P < Pats.size(); ++P)
-    if (I.usesVar(Pats.pattern(P).Lhs))
-      Out.set(P);
-}
-
-void denseOccurrenceBit(const AssignPatternTable &Pats, const Instr &I,
-                        BitVector &Out, bool EligibleOnly) {
-  Out = BitVector(Pats.size());
-  size_t P = denseOccurrence(Pats, I);
-  if (P == AssignPatternTable::npos)
-    return;
-  if (EligibleOnly && Pats.pattern(P).Rhs.usesVar(Pats.pattern(P).Lhs))
-    return;
-  Out.set(P);
-}
-
 DenseProblem denseRedundancy(const AssignPatternTable &Pats) {
   return {Direction::Forward, Meet::All, Pats.size(),
           [&Pats](const Instr &I, BitVector &O) {
             denseOccurrenceBit(Pats, I, O, /*EligibleOnly=*/true);
           },
           [&Pats](const Instr &I, BitVector &O) { denseKilled(Pats, I, O); }};
-}
-
-DenseProblem denseBlocking(const AssignPatternTable &Pats, Direction Dir) {
-  return {Dir, Meet::All, Pats.size(),
-          [&Pats](const Instr &I, BitVector &O) {
-            denseOccurrenceBit(Pats, I, O, /*EligibleOnly=*/false);
-          },
-          [&Pats](const Instr &I, BitVector &O) { denseBlocked(Pats, I, O); }};
 }
 
 void denseIsInst(const FlushUniverse &U, const Instr &I, BitVector &Out) {
@@ -206,19 +159,6 @@ DenseProblem denseAvailability(const ExprPatternTable &E) {
             O.andNot(Killed);
           },
           [&E](const Instr &I, BitVector &O) { denseExprKilled(E, I, O); }};
-}
-
-DenseProblem denseLiveness(size_t NumVars) {
-  return {Direction::Backward, Meet::Any, NumVars,
-          [NumVars](const Instr &I, BitVector &O) {
-            O = BitVector(NumVars);
-            I.forEachUsedVar([&](VarId V) { O.set(index(V)); });
-          },
-          [NumVars](const Instr &I, BitVector &O) {
-            O = BitVector(NumVars);
-            if (isValid(I.definedVar()))
-              O.set(index(I.definedVar()));
-          }};
 }
 
 DenseProblem denseCopies(const CopyUniverse &U) {

@@ -666,6 +666,100 @@ b3:
   EXPECT_EQ(runCopyPropagation(G), 0u);
 }
 
+namespace {
+
+/// The copy-scanning reference pass: copies numbered by a linear scan in
+/// first-occurrence order, reaching copies from denseSolve replayed over
+/// materialized vectors, and each operand rewritten by the first
+/// reaching copy of its variable in index order.  Returns the number of
+/// rewritten uses.
+unsigned referenceCopyPass(FlowGraph &G) {
+  std::vector<std::pair<VarId, VarId>> Copies; // (dst, src)
+  auto CopyOf = [&](const Instr &I) {
+    if (I.isAssign() && !I.Rhs.isNonTrivial() && I.Rhs.A.isVar())
+      for (size_t C = 0; C < Copies.size(); ++C)
+        if (Copies[C] == std::make_pair(I.Lhs, I.Rhs.A.Var))
+          return C;
+    return size_t(-1);
+  };
+  for (BlockId B = 0; B < G.numBlocks(); ++B)
+    for (const Instr &I : G.block(B).Instrs)
+      if (CopyOf(I) == size_t(-1) && I.isAssign() && !I.Rhs.isNonTrivial() &&
+          I.Rhs.A.isVar() && I.Rhs.A.Var != I.Lhs)
+        Copies.push_back({I.Lhs, I.Rhs.A.Var});
+  if (Copies.empty())
+    return 0;
+  DenseProblem P = {
+      Direction::Forward, Meet::All, Copies.size(),
+      [&](const Instr &I, BitVector &O) {
+        O = BitVector(Copies.size());
+        if (size_t C = CopyOf(I); C != size_t(-1))
+          O.set(C);
+      },
+      [&](const Instr &I, BitVector &O) {
+        O = BitVector(Copies.size());
+        for (size_t C = 0; isValid(I.definedVar()) && C < Copies.size(); ++C)
+          if (Copies[C].first == I.definedVar() ||
+              Copies[C].second == I.definedVar())
+            O.set(C);
+      }};
+  DenseSolution S = denseSolve(G, P);
+  unsigned Rewritten = 0;
+  BitVector Gen, Kill;
+  for (BlockId B = 0; B < G.numBlocks(); ++B) {
+    BitVector Reaching = S.Entry[B];
+    for (Instr &I : G.block(B).Instrs) {
+      P.Gen(I, Gen);
+      P.Kill(I, Kill);
+      auto Rewrite = [&](Operand &O) {
+        for (size_t C = 0; O.isVar() && C < Copies.size(); ++C)
+          if (Copies[C].first == O.Var && Reaching.test(C)) {
+            O.Var = Copies[C].second;
+            ++Rewritten;
+            return;
+          }
+      };
+      if (I.isAssign()) {
+        Rewrite(I.Rhs.A);
+        if (I.Rhs.isNonTrivial())
+          Rewrite(I.Rhs.B);
+      } else if (I.isBranch()) {
+        Rewrite(I.CondL.A);
+        if (I.CondL.isNonTrivial())
+          Rewrite(I.CondL.B);
+        Rewrite(I.CondR.A);
+        if (I.CondR.isNonTrivial())
+          Rewrite(I.CondR.B);
+      }
+      Reaching.andNot(Kill);
+      Reaching |= Gen;
+    }
+  }
+  return Rewritten;
+}
+
+} // namespace
+
+TEST(CopyPropagation, WalkerRewriteMatchesScanningReference) {
+  GenOptions Opts;
+  Opts.NumVars = 12;
+  Opts.PatternPoolSize = 40;
+  for (uint64_t Seed = 0; Seed < 25; ++Seed) {
+    Opts.TargetStmts = 100 + 20 * unsigned(Seed);
+    FlowGraph G = runLazyCodeMotion(generateStructuredProgram(Seed, Opts));
+    FlowGraph Ref = G;
+    unsigned Want = 0;
+    for (unsigned Pass = 0; Pass < Ref.Vars.size() + 2; ++Pass) {
+      unsigned N = referenceCopyPass(Ref);
+      Want += N;
+      if (N == 0)
+        break;
+    }
+    EXPECT_EQ(runCopyPropagation(G), Want) << "seed " << Seed;
+    ASSERT_EQ(printGraph(G), printGraph(Ref)) << "seed " << Seed;
+  }
+}
+
 TEST(CopyPropagation, PreservesSemantics) {
   FlowGraph G = parse(R"(
 program {

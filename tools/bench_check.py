@@ -78,6 +78,8 @@ PRESETS = {
     "am/irreducible": ["--pass=am", "examples/programs/irreducible.am"],
     "pde/running_example": ["--pass=pde",
                             "examples/programs/running_example.am"],
+    "baselines/running_example": ["--passes=lcm,cp,lcm,pde",
+                                  "examples/programs/running_example.am"],
 }
 
 
