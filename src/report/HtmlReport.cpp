@@ -6,8 +6,6 @@
 
 #include "report/HtmlReport.h"
 
-#include "support/Html.h"
-
 #include <algorithm>
 #include <map>
 #include <unordered_map>
@@ -66,6 +64,33 @@ summary { cursor: pointer; color: #37386e; }
 // Small helpers
 //===----------------------------------------------------------------------===//
 
+/// Appends \p S with the five HTML metacharacters escaped; safe for
+/// element text and double-quoted attribute values.  Bytes outside ASCII
+/// pass through (the report declares UTF-8).
+void appendEscaped(std::string &Out, const std::string &S) {
+  for (char C : S) {
+    switch (C) {
+    case '&':
+      Out += "&amp;";
+      break;
+    case '<':
+      Out += "&lt;";
+      break;
+    case '>':
+      Out += "&gt;";
+      break;
+    case '"':
+      Out += "&quot;";
+      break;
+    case '\'':
+      Out += "&#39;";
+      break;
+    default:
+      Out.push_back(C);
+    }
+  }
+}
+
 void appendNum(std::string &Out, uint64_t V) { Out += std::to_string(V); }
 
 /// An inline SVG sparkline over \p Values (polyline, auto-scaled).
@@ -120,7 +145,7 @@ uint64_t mapSerial(const SerialTable &Serials, uint64_t Raw) {
 void appendRemark(std::string &Out, const remarks::Remark &R,
                   const SerialTable &Serials) {
   Out += "<span class=\"remark\"><span class=\"rk\">";
-  html::appendEscaped(Out, remarks::kindName(R.K));
+  appendEscaped(Out, remarks::kindName(R.K));
   if (R.Act == remarks::Action::Remove)
     Out += " (remove)";
   else if (R.Act == remarks::Action::Insert)
@@ -128,18 +153,18 @@ void appendRemark(std::string &Out, const remarks::Remark &R,
   Out += "</span>";
   if (!R.Pattern.empty()) {
     Out += " <code>";
-    html::appendEscaped(Out, R.Pattern);
+    appendEscaped(Out, R.Pattern);
     Out += "</code>";
   }
   if (R.Place != remarks::Placement::None) {
     Out += " @";
-    html::appendEscaped(Out, remarks::placementName(R.Place));
+    appendEscaped(Out, remarks::placementName(R.Place));
   }
   for (const auto &[Name, Value] : R.Facts) {
     Out += " &middot; ";
-    html::appendEscaped(Out, Name);
+    appendEscaped(Out, Name);
     Out += "=";
-    html::appendEscaped(Out, Value);
+    appendEscaped(Out, Value);
   }
   if (R.Solve) {
     Out += " &middot; solve #";
@@ -163,7 +188,7 @@ void appendTimeline(std::string &Out, const RecorderSession &S,
   if (StatsAvailable)
     for (const std::string &Name : Names) {
       Out += "<th class=\"num\">";
-      html::appendEscaped(Out, Name);
+      appendEscaped(Out, Name);
       Out += "</th>";
     }
   Out += "</tr>\n";
@@ -171,7 +196,7 @@ void appendTimeline(std::string &Out, const RecorderSession &S,
     const Snapshot &Snap = S.snapshots()[Idx];
     Out += "<tr><td class=\"num\">" + std::to_string(Idx) +
            "</td><td class=\"phase\">";
-    html::appendEscaped(Out, phaseName(Snap));
+    appendEscaped(Out, phaseName(Snap));
     Out += "</td><td class=\"num\">" + std::to_string(Snap.Blocks.size()) +
            "</td><td class=\"num\">" + std::to_string(Snap.numInstrs()) +
            "</td>";
@@ -277,7 +302,7 @@ void appendProgram(std::string &Out, const RecorderSession &S,
       Out += "<span class=\"iline ";
       Out += Cls;
       Out += "\">";
-      html::appendEscaped(Out, S.text(I.Text));
+      appendEscaped(Out, S.text(I.Text));
       if (I.Id) {
         Out += "  <span class=\"iid\">#" + std::to_string(I.Id) + "</span>";
       }
@@ -312,9 +337,9 @@ void appendDiffs(std::string &Out, const RecorderSession &S,
     if (!D.empty())
       Out += " open";
     Out += "><summary><b>";
-    html::appendEscaped(Out, phaseName(From));
+    appendEscaped(Out, phaseName(From));
     Out += " &rarr; ";
-    html::appendEscaped(Out, phaseName(To));
+    appendEscaped(Out, phaseName(To));
     Out += "</b> &middot; " + std::to_string(D.Inserted.size()) +
            " inserted, " + std::to_string(D.Deleted.size()) + " deleted, " +
            std::to_string(D.Moved.size()) + " moved, " +
@@ -366,9 +391,9 @@ void appendFactTables(std::string &Out, const RecorderSession &S,
          "each table.</p>\n";
   for (const FactTable &T : S.facts()) {
     Out += "<details><summary><b>";
-    html::appendEscaped(Out, T.Analysis);
+    appendEscaped(Out, T.Analysis);
     Out += "</b> (pass ";
-    html::appendEscaped(Out, T.Pass);
+    appendEscaped(Out, T.Pass);
     if (T.Round)
       Out += ", round " + std::to_string(T.Round);
     if (T.Solve)
@@ -377,26 +402,26 @@ void appendFactTables(std::string &Out, const RecorderSession &S,
     for (size_t Idx = 0; Idx < T.Universe.size(); ++Idx) {
       Out += Idx ? ", " : " ";
       Out += "<code>" + std::to_string(Idx) + ": ";
-      html::appendEscaped(Out, S.text(T.Universe[Idx]));
+      appendEscaped(Out, S.text(T.Universe[Idx]));
       Out += "</code>";
     }
     Out += "</p>\n<table class=\"facts\"><tr><th>block</th><th>entry</th>"
            "<th>exit</th>";
     for (const FactTable::Extra &E : T.Extras) {
       Out += "<th>";
-      html::appendEscaped(Out, E.Name);
+      appendEscaped(Out, E.Name);
       Out += "</th>";
     }
     Out += "</tr>\n";
     for (const FactTable::Row &R : T.Rows) {
       Out += "<tr><td class=\"lbl\">b" + std::to_string(R.Block) + "</td><td>";
-      html::appendEscaped(Out, R.Entry);
+      appendEscaped(Out, R.Entry);
       Out += "</td><td>";
-      html::appendEscaped(Out, R.Exit);
+      appendEscaped(Out, R.Exit);
       Out += "</td>";
       for (const FactTable::Extra &E : T.Extras) {
         Out += "<td>";
-        html::appendEscaped(Out, E.PerBlock[R.Block]);
+        appendEscaped(Out, E.PerBlock[R.Block]);
         Out += "</td>";
       }
       Out += "</tr>\n";
@@ -417,7 +442,7 @@ void appendSolves(std::string &Out, const RecorderSession &S) {
          "</tr>\n";
   for (const SolveRecord &R : S.solves()) {
     Out += "<tr><td>";
-    html::appendEscaped(Out, R.Label);
+    appendEscaped(Out, R.Label);
     if (R.Round)
       Out += " round " + std::to_string(R.Round);
     Out += "</td><td>";
@@ -442,17 +467,16 @@ std::string am::report::renderHtmlReport(const RecorderSession &S,
   Out.reserve(1 << 16);
   Out += "<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n"
          "<meta charset=\"utf-8\">\n<title>";
-  html::appendEscaped(Out, Meta.Title.empty() ? "optimization report"
-                                              : Meta.Title);
+  appendEscaped(Out, Meta.Title.empty() ? "optimization report" : Meta.Title);
   Out += "</title>\n<style>";
   Out += Css;
   Out += "</style>\n</head>\n<body>\n<h1>Optimization report";
   if (!Meta.Title.empty()) {
     Out += ": ";
-    html::appendEscaped(Out, Meta.Title);
+    appendEscaped(Out, Meta.Title);
   }
   Out += "</h1>\n<p>pipeline: <code>";
-  html::appendEscaped(Out, Meta.PassSpec);
+  appendEscaped(Out, Meta.PassSpec);
   Out += "</code> &middot; " + std::to_string(S.snapshots().size()) +
          " snapshots &middot; " + std::to_string(S.facts().size()) +
          " fact tables &middot; " + std::to_string(Meta.Remarks.size()) +
@@ -466,9 +490,9 @@ std::string am::report::renderHtmlReport(const RecorderSession &S,
   appendSolves(Out, S);
 
   Out += "<h2>Input program</h2>\n<pre>";
-  html::appendEscaped(Out, Meta.InputText);
+  appendEscaped(Out, Meta.InputText);
   Out += "</pre>\n<h2>Optimized program</h2>\n<pre>";
-  html::appendEscaped(Out, Meta.OutputText);
+  appendEscaped(Out, Meta.OutputText);
   Out += "</pre>\n</body>\n</html>\n";
   return Out;
 }

@@ -10,7 +10,6 @@
 #include "support/Stats.h"
 
 #include <algorithm>
-#include <cmath>
 #include <ostream>
 
 using namespace am;
@@ -79,7 +78,6 @@ void Aggregate::addJob(const JobEvent &E) {
 
 void Aggregate::merge(const Aggregate &O) {
   Jobs += O.Jobs;
-  SkippedLines += O.SkippedLines;
   for (const auto &[S, N] : O.Statuses)
     Statuses[S] += N;
   for (const auto &[K, N] : O.RemarkKinds)
@@ -93,7 +91,7 @@ void Aggregate::writeJson(std::ostream &OS) const {
   W.beginObject();
   W.key("schema").value("amagg-v1");
   W.key("jobs").value(Jobs);
-  W.key("skipped_lines").value(SkippedLines);
+  W.key("skipped_lines").value(uint64_t{0});
 
   W.key("status").beginObject();
   for (const auto &[S, N] : Statuses)
@@ -126,44 +124,4 @@ void Aggregate::writeJson(std::ostream &OS) const {
   W.endObject();
 
   W.endObject();
-}
-
-std::vector<DiffRow> fleet::diffAggregates(const Aggregate &A,
-                                           const Aggregate &B) {
-  std::vector<DiffRow> Rows;
-  auto Add = [&Rows](const std::string &Name, const MetricAgg *MA,
-                     const MetricAgg *MB) {
-    DiffRow R;
-    R.Counter = Name;
-    if (MA) {
-      R.MeanA = MA->mean();
-      R.SumA = MA->Sum;
-    }
-    if (MB) {
-      R.MeanB = MB->mean();
-      R.SumB = MB->Sum;
-    }
-    R.Delta = R.MeanB - R.MeanA;
-    if (R.Delta == 0.0)
-      R.RelDelta = 0.0;
-    else if (R.MeanA != 0.0)
-      R.RelDelta = R.Delta / R.MeanA;
-    else
-      R.RelDelta = R.Delta > 0 ? 1e9 : -1e9; // appeared/vanished entirely
-    Rows.push_back(std::move(R));
-  };
-  for (const auto &[Name, MA] : A.counters()) {
-    auto It = B.counters().find(Name);
-    Add(Name, &MA, It == B.counters().end() ? nullptr : &It->second);
-  }
-  for (const auto &[Name, MB] : B.counters())
-    if (!A.counters().count(Name))
-      Add(Name, nullptr, &MB);
-  std::sort(Rows.begin(), Rows.end(), [](const DiffRow &X, const DiffRow &Y) {
-    double AX = std::fabs(X.RelDelta), AY = std::fabs(Y.RelDelta);
-    if (AX != AY)
-      return AX > AY;
-    return X.Counter < Y.Counter;
-  });
-  return Rows;
 }

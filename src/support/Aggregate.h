@@ -16,8 +16,8 @@
 /// geometry is stats::log2BucketIndex — the exact buckets `stats::Timer`
 /// uses — so per-job and cross-job distributions read the same way.
 ///
-/// Wall-clock summaries for the dashboard come from the raw event log
-/// (support/EventLog.h), which is the explicitly machine-specific layer.
+/// Wall-clock times stay in the raw event log (support/EventLog.h), the
+/// explicitly machine-specific layer.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,7 +28,6 @@
 #include <iosfwd>
 #include <map>
 #include <string>
-#include <vector>
 
 namespace am::fleet {
 
@@ -90,13 +89,6 @@ public:
   /// barrier in job-index order regardless of completion order.
   void merge(const Aggregate &O);
 
-  /// Records event-log lines the reader had to skip (partial trailing
-  /// record of a killed run, malformed interior lines).  Surfaced in the
-  /// JSON so downstream checks see data loss instead of a silently
-  /// smaller corpus.
-  void noteSkippedLines(uint64_t N) { SkippedLines += N; }
-  uint64_t skippedLines() const { return SkippedLines; }
-
   uint64_t jobs() const { return Jobs; }
   const std::map<std::string, uint64_t> &statuses() const { return Statuses; }
   const std::map<std::string, uint64_t> &remarkKinds() const {
@@ -106,32 +98,17 @@ public:
 
   /// Serializes as one amagg-v1 JSON object.  Deterministic: map
   /// iteration is name-sorted, histograms are sparse {"bucket":count}
-  /// objects, means render via the writer's fixed %.6g.
+  /// objects, means render via the writer's fixed %.6g.  The
+  /// `skipped_lines` key is always 0: aggregates are built from live
+  /// jobs, never from a re-read event log.
   void writeJson(std::ostream &OS) const;
 
 private:
   uint64_t Jobs = 0;
-  uint64_t SkippedLines = 0;
   std::map<std::string, uint64_t> Statuses;
   std::map<std::string, uint64_t> RemarkKinds;
   std::map<std::string, MetricAgg> Counters;
 };
-
-/// One row of a corpus-to-corpus comparison, per counter.
-struct DiffRow {
-  std::string Counter;
-  double MeanA = 0.0, MeanB = 0.0;
-  uint64_t SumA = 0, SumB = 0;
-  double Delta = 0.0;    ///< MeanB - MeanA.
-  double RelDelta = 0.0; ///< Delta / MeanA; +-inf encoded as +-1e9 when
-                         ///< a side is 0.
-};
-
-/// Per-counter comparison of two aggregates, ranked by |RelDelta|
-/// descending (regressions and improvements of the largest relative
-/// magnitude first; ties break by name for determinism).  Counters seen
-/// in only one run still produce a row.
-std::vector<DiffRow> diffAggregates(const Aggregate &A, const Aggregate &B);
 
 } // namespace am::fleet
 

@@ -8,8 +8,6 @@
 #include "support/Json.h"
 
 #include <cstdio>
-#include <fstream>
-#include <istream>
 #include <ostream>
 
 using namespace am;
@@ -83,101 +81,4 @@ void EventLogWriter::append(const JobEvent &E) {
   std::lock_guard<std::mutex> Lock(Mu);
   OS << Line << '\n';
   OS.flush();
-}
-
-namespace {
-
-void readPairs(const json::Value &Obj,
-               std::vector<std::pair<std::string, uint64_t>> &Out) {
-  for (const auto &[Name, V] : Obj.members())
-    if (V.isNumber())
-      Out.emplace_back(Name, V.asU64());
-}
-
-bool parseEvent(const json::Value &V, JobEvent &E) {
-  if (!V.isObject())
-    return false;
-  E.Index = V.getU64("index");
-  E.Name = V.getString("name");
-  E.Hash = V.getString("hash");
-  E.Preset = V.getString("preset");
-  E.Status = V.getString("status");
-  E.Error = V.getString("error");
-  E.WallNs = V.getU64("wall_ns");
-  E.Rollbacks = V.getU64("rollbacks");
-  if (const json::Value *L = V.find("limits_hit"))
-    E.LimitsHit = L->isBool() && L->boolean();
-  E.BlocksBefore = V.getU64("blocks_before");
-  E.BlocksAfter = V.getU64("blocks_after");
-  E.InstrsBefore = V.getU64("instrs_before");
-  E.InstrsAfter = V.getU64("instrs_after");
-  if (const json::Value *P = V.find("phases"))
-    readPairs(*P, E.Phases);
-  if (const json::Value *C = V.find("counters"))
-    readPairs(*C, E.Counters);
-  if (const json::Value *R = V.find("remarks"))
-    readPairs(*R, E.RemarkKinds);
-  return !E.Status.empty();
-}
-
-} // namespace
-
-bool fleet::readEventLog(std::istream &In, EventLogFile &Out) {
-  std::string Line;
-  uint64_t LineNo = 0;
-  bool SawHeader = false;
-  while (std::getline(In, Line)) {
-    ++LineNo;
-    // getline strips '\n'; a line at EOF that was never terminated is a
-    // partial record from a killed writer.
-    bool Unterminated = In.eof();
-    if (Line.empty())
-      continue;
-    std::string ParseError;
-    std::unique_ptr<json::Value> V = json::parse(Line, &ParseError);
-    if (!V || !V->isObject()) {
-      ++Out.SkippedLines;
-      Out.Warnings.push_back(
-          "line " + std::to_string(LineNo) +
-          (Unterminated ? ": ignoring partial trailing record ("
-                        : ": ignoring malformed record (") +
-          ParseError + ")");
-      continue;
-    }
-    if (!SawHeader) {
-      Out.Schema = V->getString("schema");
-      if (Out.Schema != "amevents-v1")
-        return false;
-      Out.Passes = V->getString("passes");
-      Out.JobsDeclared = V->getU64("jobs");
-      SawHeader = true;
-      continue;
-    }
-    JobEvent E;
-    if (!parseEvent(*V, E)) {
-      ++Out.SkippedLines;
-      Out.Warnings.push_back("line " + std::to_string(LineNo) +
-                             ": ignoring record without a status");
-      continue;
-    }
-    Out.Events.push_back(std::move(E));
-  }
-  return SawHeader;
-}
-
-bool fleet::readEventLogFile(const std::string &Path, EventLogFile &Out,
-                             std::string *Error) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In) {
-    if (Error)
-      *Error = "cannot open '" + Path + "'";
-    return false;
-  }
-  if (!readEventLog(In, Out)) {
-    if (Error)
-      *Error = "'" + Path + "' is not an amevents-v1 log (missing or " +
-               "mismatched header)";
-    return false;
-  }
-  return true;
 }

@@ -11,8 +11,8 @@
 /// status, wall and per-phase timings from the job's session profiler,
 /// the machine-independent stats counters, and rollback/limit/remark
 /// summaries.  Records are appended under a mutex and flushed per line,
-/// so a run killed mid-corpus loses at most the record being written —
-/// the reader tolerates (and warns about) a truncated final line.
+/// so a run killed mid-corpus loses at most the record being written.
+/// tools/batch_check.py is the log's reader.
 ///
 /// The event log is the *raw* layer: it contains wall-clock times and is
 /// therefore machine- and run-specific.  The deterministic cross-job
@@ -84,29 +84,6 @@ private:
   std::ostream &OS;
   std::mutex Mu;
 };
-
-/// A parsed event log.
-struct EventLogFile {
-  std::string Schema;  ///< From the header line ("amevents-v1").
-  std::string Passes;  ///< Pass spec the corpus ran.
-  uint64_t JobsDeclared = 0;
-  std::vector<JobEvent> Events;
-  /// Malformed or truncated lines skipped while reading (the warnings
-  /// name each one).
-  uint64_t SkippedLines = 0;
-  std::vector<std::string> Warnings;
-};
-
-/// Reads an amevents-v1 stream.  A partial (unterminated or unparseable)
-/// final line — the signature of a killed run — is skipped with a
-/// warning, not an error; malformed interior lines likewise.  False only
-/// when the header is missing or announces a different schema.
-bool readEventLog(std::istream &In, EventLogFile &Out);
-
-/// readEventLog over a file path; false with \p Error on open failure or
-/// header mismatch.
-bool readEventLogFile(const std::string &Path, EventLogFile &Out,
-                      std::string *Error = nullptr);
 
 } // namespace am::fleet
 

@@ -81,7 +81,7 @@ struct HistoryEntry {
   bool HasAggregate = false;
   uint64_t AggJobs = 0;
   std::string AggHash; ///< hex16(fnv1a64(serialized amagg-v1 JSON)).
-  uint64_t AggSkippedLines = 0; ///< Event-log reader's skipped-line count.
+  uint64_t AggSkippedLines = 0; ///< The aggregate's skipped_lines (now always 0).
   std::vector<std::pair<std::string, uint64_t>> AggStatuses; ///< name-sorted
 };
 

@@ -10,7 +10,7 @@
 /// log; a syntax validator the tests (and `amopt --trace` smoke checks)
 /// use to assert that emitted artifacts are well-formed; and a small
 /// value parser for the consumers that must read artifacts back (the
-/// `ambatch --diff` corpus comparison reads amevents-v1 JSONL records).
+/// run-history reader, support/History.h, reads amhist-v1 records).
 /// Deliberately not a general JSON library — no pointer/patch, no
 /// serialization framework.
 ///

@@ -217,6 +217,7 @@ void Profiler::reset() {
   Node Root;
   Root.Name = "root";
   Nodes.push_back(std::move(Root));
+  RootStartNs = nowNs();
 }
 
 uint32_t Profiler::childNamed(uint32_t Parent, std::string_view Name) {
@@ -357,7 +358,7 @@ std::string Profiler::toJsonString() const {
     W.beginObject();
     W.key("name").value(N.Name);
     W.key("calls").value(N.Calls);
-    W.key("wall_ns").value(N.WallNs);
+    W.key("wall_ns").value(Id == RootId ? nowNs() - RootStartNs : N.WallNs);
     W.key("alloc_bytes").value(N.AllocBytes);
     W.key("alloc_calls").value(N.AllocCalls);
     W.key("first_start_us").value(N.FirstStartUs);

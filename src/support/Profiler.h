@@ -98,7 +98,8 @@ void recordMemoryGauges(stats::Registry &R);
 class Profiler {
 public:
   /// Index of the implicit root node (the session itself; never entered
-  /// or left, carries no time).
+  /// or left).  Its dumped wall_ns is the time since the last reset(),
+  /// so it covers its children; node(RootId).WallNs stays 0.
   static constexpr uint32_t RootId = 0;
 
   struct Node {
@@ -140,7 +141,8 @@ public:
   void setEnabled(bool On) { Enabled.store(On, std::memory_order_relaxed); }
   bool enabled() const { return Enabled.load(std::memory_order_relaxed); }
 
-  /// Drops every node and open frame (the root survives).
+  /// Drops every node and open frame (the root survives) and restarts
+  /// the root's clock.
   void reset();
 
   /// Opens the child \p Name of the innermost open scope, creating the
@@ -202,6 +204,7 @@ private:
 
   std::vector<Node> Nodes;
   std::vector<Frame> Stack;
+  uint64_t RootStartNs = 0; ///< Steady clock at the last reset().
   std::atomic<bool> Enabled{false};
 };
 

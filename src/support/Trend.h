@@ -5,9 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Time-series analytics over the run history (support/History.h): the
-/// layer `tools/amtrend` and the trend dashboard
-/// (report/TrendReport.h) share.  From a chronologically sorted history
+/// Time-series analytics over the run history (support/History.h), the
+/// layer behind `tools/amtrend`.  From a chronologically sorted history
 /// it extracts one series per measured quantity —
 ///
 ///   wall/<preset>     calibration-normalized preset wall time

@@ -8,8 +8,8 @@
 // log2 histogram geometry (stats:: helpers + fleet::Histogram), the
 // determinism contract of the amagg-v1 aggregator (identical JSON for
 // any job insertion order and any merge partitioning — the executable
-// form of "byte-identical for any --threads"), the amevents-v1 round
-// trip including truncation recovery, and the ranked corpus diff.
+// form of "byte-identical for any --threads"), and the pinned program
+// identity hash of the amevents-v1 log.
 //
 //===----------------------------------------------------------------------===//
 
@@ -193,22 +193,17 @@ std::string aggJson(const fleet::Aggregate &A) {
 }
 
 TEST(Aggregate, SkippedLinesSerializeAndMerge) {
+  // amagg-v1 keeps its skipped_lines key; aggregates of live jobs never
+  // skip a line, so it reads 0 before and after a merge.
   fleet::Aggregate A;
   A.addJob(makeEvent(0));
-  EXPECT_EQ(A.skippedLines(), 0u);
   EXPECT_NE(aggJson(A).find("\"skipped_lines\":0"), std::string::npos);
 
-  A.noteSkippedLines(2);
-  A.noteSkippedLines(1);
-  EXPECT_EQ(A.skippedLines(), 3u);
-  EXPECT_NE(aggJson(A).find("\"skipped_lines\":3"), std::string::npos);
-
-  // merge() sums data loss like it sums jobs.
   fleet::Aggregate B;
   B.addJob(makeEvent(1));
-  B.noteSkippedLines(4);
   A.merge(B);
-  EXPECT_EQ(A.skippedLines(), 7u);
+  EXPECT_EQ(A.jobs(), 2u);
+  EXPECT_NE(aggJson(A).find("\"skipped_lines\":0"), std::string::npos);
 }
 
 TEST(Aggregate, InsertionOrderInvariant) {
@@ -302,57 +297,14 @@ TEST(Aggregate, StatsAndSynthesizedMetrics) {
   // pipeline.rollbacks only appears in odd jobs; Jobs tracks reporters.
   EXPECT_EQ(Agg.counters().at("pipeline.rollbacks").Jobs, 2u);
 
-  // IR sizes are synthesized as counters so the diff can rank them.
+  // IR sizes are synthesized as counters.
   EXPECT_EQ(Agg.counters().at("ir.instrs_before").Sum, 100u + 107 + 114 + 121);
   EXPECT_EQ(Agg.counters().at("ir.blocks_after").Min, 12u);
 }
 
 //===----------------------------------------------------------------------===//
-// Event log round trip and truncation recovery
+// Event log identity hash
 //===----------------------------------------------------------------------===//
-
-std::string writeLog(const std::vector<fleet::JobEvent> &Events) {
-  std::ostringstream OS;
-  fleet::EventLogWriter W(OS);
-  W.writeHeader("uniform,pde", Events.size());
-  for (const fleet::JobEvent &E : Events)
-    W.append(E);
-  return OS.str();
-}
-
-TEST(EventLog, RoundTrip) {
-  std::vector<fleet::JobEvent> Events;
-  for (uint64_t I = 0; I < 3; ++I)
-    Events.push_back(makeEvent(I));
-  Events[1].Status = "error";
-  Events[1].Error = "parse error: line 3: unexpected '}'";
-
-  std::istringstream In(writeLog(Events));
-  fleet::EventLogFile File;
-  ASSERT_TRUE(fleet::readEventLog(In, File));
-  EXPECT_EQ(File.Schema, "amevents-v1");
-  EXPECT_EQ(File.Passes, "uniform,pde");
-  EXPECT_EQ(File.JobsDeclared, 3u);
-  EXPECT_EQ(File.SkippedLines, 0u);
-  ASSERT_EQ(File.Events.size(), 3u);
-
-  const fleet::JobEvent &E = File.Events[2];
-  EXPECT_EQ(E.Index, 2u);
-  EXPECT_EQ(E.Name, "job2");
-  EXPECT_EQ(E.Hash, fleet::hex16(fleet::fnv1a64("job2")));
-  EXPECT_EQ(E.Preset, "examples");
-  EXPECT_EQ(E.Status, "ok");
-  EXPECT_EQ(E.WallNs, 3000u);
-  EXPECT_EQ(E.InstrsBefore, 114u);
-  EXPECT_EQ(E.InstrsAfter, 104u);
-  ASSERT_EQ(E.Phases.size(), 1u);
-  EXPECT_EQ(E.Phases[0].first, "pipeline");
-  EXPECT_EQ(E.Phases[0].second, 1500u);
-  ASSERT_EQ(E.Counters.size(), 2u);
-  EXPECT_EQ(E.Counters[1].first, "dfa.sweeps");
-  EXPECT_EQ(E.Counters[1].second, 66u);
-  EXPECT_EQ(File.Events[1].Error, "parse error: line 3: unexpected '}'");
-}
 
 TEST(EventLog, HashIsStableFnv1a) {
   // Pinned reference value: the identity hash must never drift between
@@ -361,96 +313,6 @@ TEST(EventLog, HashIsStableFnv1a) {
   EXPECT_EQ(fleet::hex16(fleet::fnv1a64("")), "cbf29ce484222325");
   EXPECT_NE(fleet::fnv1a64("a"), fleet::fnv1a64("b"));
   EXPECT_EQ(fleet::hex16(0), "0000000000000000");
-}
-
-TEST(EventLog, TruncatedFinalLineIsSkippedWithWarning) {
-  std::vector<fleet::JobEvent> Events;
-  for (uint64_t I = 0; I < 3; ++I)
-    Events.push_back(makeEvent(I));
-  std::string Full = writeLog(Events);
-
-  // Kill the run mid-record: drop the trailing newline and a chunk of
-  // the final record.
-  std::istringstream In(Full.substr(0, Full.size() - 9));
-  fleet::EventLogFile File;
-  ASSERT_TRUE(fleet::readEventLog(In, File));
-  EXPECT_EQ(File.Events.size(), 2u);
-  EXPECT_EQ(File.SkippedLines, 1u);
-  ASSERT_EQ(File.Warnings.size(), 1u);
-  EXPECT_NE(File.Warnings[0].find("partial trailing"), std::string::npos)
-      << File.Warnings[0];
-}
-
-TEST(EventLog, MalformedInteriorLineIsSkippedWithWarning) {
-  std::vector<fleet::JobEvent> Events;
-  for (uint64_t I = 0; I < 3; ++I)
-    Events.push_back(makeEvent(I));
-  std::string Full = writeLog(Events);
-  size_t FirstNl = Full.find('\n');
-  size_t SecondNl = Full.find('\n', FirstNl + 1);
-  std::string Broken = Full.substr(0, SecondNl + 1) + "{\"not\": json!!\n" +
-                       Full.substr(SecondNl + 1);
-
-  std::istringstream In(Broken);
-  fleet::EventLogFile File;
-  ASSERT_TRUE(fleet::readEventLog(In, File));
-  EXPECT_EQ(File.Events.size(), 3u); // everything real survives
-  EXPECT_EQ(File.SkippedLines, 1u);
-  ASSERT_EQ(File.Warnings.size(), 1u);
-  EXPECT_NE(File.Warnings[0].find("malformed"), std::string::npos);
-}
-
-TEST(EventLog, MissingOrForeignHeaderIsAnError) {
-  fleet::EventLogFile File;
-  std::istringstream NoHeader("{\"index\":0,\"status\":\"ok\"}\n");
-  EXPECT_FALSE(fleet::readEventLog(NoHeader, File));
-
-  std::istringstream Foreign(
-      "{\"schema\":\"amprof-v1\",\"passes\":\"uniform\",\"jobs\":1}\n");
-  fleet::EventLogFile File2;
-  EXPECT_FALSE(fleet::readEventLog(Foreign, File2));
-}
-
-//===----------------------------------------------------------------------===//
-// Corpus diff
-//===----------------------------------------------------------------------===//
-
-TEST(Diff, RanksByRelativeMagnitude) {
-  fleet::Aggregate A, B;
-  for (uint64_t I = 0; I < 4; ++I) {
-    fleet::JobEvent E = makeEvent(I);
-    E.Counters = {{"flat", 100}, {"doubles", 50}, {"gone", 7}};
-    A.addJob(E);
-    fleet::JobEvent F = makeEvent(I);
-    F.Counters = {{"flat", 100}, {"doubles", 100}, {"fresh", 3}};
-    B.addJob(F);
-  }
-  std::vector<fleet::DiffRow> Rows = fleet::diffAggregates(A, B);
-
-  auto Find = [&](const std::string &Name) -> const fleet::DiffRow & {
-    for (const fleet::DiffRow &R : Rows)
-      if (R.Counter == Name)
-        return R;
-    static fleet::DiffRow None;
-    return None;
-  };
-  EXPECT_DOUBLE_EQ(Find("flat").Delta, 0.0);
-  EXPECT_DOUBLE_EQ(Find("doubles").RelDelta, 1.0);
-  EXPECT_GE(Find("fresh").RelDelta, 1e9);        // appeared from nothing
-  EXPECT_DOUBLE_EQ(Find("gone").RelDelta, -1.0); // dropped to zero
-
-  // "fresh" (infinite relative change) outranks everything; "doubles"
-  // and "gone" tie at |1.0| and break by name; "flat" ranks last.
-  std::vector<std::string> Order;
-  for (const fleet::DiffRow &R : Rows)
-    if (R.Counter == "flat" || R.Counter == "doubles" ||
-        R.Counter == "fresh" || R.Counter == "gone")
-      Order.push_back(R.Counter);
-  ASSERT_EQ(Order.size(), 4u);
-  EXPECT_EQ(Order[0], "fresh");
-  EXPECT_EQ(Order[1], "doubles");
-  EXPECT_EQ(Order[2], "gone");
-  EXPECT_EQ(Order[3], "flat");
 }
 
 } // namespace

@@ -238,6 +238,26 @@ TEST(ProfilerTest, JsonIsValidAndCarriesTheSchema) {
   EXPECT_NE(J.find("\"name\":\"phase\""), std::string::npos) << J;
 }
 
+TEST(ProfilerTest, RootWallCoversItsChildren) {
+  ProfiledSession P;
+  {
+    AM_SPAN(Outer, "outer");
+    AM_SPAN(Inner, "inner");
+    std::vector<int> V(4096, 1);
+    ASSERT_EQ(V.size(), 4096u);
+  }
+  std::unique_ptr<json::Value> Doc = json::parse(P.prof().toJsonString());
+  ASSERT_TRUE(Doc);
+  const json::Value *Tree = Doc->find("tree");
+  ASSERT_TRUE(Tree);
+  uint64_t ChildNs = 0;
+  for (const json::Value &Child : Tree->find("children")->array())
+    ChildNs += Child.getU64("wall_ns");
+  EXPECT_GT(ChildNs, 0u);
+  EXPECT_GT(Tree->getU64("wall_ns"), 0u);
+  EXPECT_GE(Tree->getU64("wall_ns"), ChildNs);
+}
+
 TEST(ProfilerTest, CollapsedStacksJoinThePathWithSemicolons) {
   ProfiledSession P;
   {

@@ -7,12 +7,10 @@
 // The changepoint detector and analysis layer behind tools/amtrend: a
 // genuine step is found at its exact index, a lone 3.5-MAD outlier in a
 // noisy flat series is not a step, slow drift is reported as drift (not
-// gated as a step), calibration and workload series never gate, and the
-// trend dashboard renders byte-identically.
+// gated as a step), and calibration and workload series never gate.
 //
 //===----------------------------------------------------------------------===//
 
-#include "report/TrendReport.h"
 #include "support/History.h"
 #include "support/Trend.h"
 
@@ -291,59 +289,6 @@ TEST(AnalyzeHistory, GateFactorIsConfigurable) {
   Opts.GateFactor = 2.5;
   trend::TrendAnalysis A = trend::analyzeHistory(stepHistory(2.0), Opts);
   EXPECT_TRUE(trend::gateFailures(A).empty()); // 2.0x < 2.5x
-}
-
-//===----------------------------------------------------------------------===//
-// Trend dashboard
-//===----------------------------------------------------------------------===//
-
-TEST(TrendReport, RendersByteIdentically) {
-  hist::HistoryFile H;
-  H.Entries = stepHistory(2.0);
-  trend::TrendAnalysis A = trend::analyzeHistory(H.Entries);
-  report::TrendReportOptions Opts;
-  std::string First = report::renderTrendDashboard(H, A, Opts);
-  std::string Second = report::renderTrendDashboard(H, A, Opts);
-  EXPECT_EQ(First, Second);
-  EXPECT_NE(First.find("<svg"), std::string::npos);
-  EXPECT_NE(First.find("REGRESSED"), std::string::npos);
-  EXPECT_NE(First.find("wall/dfa/solve"), std::string::npos);
-  // The analysis must re-render identically too.
-  trend::TrendAnalysis B = trend::analyzeHistory(H.Entries);
-  EXPECT_EQ(First, report::renderTrendDashboard(H, B, Opts));
-}
-
-TEST(TrendReport, EmptyHistoryRenders) {
-  hist::HistoryFile H;
-  trend::TrendAnalysis A = trend::analyzeHistory(H.Entries);
-  std::string Out =
-      report::renderTrendDashboard(H, A, report::TrendReportOptions());
-  EXPECT_NE(Out.find("<!DOCTYPE html>"), std::string::npos);
-  EXPECT_NE(Out.find("0 entries"), std::string::npos);
-}
-
-TEST(TrendReport, EscapesSeriesNames) {
-  hist::HistoryFile H;
-  hist::HistoryEntry E = makeEntry(1, 250'000'000);
-  E.Counters.emplace_back("evil<script>&", 1);
-  H.Entries.push_back(E);
-  trend::TrendAnalysis A = trend::analyzeHistory(H.Entries);
-  std::string Out =
-      report::renderTrendDashboard(H, A, report::TrendReportOptions());
-  EXPECT_EQ(Out.find("evil<script>"), std::string::npos);
-  EXPECT_NE(Out.find("evil&lt;script&gt;&amp;"), std::string::npos);
-}
-
-TEST(TrendReport, SkippedLinesSurfaceInDashboard) {
-  hist::HistoryFile H;
-  H.Entries = stepHistory(1.0);
-  H.SkippedLines = 3;
-  H.Warnings.push_back("line 7: ignoring malformed record (synthetic)");
-  trend::TrendAnalysis A = trend::analyzeHistory(H.Entries);
-  std::string Out =
-      report::renderTrendDashboard(H, A, report::TrendReportOptions());
-  EXPECT_NE(Out.find("3 line(s) skipped"), std::string::npos);
-  EXPECT_NE(Out.find("ignoring malformed record"), std::string::npos);
 }
 
 } // namespace

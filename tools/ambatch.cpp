@@ -11,12 +11,10 @@
 //
 //   ambatch [--passes=p1,...] [--unguarded] [--limits=k=v,...]
 //           [--threads=N|max] [--gen=N[:seed]] [--gen-stmts=N]
-//           [--events=F.jsonl] [--aggregate=F.json] [--report=F.html]
-//           [--top=K] [--quiet] [FILE|DIR ...]
-//   ambatch --from=run.jsonl [--aggregate=F] [--report=F]
-//   ambatch --diff=A.jsonl,B.jsonl [--report=F.html]
+//           [--events=F.jsonl] [--aggregate=F.json] [--history=F.jsonl]
+//           [--quiet] [FILE|DIR ...]
 //
-// Three output layers:
+// Three outputs:
 //   --events=F     amevents-v1 JSONL, one record per job (program hash,
 //                  wall/phase timings, machine-independent counters,
 //                  rollback/limit/remark summaries), appended and flushed
@@ -27,11 +25,8 @@
 //                  Byte-identical for any --threads value and completion
 //                  order (jobs merge in index order at the barrier; no
 //                  wall times inside).
-//   --report=F     self-contained HTML dashboard: per-preset throughput,
-//                  phase-time histograms, top-K slowest and rolled-back
-//                  programs, the counter aggregates.
-//   --diff=A,B     compare two event logs per counter, ranked by relative
-//                  magnitude (text on stdout; HTML with --report).
+//   --history=F    append one amhist-v1 record (per-group walls, counter
+//                  sums, the aggregate's digest) for tools/amtrend.
 //
 // Concurrency model: jobs fan out on a private pool (--threads); the
 // per-job dataflow solves run inline on their worker (the process-global
@@ -48,7 +43,6 @@
 
 #include "gen/RandomProgram.h"
 #include "job/Job.h"
-#include "report/FleetReport.h"
 #include "support/Aggregate.h"
 #include "support/ArgParser.h"
 #include "support/EventLog.h"
@@ -162,14 +156,6 @@ bool writeAggregateFile(const std::string &Path, const fleet::Aggregate &Agg) {
   return Out.good();
 }
 
-bool writeTextFile(const std::string &Path, const std::string &Text) {
-  std::ofstream Out(Path, std::ios::binary);
-  if (!Out)
-    return false;
-  Out << Text;
-  return Out.good();
-}
-
 uint64_t medianU64(std::vector<uint64_t> V) {
   std::sort(V.begin(), V.end());
   size_t N = V.size();
@@ -182,7 +168,7 @@ uint64_t medianU64(std::vector<uint64_t> V) {
 /// sums, a digest of the serialized aggregate, and a freshly measured
 /// calibration spin (ambatch runs no bench harness, so it measures the
 /// machine here, ~0.1s).  \p SolverThreads is the run's job-level
-/// worker count (0 when unknown, e.g. --from a foreign log).
+/// worker count.
 hist::HistoryEntry makeHistoryEntry(const std::vector<fleet::JobEvent> &Events,
                                     const fleet::Aggregate &Agg,
                                     uint64_t SolverThreads) {
@@ -219,7 +205,6 @@ hist::HistoryEntry makeHistoryEntry(const std::vector<fleet::JobEvent> &Events,
   E.HasAggregate = true;
   E.AggJobs = Agg.jobs();
   E.AggHash = fleet::hex16(fleet::fnv1a64(AggJson.str()));
-  E.AggSkippedLines = Agg.skippedLines();
   for (const auto &[S, N] : Agg.statuses())
     E.AggStatuses.emplace_back(S, N);
   return E;
@@ -238,81 +223,20 @@ bool appendHistoryOrComplain(const std::string &Path,
   return true;
 }
 
-int runDiff(const std::string &DiffSpec, const std::string &ReportPath,
-            bool Quiet) {
-  size_t Comma = DiffSpec.find(',');
-  if (Comma == std::string::npos || Comma == 0 ||
-      Comma + 1 == DiffSpec.size()) {
-    std::fprintf(stderr, "ambatch: --diff needs two files: A.jsonl,B.jsonl\n");
-    return 1;
-  }
-  std::string PathA = DiffSpec.substr(0, Comma);
-  std::string PathB = DiffSpec.substr(Comma + 1);
-  fleet::EventLogFile A, B;
-  std::string Err;
-  if (!fleet::readEventLogFile(PathA, A, &Err) ||
-      !fleet::readEventLogFile(PathB, B, &Err)) {
-    std::fprintf(stderr, "ambatch: %s\n", Err.c_str());
-    return 1;
-  }
-  if (!Quiet)
-    for (const fleet::EventLogFile *L : {&A, &B})
-      for (const std::string &W : L->Warnings)
-        std::fprintf(stderr, "ambatch: warning: %s\n", W.c_str());
-
-  fleet::Aggregate AggA, AggB;
-  for (const fleet::JobEvent &E : A.Events)
-    AggA.addJob(E);
-  for (const fleet::JobEvent &E : B.Events)
-    AggB.addJob(E);
-  std::vector<fleet::DiffRow> Rows = fleet::diffAggregates(AggA, AggB);
-
-  std::printf("# corpus diff: A=%s (%zu jobs)  B=%s (%zu jobs)\n",
-              PathA.c_str(), A.Events.size(), PathB.c_str(), B.Events.size());
-  std::printf("%-28s %14s %14s %12s %9s\n", "counter", "mean A", "mean B",
-              "delta", "rel");
-  for (const fleet::DiffRow &R : Rows) {
-    if (R.Delta == 0.0)
-      continue;
-    char Rel[24];
-    if (std::abs(R.RelDelta) >= 1e9)
-      std::snprintf(Rel, sizeof(Rel), "%s", R.RelDelta > 0 ? "new" : "gone");
-    else
-      std::snprintf(Rel, sizeof(Rel), "%+.1f%%", R.RelDelta * 100.0);
-    std::printf("%-28s %14.2f %14.2f %+12.2f %9s\n", R.Counter.c_str(),
-                R.MeanA, R.MeanB, R.Delta, Rel);
-  }
-
-  if (!ReportPath.empty()) {
-    if (!writeTextFile(ReportPath,
-                       report::renderFleetDiff(A, B, PathA, PathB))) {
-      std::fprintf(stderr, "ambatch: cannot write report '%s'\n",
-                   ReportPath.c_str());
-      return 1;
-    }
-    if (!Quiet)
-      std::fprintf(stderr, "ambatch: diff report written to %s\n",
-                   ReportPath.c_str());
-  }
-  return 0;
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
   std::string Passes = "uniform";
   std::string LimitsSpec, ThreadSpec, GenSpec, EventsPath, AggregatePath;
-  std::string ReportPath, FromPath, DiffSpec, TopSpec, GenStmtsSpec;
-  std::string HistoryPath;
+  std::string GenStmtsSpec, HistoryPath;
   bool Unguarded = false, Quiet = false;
 
   support::ArgParser Parser(
       "ambatch",
       "Drives a corpus of programs (files, directories of *.am, seeded\n"
       "random programs) through guarded pipelines on a thread pool and\n"
-      "emits fleet telemetry: streaming events, deterministic aggregates,\n"
-      "an HTML dashboard, and corpus-to-corpus diffs.  --from re-renders an\n"
-      "event log without running jobs; --diff=A.jsonl,B.jsonl compares two.\n"
+      "emits fleet telemetry: streaming events, a deterministic aggregate,\n"
+      "and a run-history record.\n"
       "Exit codes: 0 all ok, 1 usage/io, 2 parse/job error, 3 rollbacks,\n"
       "4 limits.");
   // A usage error prints the help on stderr and exits 1.
@@ -338,19 +262,10 @@ int main(int argc, char **argv) {
   Parser.option("--aggregate", AggregatePath,
                 "write the deterministic amagg-v1 cross-job aggregate",
                 "F.json");
-  Parser.option("--report", ReportPath,
-                "write the self-contained HTML fleet dashboard", "F.html");
   Parser.option("--history", HistoryPath,
                 "append this run to an amhist-v1 run-history file "
                 "(for tools/amtrend)",
                 "F.jsonl");
-  Parser.option("--from", FromPath,
-                "load an existing event log instead of running jobs",
-                "run.jsonl");
-  Parser.option("--diff", DiffSpec,
-                "compare two event logs per counter, ranked by magnitude",
-                "A.jsonl,B.jsonl");
-  Parser.option("--top", TopSpec, "rows in the top-K dashboard tables", "K");
   Parser.flag("--quiet", Quiet,
               "suppress informational stderr (diagnostics and errors stay)");
   if (!Parser.parse(argc, argv)) {
@@ -361,61 +276,6 @@ int main(int argc, char **argv) {
     std::fputs(Parser.helpText().c_str(), stdout);
     return 0;
   }
-  unsigned TopK = 10;
-  if (!TopSpec.empty()) {
-    char *End = nullptr;
-    long V = std::strtol(TopSpec.c_str(), &End, 10);
-    if (!End || *End != '\0' || V <= 0) {
-      std::fprintf(stderr, "ambatch: bad --top '%s'\n", TopSpec.c_str());
-      return Usage();
-    }
-    TopK = static_cast<unsigned>(V);
-  }
-
-  if (!DiffSpec.empty())
-    return runDiff(DiffSpec, ReportPath, Quiet);
-
-  if (!FromPath.empty()) {
-    fleet::EventLogFile Log;
-    std::string Err;
-    if (!fleet::readEventLogFile(FromPath, Log, &Err)) {
-      std::fprintf(stderr, "ambatch: %s\n", Err.c_str());
-      return 1;
-    }
-    for (const std::string &W : Log.Warnings)
-      std::fprintf(stderr, "ambatch: warning: %s\n", W.c_str());
-    fleet::Aggregate Agg = aggregateInOrder(Log.Events);
-    // Data loss is a fact about this corpus: skipped event-log lines
-    // ride in the aggregate so checks and dashboards see them.
-    Agg.noteSkippedLines(Log.SkippedLines);
-    if (!AggregatePath.empty() && !writeAggregateFile(AggregatePath, Agg)) {
-      std::fprintf(stderr, "ambatch: cannot write aggregate '%s'\n",
-                   AggregatePath.c_str());
-      return 1;
-    }
-    if (!ReportPath.empty()) {
-      report::FleetReportOptions ROpts;
-      ROpts.Title = "ambatch · " + Log.Passes;
-      ROpts.TopK = TopK;
-      if (!writeTextFile(ReportPath,
-                         report::renderFleetDashboard(Log, Agg, ROpts))) {
-        std::fprintf(stderr, "ambatch: cannot write report '%s'\n",
-                     ReportPath.c_str());
-        return 1;
-      }
-    }
-    if (!HistoryPath.empty() &&
-        !appendHistoryOrComplain(HistoryPath,
-                                 makeHistoryEntry(Log.Events, Agg,
-                                                  /*SolverThreads=*/0),
-                                 Quiet))
-      return 1;
-    if (!Quiet)
-      std::fprintf(stderr, "ambatch: loaded %zu events from %s\n",
-                   Log.Events.size(), FromPath.c_str());
-    return 0;
-  }
-
   // Every job's request but its program.
   JobRequest Proto;
   Proto.Passes = Passes;
@@ -605,27 +465,6 @@ int main(int argc, char **argv) {
     std::fprintf(stderr, "ambatch: cannot write aggregate '%s'\n",
                  AggregatePath.c_str());
     return 1;
-  }
-  if (!ReportPath.empty()) {
-    fleet::EventLogFile Log;
-    Log.Schema = "amevents-v1";
-    Log.Passes = Proto.Passes;
-    Log.JobsDeclared = Events.size();
-    Log.Events = Events;
-    report::FleetReportOptions ROpts;
-    ROpts.Title = "ambatch · " + Proto.Passes;
-    ROpts.TopK = TopK;
-    ROpts.RunWallNs = RunWallNs;
-    ROpts.Threads = JobThreads;
-    if (!writeTextFile(ReportPath,
-                       report::renderFleetDashboard(Log, Agg, ROpts))) {
-      std::fprintf(stderr, "ambatch: cannot write report '%s'\n",
-                   ReportPath.c_str());
-      return 1;
-    }
-    if (!Quiet)
-      std::fprintf(stderr, "ambatch: dashboard written to %s\n",
-                   ReportPath.c_str());
   }
   if (!HistoryPath.empty() &&
       !appendHistoryOrComplain(HistoryPath,

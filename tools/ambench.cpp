@@ -371,8 +371,8 @@ std::vector<Preset> buildPresets() {
     // The ambatch workload as a bench preset: every example program
     // through the guarded uniform pipeline, one fresh telemetry session
     // per program per rep (exactly one ambatch job).  wall_ns / programs
-    // is the per-program cost behind the dashboard's throughput tile, so
-    // the CI trend gate covers batch throughput too.
+    // is the per-program batch cost, so the CI trend gate covers batch
+    // throughput too.
     Preset P;
     P.Name = "batch/examples-throughput";
     auto Corpus = std::make_shared<std::vector<FlowGraph>>();

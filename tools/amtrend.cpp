@@ -11,7 +11,7 @@
 // machine events; normalized wall cancels CPU speed), and a CI gate.
 //
 //   amtrend --history=F.jsonl [--gate] [--factor=X] [--kmad=X]
-//           [--min-seg=N] [--report=F.html] [--top=K] [--quiet]
+//           [--min-seg=N] [--top=K] [--quiet]
 //
 // Exit codes: 0 no gate failure; 1 at least one series regressed
 // (step up of ratio >= --factor) — only with --gate; 2 usage, I/O or
@@ -19,14 +19,12 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "report/TrendReport.h"
 #include "support/ArgParser.h"
 #include "support/History.h"
 #include "support/Trend.h"
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -38,7 +36,7 @@ int usage() {
   std::fprintf(
       stderr,
       "usage: amtrend --history=F.jsonl [--gate] [--factor=X] [--kmad=X]\n"
-      "               [--min-seg=N] [--report=F.html] [--top=K] [--quiet]\n"
+      "               [--min-seg=N] [--top=K] [--quiet]\n"
       "\n"
       "Analyzes an amhist-v1 run history: calibration-normalized wall\n"
       "series per preset, machine-independent counter series, robust\n"
@@ -67,15 +65,14 @@ std::string fmtVal(double V) {
 } // namespace
 
 int main(int argc, char **argv) {
-  std::string HistoryPath, FactorSpec, KMadSpec, MinSegSpec, ReportPath;
-  std::string TopSpec;
+  std::string HistoryPath, FactorSpec, KMadSpec, MinSegSpec, TopSpec;
   bool Gate = false, Quiet = false;
 
   support::ArgParser Parser(
       "amtrend",
       "Turns the amhist-v1 run history into per-preset / per-counter\n"
       "time series with robust changepoint detection, a ranked text\n"
-      "report, an optional HTML trend dashboard, and a CI gate.");
+      "report, and a CI gate.");
   Parser.option("--history", HistoryPath, "the amhist-v1 run history to read",
                 "F.jsonl");
   Parser.flag("--gate", Gate,
@@ -88,8 +85,6 @@ int main(int argc, char **argv) {
                 "detection threshold in noise units (default 4.0)", "X");
   Parser.option("--min-seg", MinSegSpec,
                 "minimum points per segment around a step (default 3)", "N");
-  Parser.option("--report", ReportPath,
-                "write the self-contained HTML trend dashboard", "F.html");
   Parser.option("--top", TopSpec,
                 "series lines in the text report (default 20)", "K");
   Parser.flag("--quiet", Quiet,
@@ -198,23 +193,6 @@ int main(int argc, char **argv) {
                  V->S.Name.c_str(), fmtVal(V->CP.Before).c_str(),
                  fmtVal(V->CP.After).c_str(), V->CP.Ratio, Opts.GateFactor,
                  V->CP.Index, At.c_str());
-  }
-
-  if (!ReportPath.empty()) {
-    report::TrendReportOptions ROpts;
-    ROpts.Title = "amtrend · run history";
-    ROpts.GateFactor = Opts.GateFactor;
-    std::ofstream Out(ReportPath, std::ios::binary);
-    if (Out)
-      Out << report::renderTrendDashboard(H, A, ROpts);
-    if (!Out.good()) {
-      std::fprintf(stderr, "amtrend: cannot write report '%s'\n",
-                   ReportPath.c_str());
-      return 2;
-    }
-    if (!Quiet)
-      std::fprintf(stderr, "amtrend: trend dashboard written to %s\n",
-                   ReportPath.c_str());
   }
 
   if (Gate && !Failures.empty())

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Schema gate for the fleet telemetry artifacts (tools/ambatch).
 
-Validates the three ambatch outputs:
+Validates the two ambatch outputs:
 
 ``--events F.jsonl``
     The streaming ``amevents-v1`` log: a header line announcing the
@@ -18,11 +18,7 @@ Validates the three ambatch outputs:
     jobs, p50 <= p95 <= p99).  The aggregate must not contain any
     wall-clock field — its determinism contract depends on that.
 
-``--report F.html``
-    The dashboard (or diff) document: self-contained HTML with inline
-    SVG charts and the table view, no external asset references.
-
-Any subset of the three may be given; each is validated independently.
+Either or both may be given; each is validated independently.
 ``--jobs N`` additionally pins the expected job count.
 
 Exit codes: 0 ok, 1 validation failure, 2 usage/environment.
@@ -160,46 +156,21 @@ def check_aggregate(path, expect_jobs):
     return 0
 
 
-def check_report(path):
-    with open(path, encoding="utf-8") as f:
-        doc = f.read()
-    is_diff = "<title>fleet diff</title>" in doc.lower()
-    checks = [
-        ("<!doctype html", "not an HTML document"),
-        ("<table", "no table view"),
-        ("prefers-color-scheme", "no dark-mode style block"),
-    ]
-    if not is_diff:  # the diff is ranked tables by design; no chart
-        checks.append(("<svg", "no inline SVG chart"))
-    for marker, why in checks:
-        if marker not in doc.lower():
-            return fail(f"{path}: {why}")
-    for external in ("src=\"http", "href=\"http", "url(http"):
-        if external in doc:
-            return fail(f"{path}: external asset reference — the report "
-                        "must be self-contained")
-    print(f"batch_check: {path}: OK, {len(doc)} bytes")
-    return 0
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--events")
     ap.add_argument("--aggregate")
-    ap.add_argument("--report")
     ap.add_argument("--jobs", type=int, default=None,
                     help="expected job count for --events/--aggregate")
     args = ap.parse_args()
-    if not (args.events or args.aggregate or args.report):
-        ap.error("nothing to check: give --events, --aggregate or --report")
+    if not (args.events or args.aggregate):
+        ap.error("nothing to check: give --events or --aggregate")
     rc = 0
     try:
         if args.events:
             rc |= check_events(args.events, args.jobs)
         if args.aggregate:
             rc |= check_aggregate(args.aggregate, args.jobs)
-        if args.report:
-            rc |= check_report(args.report)
     except (OSError, json.JSONDecodeError) as e:
         print(f"batch_check: ERROR: {e}", file=sys.stderr)
         return 2
