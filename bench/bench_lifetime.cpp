@@ -14,7 +14,6 @@
 #include "BenchUtil.h"
 #include "analysis/Lifetime.h"
 #include "gen/RandomProgram.h"
-#include "transform/BusyCodeMotion.h"
 #include "transform/LazyCodeMotion.h"
 #include "transform/UniformEmAm.h"
 

@@ -5,6 +5,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/LcmAnalyses.h"
+#include "support/Telemetry.h"
+
+#include <algorithm>
 
 using namespace am;
 
@@ -62,97 +65,105 @@ LcmAnalysis LcmAnalysis::run(const FlowGraph &G,
          "LCM requires critical edges to be split first");
   LcmAnalysis A;
   A.G = &G;
-  A.Exprs = &Exprs;
-  A.AntProblem = std::make_unique<AnticipabilityProblem>(Exprs);
-  A.AvProblem = std::make_unique<AvailabilityProblem>(Exprs);
-  A.Ant = solve(G, *A.AntProblem);
-  A.Av = solve(G, *A.AvProblem);
+  A.Bits = Exprs.size();
+  A.Words = (A.Bits + 63) / 64;
+  size_t N = G.numBlocks(), W = A.Words;
+  {
+    AM_SPAN(Span, "lcm.solve");
+    A.AntProblem = std::make_unique<AnticipabilityProblem>(Exprs);
+    A.AvProblem = std::make_unique<AvailabilityProblem>(Exprs);
+    A.AntSolver = std::make_unique<DataflowSolver>();
+    A.AvSolver = std::make_unique<DataflowSolver>();
+    A.Ant = A.AntSolver->solve(G, *A.AntProblem);
+    A.Av = A.AvSolver->solve(G, *A.AvProblem);
 
-  // Local predicates: ANTLOC and ¬TRANSP are the gen and kill sides of
-  // the block's composed anticipability transfer.
-  A.Antloc.resize(G.numBlocks());
-  A.Transp.resize(G.numBlocks());
-  LocalEffect E;
-  for (BlockId B = 0; B < G.numBlocks(); ++B) {
-    composeBlock(*A.AntProblem, G, B, E, A.Antloc[B], A.Transp[B]);
-    A.Transp[B].flipAll();
-  }
-
-  // LATER / LATERIN (greatest fixpoint over edges, with a virtual entry
-  // edge into s whose EARLIEST is simply ANTIN(s): the program entry has
-  // no further "up").  With that edge, LATERIN(s) = ANTIN(s), so
-  // up-exposed originals in s are never deleted and placement is lazily
-  // delayed to first uses — no insertions at the entry of s are needed.
-  size_t Bits = Exprs.size();
-  A.LaterVirtual = A.antIn(G.start());
-  A.LaterIn.assign(G.numBlocks(), BitVector(Bits, true));
-  A.Later.resize(G.numBlocks());
-  for (BlockId B = 0; B < G.numBlocks(); ++B)
-    A.Later[B].assign(G.block(B).Succs.size(), BitVector(Bits, true));
-
-  // In-edge lists: block -> (pred, pred succ index).
-  std::vector<std::vector<std::pair<BlockId, size_t>>> InEdges(G.numBlocks());
-  for (BlockId B = 0; B < G.numBlocks(); ++B)
-    for (size_t SuccIdx = 0; SuccIdx < G.block(B).Succs.size(); ++SuccIdx)
-      InEdges[G.block(B).Succs[SuccIdx]].emplace_back(B, SuccIdx);
-
-  std::vector<BlockId> Order = G.reversePostorder();
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    for (BlockId B : Order) {
-      // LATERIN(B) = meet over incoming LATER edges.
-      BitVector NewIn(Bits, true);
-      if (B == G.start()) {
-        NewIn = A.LaterVirtual;
-      } else if (InEdges[B].empty()) {
-        NewIn = BitVector(Bits); // unreachable join: be conservative
-      } else {
-        NewIn = A.Later[InEdges[B][0].first][InEdges[B][0].second];
-        for (size_t EdgeIdx = 1; EdgeIdx < InEdges[B].size(); ++EdgeIdx)
-          NewIn &= A.Later[InEdges[B][EdgeIdx].first][InEdges[B][EdgeIdx].second];
-      }
-      if (NewIn != A.LaterIn[B]) {
-        A.LaterIn[B] = NewIn;
-        Changed = true;
-      }
-      // LATER(B, succ) = EARLIEST(B, succ) | (LATERIN(B) & ¬ANTLOC(B)).
-      BitVector Delayable = A.LaterIn[B];
-      Delayable.andNot(A.Antloc[B]);
-      for (size_t SuccIdx = 0; SuccIdx < G.block(B).Succs.size(); ++SuccIdx) {
-        BitVector NewLater = A.earliest(B, SuccIdx);
-        NewLater |= Delayable;
-        if (NewLater != A.Later[B][SuccIdx]) {
-          A.Later[B][SuccIdx] = NewLater;
-          Changed = true;
-        }
+    // EARLIEST(m,n) = ANTIN(n) · ¬AVOUT(m) · (¬TRANSP(m) + ¬ANTOUT(m)),
+    // once per edge.
+    A.EdgeBase.assign(N + 1, 0);
+    for (BlockId B = 0; B < N; ++B) {
+      const auto &Succs = G.block(B).Succs;
+      A.EdgeBase[B + 1] = A.EdgeBase[B] + Succs.size();
+      A.Earliest.resize(A.EdgeBase[B + 1] * W);
+      WordRow AntOut = A.Ant.exitRow(B), AvOut = A.Av.exitRow(B);
+      WordRow NotTransp = A.local(B, false);
+      for (size_t SuccIdx = 0; SuccIdx < Succs.size(); ++SuccIdx) {
+        WordRow AntIn = A.Ant.entryRow(Succs[SuccIdx]);
+        uint64_t *E = A.Earliest.data() + (A.EdgeBase[B] + SuccIdx) * W;
+        for (size_t Wd = 0; Wd < W; ++Wd)
+          E[Wd] = AntIn.word(Wd) & ~AvOut.word(Wd) &
+                  (NotTransp.word(Wd) | ~AntOut.word(Wd));
       }
     }
+  }
+
+  // LATERIN (greatest fixpoint over edges, with a virtual entry edge into
+  // s whose EARLIEST is simply ANTIN(s): the program entry has no further
+  // "up").  With that edge, LATERIN(s) = ANTIN(s), so up-exposed
+  // originals in s are never deleted and placement is lazily delayed to
+  // first uses — no insertions at the entry of s are needed.  LATERIN(n)
+  // is the meet of LATER(m,n) over the in-edges, and LATER is folded into
+  // it rather than stored.  The greatest fixpoint is unique, so a
+  // worklist from all-true reaches the solution round-robin sweeps do.
+  AM_SPAN(Span, "lcm.later");
+  BitVector Top(A.Bits, true);
+  A.LaterIn.resize(N * W);
+  for (BlockId B = 0; B < N; ++B)
+    std::copy(Top.data(), Top.data() + W, A.LaterIn.data() + B * W);
+  std::vector<BlockId> Order = G.reversePostorder();
+  std::vector<size_t> Pos(N);
+  WorklistRing Work;
+  Work.reset(N);
+  for (size_t P = 0; P < N; ++P) {
+    Pos[Order[P]] = P;
+    Work.push(P);
+  }
+  WordRow StartIn = A.Ant.entryRow(G.start());
+  std::vector<uint64_t> New(W);
+  for (size_t P = Work.pop(); P != WorklistRing::npos; P = Work.pop()) {
+    BlockId B = Order[P];
+    const auto &Preds = G.block(B).Preds;
+    // A block other than s without in-edges is an unreachable join: be
+    // conservative.
+    for (size_t Wd = 0; Wd < W; ++Wd)
+      New[Wd] = B == G.start() ? StartIn.word(Wd) : Preds.empty() ? 0 : ~0ull;
+    for (BlockId M : Preds) {
+      WordRow Antloc = A.local(M, true);
+      const uint64_t *In = A.LaterIn.data() + M * W;
+      const auto &Succs = G.block(M).Succs;
+      for (size_t SuccIdx = 0; SuccIdx < Succs.size(); ++SuccIdx) {
+        if (Succs[SuccIdx] != B)
+          continue;
+        WordRow Earliest = A.earliestRow(M, SuccIdx);
+        for (size_t Wd = 0; Wd < W; ++Wd)
+          New[Wd] &= Earliest.word(Wd) | (In[Wd] & ~Antloc.word(Wd));
+      }
+    }
+    uint64_t *In = A.LaterIn.data() + B * W;
+    if (std::equal(New.begin(), New.end(), In))
+      continue;
+    std::copy(New.begin(), New.end(), In);
+    for (BlockId S : G.block(B).Succs)
+      Work.push(Pos[S]);
   }
   return A;
 }
 
-BitVector LcmAnalysis::earliest(BlockId B, size_t SuccIdx) const {
-  BlockId N = G->block(B).Succs[SuccIdx];
-  // EARLIEST(m,n) = ANTIN(n) · ¬AVOUT(m) · (¬TRANSP(m) + ¬ANTOUT(m)).
-  BitVector E = antIn(N);
-  E.andNot(avOut(B));
-  BitVector ThirdFactor = ~transp(B);
-  ThirdFactor |= ~antOut(B);
-  E &= ThirdFactor;
-  return E;
+BitVector LcmAnalysis::transp(BlockId B) const {
+  BitVector T = local(B, false).toBitVector();
+  T.flipAll();
+  return T;
 }
 
 BitVector LcmAnalysis::insertOnEdge(BlockId B, size_t SuccIdx) const {
-  // INSERT(m,n) = LATER(m,n) · ¬LATERIN(n).
-  BitVector Ins = Later[B][SuccIdx];
-  Ins.andNot(LaterIn[G->block(B).Succs[SuccIdx]]);
+  BitVector Ins(Bits);
+  forEachInsert(B, SuccIdx, [&](size_t E) { Ins.set(E); });
   return Ins;
 }
 
-BitVector LcmAnalysis::deleteIn(BlockId B) const {
+void LcmAnalysis::deleteIn(BlockId B, BitVector &Out) const {
   // DELETE(b) = ANTLOC(b) · ¬LATERIN(b).
-  BitVector Del = Antloc[B];
-  Del.andNot(LaterIn[B]);
-  return Del;
+  WordRow Antloc = local(B, true);
+  Out.clearAndResize(Bits);
+  for (size_t W = 0; W < Words; ++W)
+    Out.data()[W] = Antloc.word(W) & ~LaterIn[B * Words + W];
 }

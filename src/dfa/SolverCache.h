@@ -125,6 +125,12 @@ public:
     copyTo(Out);
     return Out;
   }
+  /// Calls \p F(index) for every set bit in ascending order.
+  template <typename Fn> void forEachSetBit(Fn F) const {
+    for (size_t W = 0; W * 64 < Bits; ++W)
+      for (uint64_t V = word(W); V != 0; V &= V - 1)
+        F(W * 64 + static_cast<size_t>(__builtin_ctzll(V)));
+  }
 
 private:
   const uint64_t *Base = nullptr;

@@ -198,56 +198,69 @@ unsigned FlowGraph::splitCriticalEdges() {
   return NumSplit;
 }
 
-FlowGraph am::simplified(const FlowGraph &G) {
-  FlowGraph Work = G;
+void am::simplify(FlowGraph &G) {
+  size_t N = G.numBlocks();
 
   // `x := x` is identified with skip (Section 2); drop all skips.
-  for (BlockId B = 0; B < Work.numBlocks(); ++B) {
-    auto &Instrs = Work.block(B).Instrs;
-    std::erase_if(Instrs, [](const Instr &I) {
-      return I.isSkip() || (I.isAssign() && I.Rhs.isVarAtom(I.Lhs));
-    });
+  for (BlockId B = 0; B < N; ++B)
+    if (std::erase_if(G.Blocks[B].Instrs, [](const Instr &I) {
+          return I.isSkip() || (I.isAssign() && I.Rhs.isVarAtom(I.Lhs));
+        }))
+      G.touchBlock(B);
+
+  // Splice out empty synthetic pass-through blocks: Target maps every
+  // block to the kept block its in-edges resolve to, and each chain is
+  // walked twice.  A cycle of such blocks (which cannot reach e, so no
+  // valid graph has one) keeps the block where a walk longer than the
+  // graph stops.
+  std::vector<BlockId> Target(N, InvalidBlock);
+  for (BlockId B = 0; B < N; ++B) {
+    const BasicBlock &BB = G.Blocks[B];
+    if (!BB.Synthetic || !BB.Instrs.empty() || BB.Succs.size() != 1 ||
+        B == G.Start || B == G.End || BB.Succs[0] == B)
+      Target[B] = B;
+  }
+  for (BlockId B = 0; B < N; ++B) {
+    BlockId X = B;
+    for (size_t Steps = 0; Target[X] == InvalidBlock && Steps < N; ++Steps)
+      X = G.Blocks[X].Succs[0];
+    if (Target[X] == InvalidBlock)
+      Target[X] = X;
+    for (BlockId C = B; Target[C] == InvalidBlock; C = G.Blocks[C].Succs[0])
+      Target[C] = Target[X];
   }
 
-  // Decide which empty synthetic pass-through blocks to splice out.
-  std::vector<bool> Dropped(Work.numBlocks(), false);
-  for (BlockId B = 0; B < Work.numBlocks(); ++B) {
-    const BasicBlock &BB = Work.block(B);
-    Dropped[B] = BB.Synthetic && BB.Instrs.empty() && BB.Succs.size() == 1 &&
-                 B != Work.start() && B != Work.end() && BB.Succs[0] != B;
-  }
-
-  // Resolve a block through chains of dropped blocks; guard against cycles
-  // of dropped blocks by keeping the block where the walk would revisit.
-  auto Resolve = [&](BlockId B) {
-    std::vector<bool> Seen(Work.numBlocks(), false);
-    while (Dropped[B] && !Seen[B]) {
-      Seen[B] = true;
-      B = Work.block(B).Succs[0];
-    }
-    return B;
-  };
-
-  // Rebuild with compacted ids.
-  FlowGraph Out;
-  Out.Vars = Work.Vars;
-  Out.Exprs = Work.Exprs;
-  std::vector<BlockId> NewId(Work.numBlocks(), InvalidBlock);
-  for (BlockId B = 0; B < Work.numBlocks(); ++B)
-    if (!Dropped[B])
-      NewId[B] = Out.addBlock();
-  for (BlockId B = 0; B < Work.numBlocks(); ++B) {
-    if (Dropped[B])
+  // Compact the kept blocks in order, moving their contents, and re-add
+  // every edge's predecessor entry in block order.
+  std::vector<BlockId> NewId(N, InvalidBlock);
+  BlockId Kept = 0;
+  for (BlockId B = 0; B < N; ++B)
+    if (Target[B] == B)
+      NewId[B] = Kept++;
+  for (BlockId B = 0; B < N; ++B) {
+    if (Target[B] != B)
       continue;
-    BasicBlock &NewBB = Out.block(NewId[B]);
-    NewBB.Instrs = Work.block(B).Instrs;
-    NewBB.Synthetic = Work.block(B).Synthetic;
-    Out.touchBlock(NewId[B]);
-    for (BlockId S : Work.block(B).Succs)
-      Out.addEdge(NewId[B], NewId[Resolve(S)]);
+    BasicBlock &BB = G.Blocks[B];
+    for (BlockId &S : BB.Succs)
+      S = NewId[Target[S]];
+    BB.Preds.clear();
+    G.BlockTicks[NewId[B]] = G.BlockTicks[B];
+    if (NewId[B] != B)
+      G.Blocks[NewId[B]] = std::move(BB);
   }
-  Out.setStart(NewId[Work.start()]);
-  Out.setEnd(NewId[Work.end()]);
+  G.Blocks.resize(Kept);
+  G.BlockTicks.resize(Kept);
+  for (BlockId B = 0; B < Kept; ++B)
+    for (BlockId S : G.Blocks[B].Succs)
+      G.Blocks[S].Preds.push_back(B);
+  G.Start = NewId[G.Start];
+  G.End = NewId[G.End];
+  G.StructTick = ++G.ModTick;
+}
+
+FlowGraph am::simplified(const FlowGraph &G) {
+  FlowGraph Out = G;
+  simplify(Out);
   return Out;
 }
 

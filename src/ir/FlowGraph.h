@@ -160,6 +160,8 @@ public:
   bool instrsChangedSince(Tick T) const { return ModTick > T; }
 
 private:
+  friend void simplify(FlowGraph &G);
+
   std::vector<BasicBlock> Blocks;
   BlockId Start = InvalidBlock;
   BlockId End = InvalidBlock;
@@ -168,10 +170,14 @@ private:
   std::vector<Tick> BlockTicks;
 };
 
-/// Normalizes a graph for comparison and final output: rewrites `x := x`
-/// to skip, deletes skip instructions, splices out empty synthetic
-/// pass-through blocks, and compacts block ids (preserving relative
-/// order).  Returns the normalized copy.
+/// Normalizes a graph in place for comparison and final output: deletes
+/// skip instructions and `x := x` (identified with skip, Section 2),
+/// splices out empty synthetic pass-through blocks, and compacts block ids
+/// (preserving relative order).  Predecessor lists come out in the order
+/// re-adding every kept edge in block order would give.
+void simplify(FlowGraph &G);
+
+/// The normalized copy of \p G (see simplify()).
 FlowGraph simplified(const FlowGraph &G);
 
 /// Structural equality that treats compiler temporaries up to a bijective

@@ -16,6 +16,13 @@
 /// Computationally optimal placement; no isolation analysis (the flush
 /// phase of the uniform algorithm is the paper's replacement for it).
 ///
+/// Busy code motion, the *earliest*-placement variant, shares the
+/// analyses and the rewrite.  It is computationally equivalent to LCM
+/// (same number of expression evaluations on every path) but moves
+/// initializations as early as safely possible, which maximizes temporary
+/// lifetimes: the lifetime metrics of analysis/Lifetime.h quantify what
+/// laziness buys.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef AM_TRANSFORM_LAZYCODEMOTION_H
@@ -31,9 +38,17 @@ struct LcmStats {
   unsigned RewrittenComputations = 0;
 };
 
-/// Runs lazy code motion on a copy of \p G (critical edges are split
-/// internally) and returns the transformed program.
+/// Runs lazy code motion on \p G in place (critical edges are split
+/// internally; the result is simplified).
+void lazyCodeMotion(FlowGraph &G, LcmStats *Stats = nullptr);
+
+/// Runs lazy code motion on a copy of \p G and returns the transformed
+/// program.
 FlowGraph runLazyCodeMotion(const FlowGraph &G, LcmStats *Stats = nullptr);
+
+/// Runs busy code motion on a copy of \p G (critical edges are split
+/// internally) and returns the transformed program.
+FlowGraph runBusyCodeMotion(const FlowGraph &G);
 
 } // namespace am
 

@@ -7,7 +7,7 @@
 /// \file
 /// In-place normalizations used between phases: `x := x` is identified
 /// with `skip` (Section 2), and skips carry no information, so both are
-/// removed.  Unlike simplified(), this never changes the block structure,
+/// removed.  Unlike simplify(), this never changes the block structure,
 /// so analyses and block ids stay aligned.
 ///
 //===----------------------------------------------------------------------===//

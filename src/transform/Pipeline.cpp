@@ -13,7 +13,6 @@
 #include "support/Telemetry.h"
 #include "transform/AssignmentHoisting.h"
 #include "transform/AssignmentMotion.h"
-#include "transform/BusyCodeMotion.h"
 #include "transform/CopyPropagation.h"
 #include "transform/FinalFlush.h"
 #include "transform/Initialization.h"
@@ -169,7 +168,7 @@ void runOnePass(const std::string &Name, PipelineResult &R,
   } else if (Name == "flush") {
     Line << (runFinalFlush(R.Graph) ? "changed" : "no change");
   } else if (Name == "lcm") {
-    R.Graph = runLazyCodeMotion(R.Graph);
+    lazyCodeMotion(R.Graph);
     Line << "done";
   } else if (Name == "bcm") {
     R.Graph = runBusyCodeMotion(R.Graph);
@@ -189,7 +188,7 @@ void runOnePass(const std::string &Name, PipelineResult &R,
   } else if (Name == "split") {
     Line << R.Graph.splitCriticalEdges() << " edges split";
   } else { // simplify
-    R.Graph = simplified(R.Graph);
+    simplify(R.Graph);
     Line << "done";
   }
   R.Records.push_back(Scope.finish(R.Graph, Line.str()));

@@ -69,5 +69,6 @@ FlowGraph am::runRestrictedAssignmentMotion(const FlowGraph &G,
       break; // re-analyze from scratch
     }
   }
-  return simplified(Work);
+  simplify(Work);
+  return Work;
 }

@@ -32,22 +32,22 @@ FlowGraph am::runUniformEmAm(const FlowGraph &G, const UniformOptions &Options,
   // The motion passes are only admissible on graphs without critical
   // edges (Section 2.1); if splitting was suppressed and the graph has
   // some, return the (normalized) input unchanged.
-  if (Work.hasCriticalEdges())
-    return Options.SimplifyResult ? simplified(Work) : Work;
+  if (!Work.hasCriticalEdges()) {
+    if (Options.RunInitialization)
+      S.Decompositions = runInitializationPhase(Work);
+    if (Rec)
+      Rec->snapshot(Work, "init");
 
-  if (Options.RunInitialization)
-    S.Decompositions = runInitializationPhase(Work);
-  if (Rec)
-    Rec->snapshot(Work, "init");
+    S.AmPhase = runAssignmentMotionPhase(Work, Options.MaxAmIterations);
 
-  S.AmPhase = runAssignmentMotionPhase(Work, Options.MaxAmIterations);
-
-  if (Options.RunFinalFlush)
-    S.FlushChanged = runFinalFlush(Work);
-  if (Rec)
-    Rec->snapshot(Work, "flush");
-
-  return Options.SimplifyResult ? simplified(Work) : Work;
+    if (Options.RunFinalFlush)
+      S.FlushChanged = runFinalFlush(Work);
+    if (Rec)
+      Rec->snapshot(Work, "flush");
+  }
+  if (Options.SimplifyResult)
+    simplify(Work);
+  return Work;
 }
 
 FlowGraph am::runAssignmentMotionOnly(const FlowGraph &G,

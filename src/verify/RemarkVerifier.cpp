@@ -371,7 +371,8 @@ RemarkVerifyReport am::verifyUniformRemarks(const FlowGraph &Input) {
   removeSkips(Work);
   Work.splitCriticalEdges();
   if (Work.hasCriticalEdges()) {
-    Report.Output = simplified(Work);
+    simplify(Work);
+    Report.Output = std::move(Work);
     return Report;
   }
 
@@ -405,6 +406,7 @@ RemarkVerifyReport am::verifyUniformRemarks(const FlowGraph &Input) {
 
   RunStage("flush", [&] { runFinalFlush(Work); });
 
-  Report.Output = simplified(Work);
+  simplify(Work);
+  Report.Output = std::move(Work);
   return Report;
 }

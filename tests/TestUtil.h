@@ -316,6 +316,130 @@ inline void expectMatchesDense(const FlowGraph &G, const DataflowResult &R,
   }
 }
 
+//===----------------------------------------------------------------------===//
+// Reference implementations the production code is checked against
+//===----------------------------------------------------------------------===//
+
+/// LCM's delay facts, per block and per successor edge.
+struct DenseLater {
+  std::vector<std::vector<BitVector>> Later; // per block, per succ edge
+  std::vector<BitVector> LaterIn;
+};
+
+/// LATER / LATERIN by round-robin sweeps in reverse postorder from
+/// all-true, given ANTIN(s), ANTLOC per block and EARLIEST per edge
+/// (EarliestOf(B, SuccIdx)).  The virtual entry edge into s has
+/// EARLIEST = ANTIN(s).
+inline DenseLater
+denseLater(const FlowGraph &G, size_t Bits, const BitVector &AntInStart,
+           const std::vector<BitVector> &Antloc,
+           const std::function<BitVector(BlockId, size_t)> &EarliestOf) {
+  DenseLater A;
+  BitVector LaterVirtual = AntInStart;
+  A.LaterIn.assign(G.numBlocks(), BitVector(Bits, true));
+  A.Later.resize(G.numBlocks());
+  for (BlockId B = 0; B < G.numBlocks(); ++B)
+    A.Later[B].assign(G.block(B).Succs.size(), BitVector(Bits, true));
+
+  // In-edge lists: block -> (pred, pred succ index).
+  std::vector<std::vector<std::pair<BlockId, size_t>>> InEdges(G.numBlocks());
+  for (BlockId B = 0; B < G.numBlocks(); ++B)
+    for (size_t SuccIdx = 0; SuccIdx < G.block(B).Succs.size(); ++SuccIdx)
+      InEdges[G.block(B).Succs[SuccIdx]].emplace_back(B, SuccIdx);
+
+  std::vector<BlockId> Order = G.reversePostorder();
+  bool Changed = true;
+  while (Changed) {
+    Changed = false;
+    for (BlockId B : Order) {
+      // LATERIN(B) = meet over incoming LATER edges.
+      BitVector NewIn(Bits, true);
+      if (B == G.start()) {
+        NewIn = LaterVirtual;
+      } else if (InEdges[B].empty()) {
+        NewIn = BitVector(Bits); // unreachable join: be conservative
+      } else {
+        NewIn = A.Later[InEdges[B][0].first][InEdges[B][0].second];
+        for (size_t EdgeIdx = 1; EdgeIdx < InEdges[B].size(); ++EdgeIdx)
+          NewIn &= A.Later[InEdges[B][EdgeIdx].first][InEdges[B][EdgeIdx].second];
+      }
+      if (NewIn != A.LaterIn[B]) {
+        A.LaterIn[B] = NewIn;
+        Changed = true;
+      }
+      // LATER(B, succ) = EARLIEST(B, succ) | (LATERIN(B) & ¬ANTLOC(B)).
+      BitVector Delayable = A.LaterIn[B];
+      Delayable.andNot(Antloc[B]);
+      for (size_t SuccIdx = 0; SuccIdx < G.block(B).Succs.size(); ++SuccIdx) {
+        BitVector NewLater = EarliestOf(B, SuccIdx);
+        NewLater |= Delayable;
+        if (NewLater != A.Later[B][SuccIdx]) {
+          A.Later[B][SuccIdx] = NewLater;
+          Changed = true;
+        }
+      }
+    }
+  }
+  return A;
+}
+
+/// simplified() as a rebuild: skips dropped, then every kept block
+/// re-added to a fresh graph in order and every kept edge re-added with
+/// addEdge, resolving chains of empty synthetic pass-through blocks by
+/// walking them.
+inline FlowGraph rebuildSimplified(const FlowGraph &G) {
+  FlowGraph Work = G;
+
+  // `x := x` is identified with skip (Section 2); drop all skips.
+  for (BlockId B = 0; B < Work.numBlocks(); ++B) {
+    auto &Instrs = Work.block(B).Instrs;
+    std::erase_if(Instrs, [](const Instr &I) {
+      return I.isSkip() || (I.isAssign() && I.Rhs.isVarAtom(I.Lhs));
+    });
+  }
+
+  // Decide which empty synthetic pass-through blocks to splice out.
+  std::vector<bool> Dropped(Work.numBlocks(), false);
+  for (BlockId B = 0; B < Work.numBlocks(); ++B) {
+    const BasicBlock &BB = Work.block(B);
+    Dropped[B] = BB.Synthetic && BB.Instrs.empty() && BB.Succs.size() == 1 &&
+                 B != Work.start() && B != Work.end() && BB.Succs[0] != B;
+  }
+
+  // Resolve a block through chains of dropped blocks; guard against cycles
+  // of dropped blocks by keeping the block where the walk would revisit.
+  auto Resolve = [&](BlockId B) {
+    std::vector<bool> Seen(Work.numBlocks(), false);
+    while (Dropped[B] && !Seen[B]) {
+      Seen[B] = true;
+      B = Work.block(B).Succs[0];
+    }
+    return B;
+  };
+
+  // Rebuild with compacted ids.
+  FlowGraph Out;
+  Out.Vars = Work.Vars;
+  Out.Exprs = Work.Exprs;
+  std::vector<BlockId> NewId(Work.numBlocks(), InvalidBlock);
+  for (BlockId B = 0; B < Work.numBlocks(); ++B)
+    if (!Dropped[B])
+      NewId[B] = Out.addBlock();
+  for (BlockId B = 0; B < Work.numBlocks(); ++B) {
+    if (Dropped[B])
+      continue;
+    BasicBlock &NewBB = Out.block(NewId[B]);
+    NewBB.Instrs = Work.block(B).Instrs;
+    NewBB.Synthetic = Work.block(B).Synthetic;
+    Out.touchBlock(NewId[B]);
+    for (BlockId S : Work.block(B).Succs)
+      Out.addEdge(NewId[B], NewId[Resolve(S)]);
+  }
+  Out.setStart(NewId[Work.start()]);
+  Out.setEnd(NewId[Work.end()]);
+  return Out;
+}
+
 } // namespace am::test
 
 #endif // AM_TESTS_TESTUTIL_H

@@ -70,3 +70,17 @@ TEST(CounterLock, Baselines2kSeed61) {
   EXPECT_EQ(R.Log, Want);
   EXPECT_EQ(fleet::fnv1a64(printGraph(R.Graph)), 0xc68c827ebcae24d9ull);
 }
+
+/// The same program through busy code motion.  BCM shares LCM's insert
+/// and rewrite step; its output bytes are locked to the value of the
+/// standalone BCM rewrite and the round-robin HAVAIL fixpoint.
+TEST(CounterLock, BcmBaselines2kSeed61) {
+  GenOptions Opts;
+  Opts.TargetStmts = 2000;
+  Opts.NumVars = 12;
+  Opts.PatternPoolSize = 40;
+  FlowGraph G = generateStructuredProgram(61, Opts);
+  PipelineResult R = runPipeline(G, "bcm");
+  ASSERT_TRUE(R.ok()) << R.Error;
+  EXPECT_EQ(fleet::fnv1a64(printGraph(R.Graph)), 0xdf1da56096bab6f8ull);
+}

@@ -14,7 +14,6 @@
 #include "TestUtil.h"
 #include "figures/PaperFigures.h"
 #include "interp/Equivalence.h"
-#include "transform/BusyCodeMotion.h"
 #include "transform/LazyCodeMotion.h"
 #include "transform/RestrictedAssignmentMotion.h"
 #include "transform/UniformEmAm.h"

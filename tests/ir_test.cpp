@@ -7,6 +7,11 @@
 #include "TestUtil.h"
 #include "figures/PaperFigures.h"
 #include "ir/Patterns.h"
+#include "transform/UniformEmAm.h"
+
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 
 #include <gtest/gtest.h>
 
@@ -21,6 +26,36 @@ Instr assignAdd(FlowGraph &G, const char *Lhs, const char *A, const char *B) {
                        Term::binary(OpCode::Add,
                                     Operand::var(G.Vars.getOrCreate(A)),
                                     Operand::var(G.Vars.getOrCreate(B))));
+}
+
+/// simplify() against the rebuild it replaces: the same printed program,
+/// and the same successor and predecessor order in every block.
+void expectSimplifyMatchesRebuild(const FlowGraph &G, const std::string &Ctx) {
+  FlowGraph Want = rebuildSimplified(G);
+  FlowGraph Got = G;
+  simplify(Got);
+  ASSERT_EQ(printGraph(Got), printGraph(Want)) << Ctx;
+  ASSERT_EQ(Got.numBlocks(), Want.numBlocks()) << Ctx;
+  ASSERT_EQ(Got.start(), Want.start()) << Ctx;
+  ASSERT_EQ(Got.end(), Want.end()) << Ctx;
+  for (BlockId B = 0; B < Got.numBlocks(); ++B) {
+    ASSERT_EQ(Got.block(B).Succs, Want.block(B).Succs) << Ctx << " b" << B;
+    ASSERT_EQ(Got.block(B).Preds, Want.block(B).Preds) << Ctx << " b" << B;
+    ASSERT_EQ(Got.block(B).Synthetic, Want.block(B).Synthetic)
+        << Ctx << " b" << B;
+  }
+}
+
+/// The graphs simplify() is run on: a split input, whose synthetic blocks
+/// are all still empty, and the unsimplified uniform result, where some
+/// received instructions.
+void checkSimplify(const FlowGraph &Input, const std::string &Ctx) {
+  FlowGraph Split = Input;
+  Split.splitCriticalEdges();
+  expectSimplifyMatchesRebuild(Split, Ctx + " split");
+  UniformOptions Raw;
+  Raw.SimplifyResult = false;
+  expectSimplifyMatchesRebuild(runUniformEmAm(Input, Raw), Ctx + " uniform");
 }
 
 } // namespace
@@ -244,6 +279,45 @@ b2:
   G.block(3).Instrs.push_back(assignAdd(G, "y", "a", "b"));
   FlowGraph S = simplified(G);
   EXPECT_EQ(S.numBlocks(), 4u);
+}
+
+TEST(Simplify, InPlaceMatchesRebuild) {
+  for (uint64_t Seed = 0; Seed < 25 && !HasFatalFailure(); ++Seed)
+    checkSimplify(generateStructuredProgram(Seed),
+                  "structured seed " + std::to_string(Seed));
+  for (uint64_t Seed = 0; Seed < 25 && !HasFatalFailure(); ++Seed)
+    checkSimplify(generateIrreducibleCfg(Seed),
+                  "irreducible seed " + std::to_string(Seed));
+  unsigned Seen = 0;
+  for (const auto &Entry :
+       std::filesystem::directory_iterator(AM_EXAMPLES_DIR)) {
+    if (Entry.path().extension() != ".am" || HasFatalFailure())
+      continue;
+    std::ifstream In(Entry.path());
+    std::stringstream Src;
+    Src << In.rdbuf();
+    checkSimplify(parse(Src.str()), Entry.path().filename().string());
+    ++Seen;
+  }
+  EXPECT_GE(Seen, 5u);
+
+  // A chain of two empty synthetic blocks resolves to the block after it.
+  FlowGraph Chain;
+  for (int I = 0; I < 5; ++I)
+    Chain.addBlock();
+  Chain.setStart(0);
+  Chain.setEnd(4);
+  Chain.block(1).Synthetic = Chain.block(2).Synthetic = true;
+  Chain.block(0).Instrs.push_back(Instr::skip());
+  Chain.addEdge(0, 1);
+  Chain.addEdge(1, 2);
+  Chain.addEdge(2, 3);
+  Chain.addEdge(0, 3);
+  Chain.addEdge(3, 4);
+  expectSimplifyMatchesRebuild(Chain, "chain");
+  simplify(Chain);
+  EXPECT_EQ(Chain.numBlocks(), 3u);
+  EXPECT_TRUE(Chain.validate().empty());
 }
 
 TEST(FlowGraph, StructuralEqualityAndTempBijection) {

@@ -17,7 +17,6 @@
 #include "figures/PaperFigures.h"
 #include "gen/RandomProgram.h"
 #include "interp/Equivalence.h"
-#include "transform/BusyCodeMotion.h"
 #include "transform/LazyCodeMotion.h"
 #include "transform/UniformEmAm.h"
 

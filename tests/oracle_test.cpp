@@ -300,6 +300,7 @@ void expectSameLcm(const FlowGraph &G, const std::string &Ctx) {
   DenseSolution Ant = denseSolve(G, denseAnticipability(Exprs));
   DenseSolution Av = denseSolve(G, denseAvailability(Exprs));
   BitVector Comp, Killed;
+  std::vector<BitVector> AntlocOf(G.numBlocks()), NotTranspOf(G.numBlocks());
   for (BlockId B = 0; B < G.numBlocks(); ++B) {
     ASSERT_EQ(L.antIn(B), Ant.Entry[B]) << Ctx << ": ANTIN b" << B;
     ASSERT_EQ(L.antOut(B), Ant.Exit[B]) << Ctx << ": ANTOUT b" << B;
@@ -315,6 +316,35 @@ void expectSameLcm(const FlowGraph &G, const std::string &Ctx) {
     }
     ASSERT_EQ(L.antloc(B), Antloc) << Ctx << ": ANTLOC b" << B;
     ASSERT_EQ(L.transp(B), ~KilledSoFar) << Ctx << ": TRANSP b" << B;
+    AntlocOf[B] = Antloc;
+    NotTranspOf[B] = KilledSoFar;
+  }
+
+  // EARLIEST(m,n) = ANTIN(n) · ¬AVOUT(m) · (¬TRANSP(m) + ¬ANTOUT(m)).
+  auto EarliestOf = [&](BlockId M, size_t SuccIdx) {
+    BitVector E = Ant.Entry[G.block(M).Succs[SuccIdx]];
+    E.andNot(Av.Exit[M]);
+    BitVector Third = NotTranspOf[M];
+    Third |= ~Ant.Exit[M];
+    E &= Third;
+    return E;
+  };
+  DenseLater D = denseLater(G, Exprs.size(), Ant.Entry[G.start()], AntlocOf,
+                            EarliestOf);
+  for (BlockId B = 0; B < G.numBlocks(); ++B) {
+    ASSERT_EQ(L.laterIn(B), D.LaterIn[B]) << Ctx << ": LATERIN b" << B;
+    BitVector Del = AntlocOf[B];
+    Del.andNot(D.LaterIn[B]);
+    ASSERT_EQ(L.deleteIn(B), Del) << Ctx << ": DELETE b" << B;
+    const auto &Succs = G.block(B).Succs;
+    for (size_t SuccIdx = 0; SuccIdx < Succs.size(); ++SuccIdx) {
+      ASSERT_EQ(L.earliest(B, SuccIdx), EarliestOf(B, SuccIdx))
+          << Ctx << ": EARLIEST b" << B << "->b" << Succs[SuccIdx];
+      BitVector Ins = D.Later[B][SuccIdx];
+      Ins.andNot(D.LaterIn[Succs[SuccIdx]]);
+      ASSERT_EQ(L.insertOnEdge(B, SuccIdx), Ins)
+          << Ctx << ": INSERT b" << B << "->b" << Succs[SuccIdx];
+    }
   }
 }
 

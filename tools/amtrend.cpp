@@ -32,21 +32,6 @@ using namespace am;
 
 namespace {
 
-int usage() {
-  std::fprintf(
-      stderr,
-      "usage: amtrend --history=F.jsonl [--gate] [--factor=X] [--kmad=X]\n"
-      "               [--min-seg=N] [--top=K] [--quiet]\n"
-      "\n"
-      "Analyzes an amhist-v1 run history: calibration-normalized wall\n"
-      "series per preset, machine-independent counter series, robust\n"
-      "step/changepoint detection and drift estimates, ranked worst\n"
-      "first.  --gate fails (exit 1) when any gateable series steps up\n"
-      "by >= the gate factor; calibration and workload-shape series\n"
-      "never gate.  Exit codes: 0 ok, 1 regression, 2 usage/io/schema.\n");
-  return 2;
-}
-
 bool parsePositive(const std::string &S, double &Out) {
   char *End = nullptr;
   double V = std::strtod(S.c_str(), &End);
@@ -72,7 +57,15 @@ int main(int argc, char **argv) {
       "amtrend",
       "Turns the amhist-v1 run history into per-preset / per-counter\n"
       "time series with robust changepoint detection, a ranked text\n"
-      "report, and a CI gate.");
+      "report, and a CI gate.  --gate fails when any gateable series\n"
+      "steps up by >= the gate factor; calibration and workload-shape\n"
+      "series never gate.\n"
+      "Exit codes: 0 ok, 1 regression, 2 usage/io/schema.");
+  // A usage error prints the help on stderr and exits 2.
+  auto Usage = [&Parser] {
+    std::fputs(Parser.helpText().c_str(), stderr);
+    return 2;
+  };
   Parser.option("--history", HistoryPath, "the amhist-v1 run history to read",
                 "F.jsonl");
   Parser.flag("--gate", Gate,
@@ -91,7 +84,7 @@ int main(int argc, char **argv) {
               "print only gate failures (and errors) on stderr");
   if (!Parser.parse(argc, argv)) {
     std::fprintf(stderr, "amtrend: %s\n", Parser.error().c_str());
-    return usage();
+    return Usage();
   }
   if (Parser.helpRequested()) {
     std::fputs(Parser.helpText().c_str(), stdout);
@@ -99,24 +92,24 @@ int main(int argc, char **argv) {
   }
   if (HistoryPath.empty() || !Parser.positional().empty()) {
     std::fprintf(stderr, "amtrend: --history=F.jsonl is required\n");
-    return usage();
+    return Usage();
   }
 
   trend::TrendOptions Opts;
   if (!FactorSpec.empty() && !parsePositive(FactorSpec, Opts.GateFactor)) {
     std::fprintf(stderr, "amtrend: bad --factor '%s'\n", FactorSpec.c_str());
-    return usage();
+    return Usage();
   }
   if (!KMadSpec.empty() && !parsePositive(KMadSpec, Opts.Step.KMad)) {
     std::fprintf(stderr, "amtrend: bad --kmad '%s'\n", KMadSpec.c_str());
-    return usage();
+    return Usage();
   }
   if (!MinSegSpec.empty()) {
     char *End = nullptr;
     long V = std::strtol(MinSegSpec.c_str(), &End, 10);
     if (!End || *End != '\0' || V <= 0) {
       std::fprintf(stderr, "amtrend: bad --min-seg '%s'\n", MinSegSpec.c_str());
-      return usage();
+      return Usage();
     }
     Opts.Step.MinSeg = static_cast<unsigned>(V);
   }
@@ -126,7 +119,7 @@ int main(int argc, char **argv) {
     long V = std::strtol(TopSpec.c_str(), &End, 10);
     if (!End || *End != '\0' || V <= 0) {
       std::fprintf(stderr, "amtrend: bad --top '%s'\n", TopSpec.c_str());
-      return usage();
+      return Usage();
     }
     TopK = static_cast<unsigned>(V);
   }
