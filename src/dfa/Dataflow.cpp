@@ -79,6 +79,7 @@ void DataflowSolver::refreshOrder(const FlowGraph &G, bool Forward) {
   if (OrderG == &G && OrderStructTick == G.structTick() &&
       OrderForward == Forward)
     return;
+  AM_SPAN(Span, "dfa.order");
   Order = Forward ? G.reversePostorder() : G.reverseGraphReversePostorder();
   OrderIndex.assign(G.numBlocks(), 0);
   for (size_t Idx = 0; Idx < Order.size(); ++Idx)

@@ -266,6 +266,7 @@ uint64_t TransposedEngine::solve(const SolveRequest &R) {
   // never pass the refresh's incremental check (its cached dimensions
   // would mismatch, forcing the full rebuild that repopulates gen/kill).
   if (LaneM.rows() != NumPos || LaneM.bits() != Bits) {
+    AM_SPAN(Span, "dfa.reshape");
     LaneM.reshape(NumPos, Bits);
     OutM.reshape(NumPos, Bits);
     InM.reshape(NumPos, Bits);

@@ -55,6 +55,12 @@ public:
   VarTable Vars;
   ExprTable Exprs;
 
+  /// Makes room for \p N blocks in all, so adding them never regrows.
+  void reserveBlocks(size_t N) {
+    Blocks.reserve(N);
+    BlockTicks.reserve(N);
+  }
+
   /// Appends an empty block and returns its id.
   BlockId addBlock() {
     Blocks.emplace_back();

@@ -7,68 +7,106 @@
 #include "ir/Printer.h"
 #include "support/BitVector.h"
 
+#include <charconv>
 #include <sstream>
 
 using namespace am;
 
-static std::string printOperand(const Operand &O, const VarTable &Vars) {
+namespace {
+
+void appendInt(std::string &Out, int64_t V) {
+  char Buf[24];
+  Out.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), V).ptr);
+}
+
+void appendOperand(std::string &Out, const Operand &O, const VarTable &Vars) {
   if (O.isVar())
-    return Vars.name(O.Var);
-  return std::to_string(O.Const);
+    Out += Vars.name(O.Var);
+  else
+    appendInt(Out, O.Const);
+}
+
+void appendBlockName(std::string &Out, BlockId B) {
+  Out += 'b';
+  appendInt(Out, B);
+}
+
+} // namespace
+
+void am::appendTerm(std::string &Out, const Term &T, const VarTable &Vars) {
+  appendOperand(Out, T.A, Vars);
+  if (T.isNonTrivial()) {
+    Out += ' ';
+    Out += spelling(T.Op);
+    Out += ' ';
+    appendOperand(Out, T.B, Vars);
+  }
+}
+
+void am::appendInstr(std::string &Out, const Instr &I, const VarTable &Vars) {
+  switch (I.K) {
+  case Instr::Kind::Skip:
+    Out += "skip";
+    return;
+  case Instr::Kind::Assign:
+    Out += Vars.name(I.Lhs);
+    Out += " := ";
+    appendTerm(Out, I.Rhs, Vars);
+    return;
+  case Instr::Kind::Out:
+    Out += "out(";
+    for (size_t Idx = 0; Idx < I.OutVars.size(); ++Idx) {
+      if (Idx)
+        Out += ", ";
+      Out += Vars.name(I.OutVars[Idx]);
+    }
+    Out += ')';
+    return;
+  case Instr::Kind::Branch:
+    Out += "if ";
+    appendTerm(Out, I.CondL, Vars);
+    Out += ' ';
+    Out += spelling(I.Rel);
+    Out += ' ';
+    appendTerm(Out, I.CondR, Vars);
+    return;
+  }
+  Out += "<invalid>";
 }
 
 std::string am::printTerm(const Term &T, const VarTable &Vars) {
-  std::string S = printOperand(T.A, Vars);
-  if (T.isNonTrivial()) {
-    S += ' ';
-    S += spelling(T.Op);
-    S += ' ';
-    S += printOperand(T.B, Vars);
-  }
+  std::string S;
+  appendTerm(S, T, Vars);
   return S;
 }
 
 std::string am::printInstr(const Instr &I, const VarTable &Vars) {
-  switch (I.K) {
-  case Instr::Kind::Skip:
-    return "skip";
-  case Instr::Kind::Assign:
-    return Vars.name(I.Lhs) + " := " + printTerm(I.Rhs, Vars);
-  case Instr::Kind::Out: {
-    std::string S = "out(";
-    for (size_t Idx = 0; Idx < I.OutVars.size(); ++Idx) {
-      if (Idx)
-        S += ", ";
-      S += Vars.name(I.OutVars[Idx]);
-    }
-    return S + ")";
-  }
-  case Instr::Kind::Branch:
-    return "if " + printTerm(I.CondL, Vars) + " " + spelling(I.Rel) + " " +
-           printTerm(I.CondR, Vars);
-  }
-  return "<invalid>";
+  std::string S;
+  appendInstr(S, I, Vars);
+  return S;
 }
 
 std::string am::printGraph(const FlowGraph &G) {
-  std::ostringstream OS;
-  OS << "graph {\n";
+  std::string Out;
+  // About 16 bytes per instruction and 16 per block label and terminator.
+  Out.reserve(16 * (G.numInstrs() + 2 * G.numBlocks()) + 16);
+  Out += "graph {\n";
 
   // Declare temporaries so a re-parse can restore their temp-ness.  Only
   // temporaries that still occur are declared (the flush may have removed
   // every trace of some), in first-occurrence order — the order in which
   // a re-parse interns them — so print -> parse round-trips exactly.
   BitVector Seen(G.Vars.size());
-  std::string Temps;
+  bool AnyTemp = false;
   auto NoteVar = [&](VarId V) {
     if (Seen.test(index(V)))
       return;
     Seen.set(index(V));
     if (!G.Vars.isTemp(V))
       return;
-    if (!Temps.empty())
-      Temps += ", ";
-    Temps += G.Vars.name(V);
+    Out += AnyTemp ? ", " : "temp ";
+    Out += G.Vars.name(V);
+    AnyTemp = true;
   };
   for (BlockId B = 0; B < G.numBlocks(); ++B) {
     for (const Instr &I : G.block(B).Instrs) {
@@ -77,49 +115,60 @@ std::string am::printGraph(const FlowGraph &G) {
       I.forEachUsedVar(NoteVar);
     }
   }
-  if (!Temps.empty())
-    OS << "temp " << Temps << "\n";
-
-  auto BlockName = [](BlockId B) { return "b" + std::to_string(B); };
+  if (AnyTemp)
+    Out += '\n';
 
   for (BlockId B = 0; B < G.numBlocks(); ++B) {
     const BasicBlock &BB = G.block(B);
-    OS << BlockName(B) << ":";
+    appendBlockName(Out, B);
+    Out += ':';
     if (B == G.start() && B == G.end())
-      OS << "    # start, end";
+      Out += "    # start, end";
     else if (B == G.start())
-      OS << "    # start";
+      Out += "    # start";
     else if (B == G.end())
-      OS << "    # end";
-    OS << "\n";
+      Out += "    # end";
+    Out += '\n';
     if (BB.Synthetic)
-      OS << "  synthetic\n";
+      Out += "  synthetic\n";
 
     const Instr *Br = BB.branchInstr();
     for (const Instr &I : BB.Instrs) {
       if (&I == Br)
         continue;
-      OS << "  " << printInstr(I, G.Vars) << "\n";
+      Out += "  ";
+      appendInstr(Out, I, G.Vars);
+      Out += '\n';
     }
 
     if (Br != nullptr) {
       assert(BB.Succs.size() == 2 && "branch blocks have two successors");
-      OS << "  " << printInstr(*Br, G.Vars) << " then "
-         << BlockName(BB.Succs[0]) << " else " << BlockName(BB.Succs[1])
-         << "\n";
+      Out += "  ";
+      appendInstr(Out, *Br, G.Vars);
+      Out += " then ";
+      appendBlockName(Out, BB.Succs[0]);
+      Out += " else ";
+      appendBlockName(Out, BB.Succs[1]);
+      Out += '\n';
     } else if (BB.Succs.empty()) {
-      OS << "  halt\n";
+      Out += "  halt\n";
     } else if (BB.Succs.size() == 1) {
-      OS << "  goto " << BlockName(BB.Succs[0]) << "\n";
+      Out += "  goto ";
+      appendBlockName(Out, BB.Succs[0]);
+      Out += '\n';
     } else {
-      OS << "  br";
-      for (BlockId S : BB.Succs)
-        OS << " " << BlockName(S);
-      OS << "\n";
+      Out += "  br";
+      for (BlockId S : BB.Succs) {
+        Out += ' ';
+        appendBlockName(Out, S);
+      }
+      Out += '\n';
     }
   }
-  OS << "}\n";
-  return OS.str();
+  Out += "}\n";
+  // The caller may keep the text for long: no slack capacity.
+  Out.shrink_to_fit();
+  return Out;
 }
 
 std::string am::printDot(const FlowGraph &G, const std::string &Title) {

@@ -9,6 +9,11 @@
 /// (so print -> parse round-trips) and as Graphviz DOT for visual
 /// inspection of the paper's figures.
 ///
+/// The CFG text is appended into one string: terms and instructions go
+/// through appendTerm/appendInstr, numbers and block names through
+/// std::to_chars, with no stream and no per-instruction temporary.
+/// printTerm/printInstr wrap the same helpers for remarks and reports.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef AM_IR_PRINTER_H
@@ -21,11 +26,18 @@
 
 namespace am {
 
-/// Renders a single term, e.g. "a + b" or "7".
+/// Appends a single term to \p Out, e.g. "a + b" or "7".
+void appendTerm(std::string &Out, const Term &T, const VarTable &Vars);
+
+/// Appends a single instruction to \p Out, e.g. "x := a + b" or
+/// "out(i, x)".  Branch conditions render as "if a + b > c" (targets are
+/// block syntax).
+void appendInstr(std::string &Out, const Instr &I, const VarTable &Vars);
+
+/// appendTerm into a fresh string.
 std::string printTerm(const Term &T, const VarTable &Vars);
 
-/// Renders a single instruction, e.g. "x := a + b" or "out(i, x)".
-/// Branch conditions render as "if a + b > c" (targets are block syntax).
+/// appendInstr into a fresh string.
 std::string printInstr(const Instr &I, const VarTable &Vars);
 
 /// Renders the whole graph in the parser's CFG syntax:

@@ -18,6 +18,7 @@
 #include "ir/Ids.h"
 
 #include <cassert>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -31,7 +32,7 @@ public:
   /// Returns the id for \p Name, creating a non-temporary variable if it
   /// does not exist yet.
   VarId getOrCreate(std::string_view Name) {
-    auto It = ByName.find(std::string(Name));
+    auto It = ByName.find(Name);
     if (It != ByName.end())
       return It->second;
     VarId Id = makeVarId(static_cast<uint32_t>(Infos.size()));
@@ -42,7 +43,7 @@ public:
 
   /// Returns the id for \p Name or Invalid if unknown.
   VarId lookup(std::string_view Name) const {
-    auto It = ByName.find(std::string(Name));
+    auto It = ByName.find(Name);
     return It == ByName.end() ? VarId::Invalid : It->second;
   }
 
@@ -89,8 +90,17 @@ private:
     return Infos[index(V)];
   }
 
+  /// Hashes owned keys and string_view probes alike, so a lookup builds
+  /// no string.
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view S) const noexcept {
+      return std::hash<std::string_view>()(S);
+    }
+  };
+
   std::vector<VarInfo> Infos;
-  std::unordered_map<std::string, VarId> ByName;
+  std::unordered_map<std::string, VarId, NameHash, std::equal_to<>> ByName;
 };
 
 } // namespace am

@@ -7,36 +7,27 @@
 #include "parser/Parser.h"
 #include "parser/Lexer.h"
 
+#include <algorithm>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 
 using namespace am;
 
 namespace {
 
-bool isKeyword(const std::string &S) {
-  static const char *Keywords[] = {"graph",  "program", "temp",   "goto",
-                                   "halt",   "br",      "if",     "then",
-                                   "else",   "while",   "out",    "skip",
-                                   "choose", "or",      "repeat", "until",
-                                   "synthetic"};
-  for (const char *K : Keywords)
-    if (S == K)
-      return true;
-  return false;
-}
+bool isKeyword(const Token &T) { return T.Kw != Keyword::None; }
 
 /// Shared token-stream machinery for both parsers.
 class ParserBase {
 public:
-  explicit ParserBase(std::string_view Src) : Toks(tokenize(Src)) {
-    if (!Toks.empty() && Toks.back().K == TokKind::Error)
-      fail(Toks.back(), Toks.back().Text);
+  /// \p LexError is tokenize()'s message for a final Error token.
+  ParserBase(std::vector<Token> Tokens, std::string LexError)
+      : Toks(std::move(Tokens)) {
+    if (Toks.back().K == TokKind::Error)
+      fail(Toks.back(), std::move(LexError));
   }
 
-  bool failed() const { return !Error.empty(); }
-  const std::string &error() const { return Error; }
+  bool failed() const { return !Diag.empty(); }
 
 protected:
   const Token &peek() const { return Toks[std::min(Pos, Toks.size() - 1)]; }
@@ -54,10 +45,6 @@ protected:
 
   bool check(TokKind K) const { return peek().K == K; }
 
-  bool checkIdent(const char *Text) const {
-    return peek().K == TokKind::Ident && peek().Text == Text;
-  }
-
   bool accept(TokKind K) {
     if (!check(K))
       return false;
@@ -65,8 +52,8 @@ protected:
     return true;
   }
 
-  bool acceptIdent(const char *Text) {
-    if (!checkIdent(Text))
+  bool acceptIdent(Keyword Kw) {
+    if (peek().Kw != Kw)
       return false;
     advance();
     return true;
@@ -80,45 +67,45 @@ protected:
     return false;
   }
 
-  bool expectIdent(const char *Text) {
-    if (acceptIdent(Text))
+  bool expectIdent(Keyword Kw) {
+    if (acceptIdent(Kw))
       return true;
-    fail(peek(), std::string("expected '") + Text + "', found " +
+    fail(peek(), "expected '" + std::string(spelling(Kw)) + "', found " +
                      describe(peek()));
     return false;
   }
 
   std::string describe(const Token &T) const {
     if (T.K == TokKind::Ident)
-      return "'" + T.Text + "'";
+      return "'" + std::string(T.Text) + "'";
     return tokKindName(T.K);
   }
 
+  /// Records the first failure only.
   void fail(const Token &At, std::string Msg) {
-    if (!Error.empty())
-      return;
-    ErrLine = At.Line;
-    ErrCol = At.Col;
-    RawMsg = Msg;
-    Error = "line " + std::to_string(At.Line) + ":" + std::to_string(At.Col) +
-            ": " + std::move(Msg);
+    if (!failed())
+      Diag = diag::Diagnostic::error("parse", std::move(Msg), At.Line, At.Col);
   }
 
-  /// The failure as a structured diagnostic (empty if the parse is fine).
-  diag::Diagnostic takeDiag() const {
-    if (Error.empty())
-      return diag::Diagnostic();
-    return diag::Diagnostic::error("parse", RawMsg, ErrLine, ErrCol);
+  /// \p R with the first failure, if any, as its error and diagnostic.
+  ParseResult finish(ParseResult R) const {
+    if (failed()) {
+      R.Error = "line " + std::to_string(Diag.Line) + ":" +
+                std::to_string(Diag.Col) + ": " + Diag.Message;
+      R.Diag = Diag;
+    }
+    return R;
   }
 
   /// Parses an identifier that is a variable name (not a keyword).
-  std::optional<std::string> parseVarName() {
+  std::optional<std::string_view> parseVarName() {
     if (!check(TokKind::Ident)) {
       fail(peek(), "expected variable name, found " + describe(peek()));
       return std::nullopt;
     }
-    if (isKeyword(peek().Text)) {
-      fail(peek(), "keyword '" + peek().Text + "' cannot name a variable");
+    if (isKeyword(peek())) {
+      fail(peek(), "keyword '" + std::string(peek().Text) +
+                       "' cannot name a variable");
       return std::nullopt;
     }
     return advance().Text;
@@ -190,26 +177,25 @@ protected:
   std::optional<std::vector<VarId>> parseOutArgs(FlowGraph &G) {
     if (!expect(TokKind::LParen, "'('"))
       return std::nullopt;
-    std::vector<VarId> Vars;
+    // Collected in a reused buffer, returned at their exact size.
+    OutScratch.clear();
     if (!check(TokKind::RParen)) {
       do {
         auto Name = parseVarName();
         if (!Name)
           return std::nullopt;
-        Vars.push_back(G.Vars.getOrCreate(*Name));
+        OutScratch.push_back(G.Vars.getOrCreate(*Name));
       } while (accept(TokKind::Comma));
     }
     if (!expect(TokKind::RParen, "')'"))
       return std::nullopt;
-    return Vars;
+    return std::vector<VarId>(OutScratch.begin(), OutScratch.end());
   }
 
   std::vector<Token> Toks;
+  std::vector<VarId> OutScratch;
   size_t Pos = 0;
-  std::string Error;
-  std::string RawMsg;
-  unsigned ErrLine = 0;
-  unsigned ErrCol = 0;
+  diag::Diagnostic Diag;
 };
 
 //===----------------------------------------------------------------------===//
@@ -218,7 +204,7 @@ protected:
 
 class CfgParser : ParserBase {
 public:
-  explicit CfgParser(std::string_view Src) : ParserBase(Src) {}
+  using ParserBase::ParserBase;
 
   ParseResult run() {
     ParseResult R;
@@ -226,26 +212,20 @@ public:
       parseGraph(R.Graph);
     if (!failed())
       finalize(R.Graph);
-    R.Error = Error;
-    R.Diag = takeDiag();
-    return R;
+    return finish(std::move(R));
   }
 
 private:
-  /// Returns the id of the *defined* block \p Name, creating it on its
-  /// definition.  Block ids follow definition order so print -> parse
-  /// round-trips preserve the numbering; forward references are kept by
-  /// name and resolved in finalize().
-  BlockId defineBlock(FlowGraph &G, const std::string &Name) {
-    BlockId Id = G.addBlock();
-    BlockIds.emplace(Name, Id);
-    return Id;
-  }
-
   void parseGraph(FlowGraph &G) {
-    if (!expectIdent("graph") || !expect(TokKind::LBrace, "'{'"))
+    if (!expectIdent(Keyword::Graph) || !expect(TokKind::LBrace, "'{'"))
       return;
-    if (acceptIdent("temp")) {
+    // Every ':' token ends a block label.
+    size_t NumLabels = std::count_if(Toks.begin(), Toks.end(), [](auto &T) {
+      return T.K == TokKind::Colon;
+    });
+    G.reserveBlocks(NumLabels);
+    BlockIds.reserve(NumLabels);
+    if (acceptIdent(Keyword::Temp)) {
       do {
         auto Name = parseVarName();
         if (!Name)
@@ -267,34 +247,34 @@ private:
   }
 
   /// blockdef := name ':' instr* terminator
+  ///
+  /// Block ids follow definition order so print -> parse round-trips
+  /// preserve the numbering; forward references are kept by name and
+  /// resolved in finalize().
   bool parseBlock(FlowGraph &G, bool IsFirst) {
-    if (!check(TokKind::Ident) || isKeyword(peek().Text)) {
+    if (!check(TokKind::Ident) || isKeyword(peek())) {
       fail(peek(), "expected block label, found " + describe(peek()));
       return false;
     }
-    std::string Name = advance().Text;
+    std::string_view Name = advance().Text;
     if (!expect(TokKind::Colon, "':' after block label"))
       return false;
     if (BlockIds.count(Name)) {
-      fail(peek(), "block '" + Name + "' defined twice");
+      fail(peek(), "block '" + std::string(Name) + "' defined twice");
       return false;
     }
-    BlockId B = defineBlock(G, Name);
+    BlockId B = G.addBlock();
+    BlockIds.emplace(Name, B);
     if (IsFirst)
       G.setStart(B);
     // Optional marker re-establishing edge-splitting provenance.
-    if (acceptIdent("synthetic"))
+    if (acceptIdent(Keyword::Synthetic))
       G.block(B).Synthetic = true;
 
     while (true) {
-      if (acceptIdent("goto")) {
-        auto Target = parseBlockRef();
-        if (!Target)
-          return false;
-        PendingEdges.push_back({B, {*Target}});
-        return true;
-      }
-      if (acceptIdent("halt")) {
+      if (acceptIdent(Keyword::Goto))
+        return parseBlockRef(B);
+      if (acceptIdent(Keyword::Halt)) {
         if (G.end() != InvalidBlock) {
           fail(peek(), "multiple 'halt' blocks; the end node must be unique");
           return false;
@@ -302,25 +282,21 @@ private:
         G.setEnd(B);
         return true;
       }
-      if (acceptIdent("br")) {
-        std::vector<std::string> Targets;
+      if (acceptIdent(Keyword::Br)) {
         // An identifier followed by ':' starts the next block's label, not
         // another branch target.
-        while (check(TokKind::Ident) && !isKeyword(peek().Text) &&
-               peekAhead(1).K != TokKind::Colon) {
-          auto Target = parseBlockRef();
-          if (!Target)
-            return false;
-          Targets.push_back(std::move(*Target));
-        }
-        if (Targets.size() < 2) {
+        size_t NumTargets = 0;
+        for (; check(TokKind::Ident) && !isKeyword(peek()) &&
+               peekAhead(1).K != TokKind::Colon;
+             ++NumTargets)
+          parseBlockRef(B);
+        if (NumTargets < 2) {
           fail(peek(), "'br' needs at least two targets");
           return false;
         }
-        PendingEdges.push_back({B, std::move(Targets)});
         return true;
       }
-      if (acceptIdent("if")) {
+      if (acceptIdent(Keyword::If)) {
         auto L = parseTerm(G);
         if (!L)
           return false;
@@ -330,25 +306,17 @@ private:
         auto Rhs = parseTerm(G);
         if (!Rhs)
           return false;
-        if (!expectIdent("then"))
-          return false;
-        auto Then = parseBlockRef();
-        if (!Then)
-          return false;
-        if (!expectIdent("else"))
-          return false;
-        auto Else = parseBlockRef();
-        if (!Else)
+        if (!expectIdent(Keyword::Then) || !parseBlockRef(B) ||
+            !expectIdent(Keyword::Else) || !parseBlockRef(B))
           return false;
         G.block(B).Instrs.push_back(Instr::branch(*L, *Rel, *Rhs));
-        PendingEdges.push_back({B, {*Then, *Else}});
         return true;
       }
-      if (acceptIdent("skip")) {
+      if (acceptIdent(Keyword::Skip)) {
         G.block(B).Instrs.push_back(Instr::skip());
         continue;
       }
-      if (acceptIdent("out")) {
+      if (acceptIdent(Keyword::Out)) {
         auto Args = parseOutArgs(G);
         if (!Args)
           return false;
@@ -356,39 +324,37 @@ private:
         continue;
       }
       // Assignment: var ':=' term.
-      auto Name2 = parseVarName();
-      if (!Name2) {
-        fail(peek(), "expected instruction or terminator");
+      auto Name = parseVarName();
+      if (!Name)
         return false;
-      }
       if (!expect(TokKind::Assign, "':='"))
         return false;
       auto Rhs = parseTerm(G);
       if (!Rhs)
         return false;
-      G.block(B).Instrs.push_back(
-          Instr::assign(G.Vars.getOrCreate(*Name2), *Rhs));
+      G.block(B).Instrs.push_back(Instr::assign(G.Vars.getOrCreate(*Name), *Rhs));
     }
   }
 
-  std::optional<std::string> parseBlockRef() {
-    if (!check(TokKind::Ident) || isKeyword(peek().Text)) {
+  /// Records an edge from \p From to the block named by the next token.
+  bool parseBlockRef(BlockId From) {
+    if (!check(TokKind::Ident) || isKeyword(peek())) {
       fail(peek(), "expected block name, found " + describe(peek()));
-      return std::nullopt;
+      return false;
     }
-    return advance().Text;
+    PendingEdges.emplace_back(From, advance().Text);
+    return true;
   }
 
   void finalize(FlowGraph &G) {
-    for (const auto &[From, Targets] : PendingEdges) {
-      for (const std::string &Target : Targets) {
-        auto It = BlockIds.find(Target);
-        if (It == BlockIds.end()) {
-          fail(peek(), "block '" + Target + "' referenced but never defined");
-          return;
-        }
-        G.addEdge(From, It->second);
+    for (const auto &[From, Target] : PendingEdges) {
+      auto It = BlockIds.find(Target);
+      if (It == BlockIds.end()) {
+        fail(peek(), "block '" + std::string(Target) +
+                         "' referenced but never defined");
+        return;
       }
+      G.addEdge(From, It->second);
     }
     if (G.end() == InvalidBlock) {
       fail(peek(), "no 'halt' block: the graph needs a unique end node");
@@ -396,10 +362,10 @@ private:
     }
     // Restore temp-ness for declared temporaries, inferring the associated
     // expression pattern from the first initialization `h := <expr>`.
-    for (const std::string &Name : TempNames) {
+    for (std::string_view Name : TempNames) {
       VarId V = G.Vars.lookup(Name);
       if (!isValid(V)) {
-        fail(peek(), "declared temp '" + Name + "' never occurs");
+        fail(peek(), "declared temp '" + std::string(Name) + "' never occurs");
         return;
       }
       ExprId E = ExprId::Invalid;
@@ -419,9 +385,9 @@ private:
     }
   }
 
-  std::unordered_map<std::string, BlockId> BlockIds;
-  std::vector<std::pair<BlockId, std::vector<std::string>>> PendingEdges;
-  std::vector<std::string> TempNames;
+  std::unordered_map<std::string_view, BlockId> BlockIds;
+  std::vector<std::pair<BlockId, std::string_view>> PendingEdges;
+  std::vector<std::string_view> TempNames;
 };
 
 //===----------------------------------------------------------------------===//
@@ -430,7 +396,7 @@ private:
 
 class StructuredParser : ParserBase {
 public:
-  explicit StructuredParser(std::string_view Src) : ParserBase(Src) {}
+  using ParserBase::ParserBase;
 
 private:
   /// Fresh decomposition variable (the `t` of the paper's Section 6
@@ -532,7 +498,7 @@ public:
     ParseResult R;
     FlowGraph &G = R.Graph;
     if (!failed()) {
-      if (expectIdent("program") && expect(TokKind::LBrace, "'{'")) {
+      if (expectIdent(Keyword::Program) && expect(TokKind::LBrace, "'{'")) {
         BlockId Start = G.addBlock();
         G.setStart(Start);
         BlockId Tail = parseStmtList(G, Start, TokKind::RBrace);
@@ -547,9 +513,7 @@ public:
         fail(peek(), "invalid graph: " + Problem);
         break;
       }
-    R.Error = Error;
-    R.Diag = takeDiag();
-    return R;
+    return finish(std::move(R));
   }
 
 private:
@@ -575,12 +539,12 @@ private:
                        std::to_string(MaxNesting) + ")");
       return Cur;
     }
-    if (acceptIdent("skip")) {
+    if (acceptIdent(Keyword::Skip)) {
       expect(TokKind::Semi, "';'");
       G.block(Cur).Instrs.push_back(Instr::skip());
       return Cur;
     }
-    if (acceptIdent("out")) {
+    if (acceptIdent(Keyword::Out)) {
       auto Args = parseOutArgs(G);
       if (!Args)
         return Cur;
@@ -588,13 +552,13 @@ private:
       G.block(Cur).Instrs.push_back(Instr::out(std::move(*Args)));
       return Cur;
     }
-    if (acceptIdent("if"))
+    if (acceptIdent(Keyword::If))
       return parseIf(G, Cur);
-    if (acceptIdent("while"))
+    if (acceptIdent(Keyword::While))
       return parseWhile(G, Cur);
-    if (acceptIdent("repeat"))
+    if (acceptIdent(Keyword::Repeat))
       return parseRepeat(G, Cur);
-    if (acceptIdent("choose"))
+    if (acceptIdent(Keyword::Choose))
       return parseChoose(G, Cur);
 
     // Assignment; nested right-hand sides are decomposed into 3-address
@@ -653,7 +617,7 @@ private:
     BlockId Join = G.addBlock();
     G.addEdge(Cur, Then->first);
     G.addEdge(Then->second, Join);
-    if (acceptIdent("else")) {
+    if (acceptIdent(Keyword::Else)) {
       auto Else = parseBracedBody(G);
       if (!Else)
         return Cur;
@@ -689,7 +653,7 @@ private:
     if (!Body)
       return Cur;
     G.addEdge(Cur, Body->first);
-    if (!expectIdent("until"))
+    if (!expectIdent(Keyword::Until))
       return Cur;
     if (!parseCondInto(G, Body->second))
       return Cur;
@@ -710,25 +674,35 @@ private:
       G.addEdge(Cur, Alt->first);
       G.addEdge(Alt->second, Join);
       ++NumAlts;
-    } while (acceptIdent("or"));
+    } while (acceptIdent(Keyword::Or));
     if (NumAlts < 2)
       fail(peek(), "'choose' needs at least two alternatives ('or { ... }')");
     return Join;
   }
 };
 
+/// Lexes \p Src once and runs parser \p P over the tokens.
+template <typename P> ParseResult parseWith(std::string_view Src) {
+  std::string LexError;
+  std::vector<Token> Toks = tokenize(Src, &LexError);
+  return P(std::move(Toks), std::move(LexError)).run();
+}
+
 } // namespace
 
-ParseResult am::parseCfg(std::string_view Src) { return CfgParser(Src).run(); }
+ParseResult am::parseCfg(std::string_view Src) {
+  return parseWith<CfgParser>(Src);
+}
 
 ParseResult am::parseStructured(std::string_view Src) {
-  return StructuredParser(Src).run();
+  return parseWith<StructuredParser>(Src);
 }
 
 ParseResult am::parseProgram(std::string_view Src) {
-  std::vector<Token> Toks = tokenize(Src);
-  if (!Toks.empty() && Toks.front().K == TokKind::Ident &&
-      Toks.front().Text == "program")
-    return parseStructured(Src);
-  return parseCfg(Src);
+  // Dispatch on the first word without lexing twice.
+  std::string LexError;
+  std::vector<Token> Toks = tokenize(Src, &LexError);
+  if (Toks.front().Kw == Keyword::Program)
+    return StructuredParser(std::move(Toks), std::move(LexError)).run();
+  return CfgParser(std::move(Toks), std::move(LexError)).run();
 }

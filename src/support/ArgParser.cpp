@@ -11,8 +11,10 @@
 
 using namespace am::support;
 
-ArgParser::ArgParser(std::string Prog, std::string Overview)
-    : Prog(std::move(Prog)), Overview(std::move(Overview)) {}
+ArgParser::ArgParser(std::string Prog, std::string Overview,
+                     std::string Positionals)
+    : Prog(std::move(Prog)), Overview(std::move(Overview)),
+      Positionals(std::move(Positionals)) {}
 
 ArgParser::Spec *ArgParser::find(const std::string &Name) {
   for (Spec &S : Specs)
@@ -117,7 +119,10 @@ bool ArgParser::parse(int Argc, const char *const *Argv) {
 }
 
 std::string ArgParser::helpText() const {
-  std::string Out = "usage: " + Prog + " [flags] [FILE]\n";
+  std::string Out = "usage: " + Prog + " [flags]";
+  if (!Positionals.empty())
+    Out += " " + Positionals;
+  Out += '\n';
   if (!Overview.empty()) {
     Out += "\n";
     Out += Overview;

@@ -33,8 +33,11 @@ namespace am::support {
 class ArgParser {
 public:
   /// \p Prog is the program name for the usage line; \p Overview is the
-  /// free-text paragraph printed after it in helpText().
-  ArgParser(std::string Prog, std::string Overview);
+  /// free-text paragraph printed after it in helpText(); \p Positionals
+  /// is the usage line's synopsis of the positional arguments (e.g.
+  /// "[FILE]"), empty for a tool that takes none.
+  ArgParser(std::string Prog, std::string Overview,
+            std::string Positionals = "");
 
   /// Registers a boolean flag `--Name`.  \p Target is set to true when
   /// the flag appears; passing `--Name=anything` is an error.
@@ -80,6 +83,7 @@ private:
 
   std::string Prog;
   std::string Overview;
+  std::string Positionals;
   std::vector<Spec> Specs;
   std::vector<std::string> Positional;
   std::string Error;

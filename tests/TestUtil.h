@@ -14,8 +14,10 @@
 #include "ir/Patterns.h"
 #include "ir/Printer.h"
 #include "parser/Parser.h"
+#include "support/BitVector.h"
 
 #include <functional>
+#include <sstream>
 
 #include <gtest/gtest.h>
 
@@ -438,6 +440,123 @@ inline FlowGraph rebuildSimplified(const FlowGraph &G) {
   Out.setStart(NewId[Work.start()]);
   Out.setEnd(NewId[Work.end()]);
   return Out;
+}
+
+/// The instruction printer as it was before printing moved onto one
+/// appended buffer: a fresh string per operand, term and instruction.
+inline std::string printOperandReference(const Operand &O,
+                                         const VarTable &Vars) {
+  if (O.isVar())
+    return Vars.name(O.Var);
+  return std::to_string(O.Const);
+}
+
+inline std::string printTermReference(const Term &T, const VarTable &Vars) {
+  std::string S = printOperandReference(T.A, Vars);
+  if (T.isNonTrivial()) {
+    S += ' ';
+    S += spelling(T.Op);
+    S += ' ';
+    S += printOperandReference(T.B, Vars);
+  }
+  return S;
+}
+
+inline std::string printInstrReference(const Instr &I, const VarTable &Vars) {
+  switch (I.K) {
+  case Instr::Kind::Skip:
+    return "skip";
+  case Instr::Kind::Assign:
+    return Vars.name(I.Lhs) + " := " + printTermReference(I.Rhs, Vars);
+  case Instr::Kind::Out: {
+    std::string S = "out(";
+    for (size_t Idx = 0; Idx < I.OutVars.size(); ++Idx) {
+      if (Idx)
+        S += ", ";
+      S += Vars.name(I.OutVars[Idx]);
+    }
+    return S + ")";
+  }
+  case Instr::Kind::Branch:
+    return "if " + printTermReference(I.CondL, Vars) + " " +
+           spelling(I.Rel) + " " + printTermReference(I.CondR, Vars);
+  }
+  return "<invalid>";
+}
+
+/// printGraph as it was before it appended into one buffer: an
+/// ostringstream and one temporary string per instruction.  The printer
+/// must stay byte-identical to it.
+inline std::string printGraphReference(const FlowGraph &G) {
+  std::ostringstream OS;
+  OS << "graph {\n";
+
+  // Declare temporaries so a re-parse can restore their temp-ness.  Only
+  // temporaries that still occur are declared (the flush may have removed
+  // every trace of some), in first-occurrence order — the order in which
+  // a re-parse interns them — so print -> parse round-trips exactly.
+  BitVector Seen(G.Vars.size());
+  std::string Temps;
+  auto NoteVar = [&](VarId V) {
+    if (Seen.test(index(V)))
+      return;
+    Seen.set(index(V));
+    if (!G.Vars.isTemp(V))
+      return;
+    if (!Temps.empty())
+      Temps += ", ";
+    Temps += G.Vars.name(V);
+  };
+  for (BlockId B = 0; B < G.numBlocks(); ++B) {
+    for (const Instr &I : G.block(B).Instrs) {
+      if (I.isAssign())
+        NoteVar(I.Lhs);
+      I.forEachUsedVar(NoteVar);
+    }
+  }
+  if (!Temps.empty())
+    OS << "temp " << Temps << "\n";
+
+  auto BlockName = [](BlockId B) { return "b" + std::to_string(B); };
+
+  for (BlockId B = 0; B < G.numBlocks(); ++B) {
+    const BasicBlock &BB = G.block(B);
+    OS << BlockName(B) << ":";
+    if (B == G.start() && B == G.end())
+      OS << "    # start, end";
+    else if (B == G.start())
+      OS << "    # start";
+    else if (B == G.end())
+      OS << "    # end";
+    OS << "\n";
+    if (BB.Synthetic)
+      OS << "  synthetic\n";
+
+    const Instr *Br = BB.branchInstr();
+    for (const Instr &I : BB.Instrs) {
+      if (&I == Br)
+        continue;
+      OS << "  " << printInstrReference(I, G.Vars) << "\n";
+    }
+
+    if (Br != nullptr) {
+      assert(BB.Succs.size() == 2 && "branch blocks have two successors");
+      OS << "  " << printInstrReference(*Br, G.Vars) << " then "
+         << BlockName(BB.Succs[0]) << " else " << BlockName(BB.Succs[1])
+         << "\n";
+    } else if (BB.Succs.empty()) {
+      OS << "  halt\n";
+    } else if (BB.Succs.size() == 1) {
+      OS << "  goto " << BlockName(BB.Succs[0]) << "\n";
+    } else {
+      OS << "  br";
+      for (BlockId S : BB.Succs)
+        OS << " " << BlockName(S);
+      OS << "\n";
+    }
+  }
+  OS << "}\n";
+  return OS.str();
 }
 
 } // namespace am::test

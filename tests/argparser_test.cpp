@@ -149,4 +149,17 @@ TEST(ArgParser, HelpTextListsEveryFlag) {
   EXPECT_NE(Help.find("print DOT"), std::string::npos);
 }
 
+TEST(ArgParser, UsageLineNamesOnlyTheGivenPositionals) {
+  auto UsageLine = [](const ArgParser &P) {
+    std::string Help = P.helpText();
+    return Help.substr(0, Help.find('\n'));
+  };
+  EXPECT_EQ(UsageLine(ArgParser("amtrend", "Reads history.")),
+            "usage: amtrend [flags]");
+  EXPECT_EQ(UsageLine(ArgParser("amopt", "Optimizes.", "[FILE]")),
+            "usage: amopt [flags] [FILE]");
+  EXPECT_EQ(UsageLine(ArgParser("ambatch", "", "[FILE|DIR ...]")),
+            "usage: ambatch [flags] [FILE|DIR ...]");
+}
+
 } // namespace

@@ -192,17 +192,20 @@ static std::string subtree(const std::string &Shape,
 }
 
 TEST(ProfilerTest, SolveSplitsIntoComposeFixpointAndMaterialize) {
-  // Every dfa.solve names its layers: transfer composition, the fixpoint
-  // (the transposed engine's slices run inside it) and a wide export
-  // only where a caller needs one — the one-shot flush solves, never a
-  // rae/aht round, whose consumers read the solver's own words.
+  // Every dfa.solve names its layers: the iteration order and the plane
+  // reshape (each only on a solve that must redo it: here, a solver's
+  // first), transfer composition, the fixpoint (the transposed engine's
+  // slices run inside it) and a wide export only where a caller needs
+  // one — the one-shot flush solves, never a rae/aht round, whose
+  // consumers read the solver's own words.
   std::string Shape;
   {
     ProfiledSession P;
     runUniformEmAm(figure4());
     Shape = P.prof().treeShape();
   }
-  std::regex Split("dfa\\.solve\\(\\d+\\)\\{dfa\\.compose\\(\\d+\\),"
+  std::regex Split("dfa\\.solve\\(\\d+\\)\\{dfa\\.order\\(\\d+\\),"
+                   "dfa\\.reshape\\(\\d+\\),dfa\\.compose\\(\\d+\\),"
                    "dfa\\.fixpoint\\(\\d+\\)\\{"
                    "dfa\\.solve\\.slice\\(\\d+\\)\\}");
   std::string Rae = subtree(Shape, "rae");
@@ -215,6 +218,9 @@ TEST(ProfilerTest, SolveSplitsIntoComposeFixpointAndMaterialize) {
   std::string Flush = subtree(Shape, "flush");
   EXPECT_NE(Flush.find("dfa.fixpoint"), std::string::npos) << Shape;
   EXPECT_NE(Flush.find("dfa.materialize"), std::string::npos) << Shape;
+  // A round after the first reuses its solver's order and planes.
+  EXPECT_NE(Rae.find("dfa.order(1),dfa.reshape(1)"), std::string::npos)
+      << Shape;
 }
 
 TEST(ProfilerTest, CompiledOutScopesCreateNothingEvenWhenEnabled) {

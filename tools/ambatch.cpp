@@ -238,7 +238,8 @@ int main(int argc, char **argv) {
       "emits fleet telemetry: streaming events, a deterministic aggregate,\n"
       "and a run-history record.\n"
       "Exit codes: 0 all ok, 1 usage/io, 2 parse/job error, 3 rollbacks,\n"
-      "4 limits.");
+      "4 limits.",
+      "[FILE|DIR ...]");
   // A usage error prints the help on stderr and exits 1.
   auto Usage = [&Parser] {
     std::fputs(Parser.helpText().c_str(), stderr);

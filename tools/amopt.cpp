@@ -190,7 +190,8 @@ int main(int argc, char **argv) {
       "stdin); with no FILE and a terminal on stdin, optimizes the paper's\n"
       "running example as a demo.\n"
       "Exit codes: 0 ok, 1 usage/io, 2 parse, 3 verify failure or rollback,\n"
-      "4 limits.");
+      "4 limits.",
+      "[FILE]");
   // A usage error prints the help on stderr and exits 1.
   auto Usage = [&Parser] {
     std::fputs(Parser.helpText().c_str(), stderr);
