@@ -209,77 +209,34 @@ FlushAnalysis FlushAnalysis::run(const FlowGraph &G) {
   A.UniversePtr->build(G);
   A.DelayProblem = std::make_unique<DelayabilityProblem>(*A.UniversePtr);
   A.UsableProblem = std::make_unique<UsabilityProblem>(*A.UniversePtr);
+  A.DelaySolver = std::make_unique<DataflowSolver>();
+  A.UsableSolver = std::make_unique<DataflowSolver>();
   {
     AM_SPAN(Span, "analysis.delayability");
-    A.Delay = solve(G, *A.DelayProblem);
+    A.Delay = A.DelaySolver->solve(G, *A.DelayProblem);
   }
   {
     AM_SPAN(Span, "analysis.usability");
-    A.Usable = solve(G, *A.UsableProblem);
+    A.Usable = A.UsableSolver->solve(G, *A.UsableProblem);
   }
   return A;
 }
 
 FlushAnalysis::BlockPlan FlushAnalysis::plan(BlockId B) const {
-  const FlushUniverse &U = *UniversePtr;
-  const auto &Instrs = G->block(B).Instrs;
-  size_t N = Instrs.size();
-
-  // Forward delayability scan.  N-LATEST = N-DELAYABLE* · (USED +
-  // BLOCKED): exactly the delayable facts the instruction kills.
-  std::vector<std::pair<uint32_t, uint32_t>> Events; // (instr, temp)
-  BlockWalker DelayWalk(Delay);
-  DelayWalk.walk(B, [&](size_t Idx, const BitVector &NDelay,
-                        const LocalEffect &E) {
-    E.forEachKilled(NDelay, [&](size_t T) {
-      Events.push_back({static_cast<uint32_t>(Idx), static_cast<uint32_t>(T)});
-    });
-  });
-
-  // Backward usability scan over the N-LATEST points.  N-INIT = N-LATEST ·
-  // X-USABLE;  RECONSTRUCT = USED · N-LATEST · ¬X-USABLE (usability
-  // *after* the instruction: its own use does not justify an
-  // initialization by itself).
-  enum : uint8_t { Drop, Init, Rebuild };
-  std::vector<uint8_t> Kind(Events.size(), Drop);
-  if (!Events.empty()) {
-    size_t Next = Events.size();
-    BlockWalker UsableWalk(Usable);
-    UsableWalk.walk(B, [&](size_t Idx, const BitVector &XUsable,
-                           const LocalEffect &) {
-      for (; Next > 0 && Events[Next - 1].first == Idx; --Next) {
-        size_t T = Events[Next - 1].second;
-        if (XUsable.test(T))
-          Kind[Next - 1] = Init;
-        else if (Instrs[Idx].usesVar(U.temp(T)))
-          Kind[Next - 1] = Rebuild;
-      }
-    });
-  }
-
+  size_t N = G->block(B).Instrs.size();
   BlockPlan Plan;
-  Plan.InitBefore.reset(N, U.size());
-  Plan.Reconstruct.reset(N, U.size());
-  for (size_t Ev = 0; Ev < Events.size(); ++Ev) {
-    if (Kind[Ev] == Init)
-      Plan.InitBefore.add(Events[Ev].first, Events[Ev].second);
-    else if (Kind[Ev] == Rebuild)
-      Plan.Reconstruct.add(Events[Ev].first, Events[Ev].second);
-  }
+  Plan.InitBefore.reset(N, universe().size());
+  Plan.Reconstruct.reset(N, universe().size());
+  Plan.InitAtExit = universe().makeVector();
+  LatestPlacement Walk(Delay, Usable);
+  place(Walk, B, [&](const LatestPoint &P) {
+    if (P.Idx == N)
+      Plan.InitAtExit.set(P.Bit);
+    else
+      (P.K == LatestKind::Place ? Plan.InitBefore : Plan.Reconstruct)
+          .add(P.Idx, P.Bit);
+  });
   Plan.InitBefore.finish();
   Plan.Reconstruct.finish();
-
-  // X-LATEST = X-DELAYABLE* · ∃succ ¬N-DELAYABLE*, guarded by usability at
-  // the exit so dead initializations vanish instead of being inserted.
-  Plan.InitAtExit = Delay.exit(B);
-  const BitVector &XUsable = Usable.exit(B);
-  const auto &Succs = G->block(B).Succs;
-  for (size_t W = 0, E = Plan.InitAtExit.numWords(); W != E; ++W) {
-    uint64_t AnySuccStops = 0;
-    for (BlockId S : Succs)
-      AnySuccStops |= ~Delay.entry(S).word(W);
-    Plan.InitAtExit.setWord(W, Plan.InitAtExit.word(W) & AnySuccStops &
-                                   XUsable.word(W));
-  }
   return Plan;
 }

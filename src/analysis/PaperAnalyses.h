@@ -15,11 +15,11 @@
 ///    N-INSERT / X-INSERT insertion predicates;
 ///  * Table 3 — final-flush analyses over temporary initializations:
 ///    delayability (forward, all-path, greatest), usability (backward,
-///    any-path, least), latestness, and the N-INIT / X-INIT / RECONSTRUCT
-///    placement predicates.
+///    any-path, least), and the N-INIT / X-INIT / RECONSTRUCT placement
+///    predicates, decided by the latest-placement walker PDE shares.
 ///
 /// Each analysis keeps block-level solutions only; facts() and plan() are
-/// thin adaptors over a BlockWalker scan of a block.  The AM rounds query
+/// thin adaptors over BlockWalker scans of a block.  The AM rounds query
 /// words of the solver's own solution and transfers instead: rae asks
 /// one N-REDUNDANT bit per occurrence (forEachOccurrence), aht computes
 /// the insert predicates word by word, and neither copies a solution.
@@ -222,27 +222,22 @@ public:
   /// node's entry is the hoisting frontier when hoistability reaches it.
   BitVector entryInsert(BlockId B) const {
     BitVector Out(Problem->numBits());
-    insertsAt(B, [&](BlockId, size_t Pat) { Out.set(Pat); },
-              [](BlockId, size_t) {});
+    forEachInsert(B, [&](size_t Pat) { Out.set(Pat); }, [](size_t) {});
     return Out;
   }
 
   /// X-INSERT: patterns to insert at the exit of \p B.
   BitVector exitInsert(BlockId B) const {
     BitVector Out(Problem->numBits());
-    insertsAt(B, [](BlockId, size_t) {},
-              [&](BlockId, size_t Pat) { Out.set(Pat); });
+    forEachInsert(B, [](size_t) {}, [&](size_t Pat) { Out.set(Pat); });
     return Out;
   }
 
-  /// Calls \p Entry(B, Pat) for every N-INSERT bit and \p Exit(B, Pat)
-  /// for every X-INSERT bit of the graph, computed word by word from the
+  /// Calls \p Entry(Pat) for every N-INSERT bit and \p Exit(Pat) for
+  /// every X-INSERT bit of block \p B, computed word by word from the
   /// solver's rows.
   template <typename EntryFn, typename ExitFn>
-  void forEachInsert(EntryFn Entry, ExitFn Exit) const {
-    for (BlockId B = 0; B < G->numBlocks(); ++B)
-      insertsAt(B, Entry, Exit);
-  }
+  void forEachInsert(BlockId B, EntryFn Entry, ExitFn Exit) const;
 
   /// Serial of the dataflow solve these facts came from (for remarks).
   uint64_t solveSerial() const { return Result.SolveSerial; }
@@ -258,17 +253,14 @@ private:
   const HoistLocalPredicates *Locals = nullptr;
   std::unique_ptr<HoistLocalPredicates> OwnedLocals;
   mutable std::vector<WordRow> Stops; // scratch
-
-  template <typename EntryFn, typename ExitFn>
-  void insertsAt(BlockId B, EntryFn Entry, ExitFn Exit) const;
 };
 
 template <typename EntryFn, typename ExitFn>
-void HoistabilityAnalysis::insertsAt(BlockId B, EntryFn Entry,
-                                     ExitFn Exit) const {
-  auto Emit = [B](auto &F, size_t W, uint64_t Bits) {
+void HoistabilityAnalysis::forEachInsert(BlockId B, EntryFn Entry,
+                                         ExitFn Exit) const {
+  auto Emit = [](auto &F, size_t W, uint64_t Bits) {
     for (; Bits; Bits &= Bits - 1)
-      F(B, W * 64 + static_cast<size_t>(__builtin_ctzll(Bits)));
+      F(W * 64 + static_cast<size_t>(__builtin_ctzll(Bits)));
   };
   // N-INSERT = N-HOISTABLE* · ∃pred ¬X-HOISTABLE*.  A predecessor whose
   // only successor is B has X-HOISTABLE* = N-HOISTABLE*(B) and stops
@@ -344,30 +336,134 @@ private:
   VarMasks Blocked;
 };
 
-/// Delayability + usability facts (Table 3) with the derived latestness
-/// and placement predicates, at instruction granularity.
+//===----------------------------------------------------------------------===//
+// Latest placement: PDE sinking and the final flush
+//===----------------------------------------------------------------------===//
+
+/// A latest point: the blocking instruction's index in its block (the
+/// block's size at the exit), the universe bit, and what the guard made
+/// of it.
+enum class LatestKind : uint8_t { Drop, Place, Reconstruct };
+struct LatestPoint {
+  uint32_t Idx, Bit;
+  LatestKind K;
+};
+
+/// The one "delay until blocked" decision of the paper's ref [17], which
+/// PDE sinks assignments by and whose restriction to temporary
+/// initializations is Table 3.  Over a solved forward delayability
+/// problem whose effects kill exactly what an instruction blocks,
+///
+///   N-LATEST = N-DELAY* · BLOCKED   (the delayable facts it kills)
+///   X-LATEST = X-DELAY* · ∃succ ¬N-DELAY*
+///
+/// and a backward walk of a solved guard problem classifies each point by
+/// the guard fact right after its instruction (at the exit for X-LATEST).
+/// Clients supply only a universe filter and the guard.  The walker reads
+/// rows and keeps its scratch across blocks.
+class LatestPlacement {
+public:
+  LatestPlacement(const DataflowResult &Delay, const DataflowResult &Guard)
+      : Delay(Delay), Guard(Guard), DelayWalk(Delay), GuardWalk(Guard) {}
+
+  /// Calls \p Emit(Point) for every latest point of block \p B whose bit
+  /// passes \p InUniverse(Bit) and that \p Classify(I, Bit, After) does
+  /// not Drop: the N-LATEST points in instruction order, then the
+  /// X-LATEST ones, ascending.  Classify sees the blocking instruction
+  /// (null at the exit) and the guard fact after it.
+  template <typename InUniverseFn, typename ClassifyFn, typename EmitFn>
+  void decide(const FlowGraph &G, BlockId B, InUniverseFn InUniverse,
+              ClassifyFn Classify, EmitFn Emit);
+
+private:
+  const DataflowResult &Delay, &Guard;
+  BlockWalker DelayWalk, GuardWalk;
+  std::vector<LatestPoint> Points;
+};
+
+template <typename InUniverseFn, typename ClassifyFn, typename EmitFn>
+void LatestPlacement::decide(const FlowGraph &G, BlockId B,
+                             InUniverseFn InUniverse, ClassifyFn Classify,
+                             EmitFn Emit) {
+  const BasicBlock &BB = G.block(B);
+  Points.clear();
+  DelayWalk.walk(B, [&](size_t Idx, const BitVector &NDelay,
+                        const LocalEffect &E) {
+    E.forEachKilled(NDelay, [&](size_t Bit) {
+      if (InUniverse(Bit))
+        Points.push_back({static_cast<uint32_t>(Idx),
+                          static_cast<uint32_t>(Bit), LatestKind::Drop});
+    });
+  });
+  if (size_t Next = Points.size())
+    GuardWalk.walk(B, [&](size_t Idx, const BitVector &After,
+                          const LocalEffect &) {
+      for (; Next > 0 && Points[Next - 1].Idx == Idx; --Next)
+        Points[Next - 1].K =
+            Classify(&BB.Instrs[Idx], Points[Next - 1].Bit, After);
+    });
+  for (const LatestPoint &P : Points)
+    if (P.K != LatestKind::Drop)
+      Emit(P);
+
+  WordRow XDelay = Delay.exitRow(B), After = Guard.exitRow(B);
+  for (size_t W = 0, E = BB.Succs.empty() ? 0 : (XDelay.size() + 63) / 64;
+       W != E; ++W) {
+    uint64_t AnySuccStops = 0;
+    for (BlockId S : BB.Succs)
+      AnySuccStops |= ~Delay.entryRow(S).word(W);
+    for (uint64_t Hit = XDelay.word(W) & AnySuccStops; Hit; Hit &= Hit - 1) {
+      size_t Bit = W * 64 + static_cast<size_t>(__builtin_ctzll(Hit));
+      LatestKind K =
+          InUniverse(Bit) ? Classify(nullptr, Bit, After) : LatestKind::Drop;
+      // After edge splitting each successor of a branching block has a
+      // unique predecessor, so delayability never stops at its exit.
+      assert((K == LatestKind::Drop || !BB.branchInstr()) &&
+             "exit placement at a branching block");
+      if (K != LatestKind::Drop)
+        Emit(LatestPoint{static_cast<uint32_t>(BB.Instrs.size()),
+                         static_cast<uint32_t>(Bit), K});
+    }
+  }
+}
+
+/// Delayability + usability facts (Table 3), solved on solvers the
+/// analysis owns so the results are read as rows, never copied out.
 class FlushAnalysis {
 public:
   static FlushAnalysis run(const FlowGraph &G);
 
   const FlushUniverse &universe() const { return *UniversePtr; }
 
-  /// Placement decisions for one block, index-aligned with its
-  /// instructions at the time of analysis.
+  /// One block's placements, index-aligned with its instructions at the
+  /// time of analysis: the temps initialized before instruction i
+  /// (N-INIT), those whose use in i is rewritten to the expression
+  /// (RECONSTRUCT), and those initialized at the exit (X-INIT).
   struct BlockPlan {
-    /// For instruction i, temps whose init goes immediately before i
-    /// (N-INIT).
-    SparseRows InitBefore;
-    /// Temps whose use in instruction i is reconstructed to the original
-    /// expression (RECONSTRUCT).
-    SparseRows Reconstruct;
-    /// Temps whose init goes at the block's exit (X-INIT).
+    SparseRows InitBefore, Reconstruct;
     BitVector InitAtExit;
   };
 
-  /// Computes the placement plan for block \p B: a forward delayability
-  /// scan collects the N-LATEST points, a backward usability scan splits
-  /// them into N-INIT and RECONSTRUCT.
+  /// Block \p B's latest points, as LatestPlacement::decide emits them, with
+  /// the guard of Table 3: a latest point usable after it is N-INIT
+  /// (X-INIT at the exit); one used here and not usable after it is
+  /// RECONSTRUCT (usability *after* the instruction: its own use does not
+  /// justify an initialization by itself).
+  template <typename EmitFn>
+  void place(LatestPlacement &Walk, BlockId B, EmitFn Emit) const {
+    Walk.decide(
+        *G, B, [](size_t) { return true; },
+        [&](const Instr *I, size_t T, const auto &XUsable) {
+          if (XUsable.test(T))
+            return LatestKind::Place;
+          return I && I->usesVar(UniversePtr->temp(T))
+                     ? LatestKind::Reconstruct
+                     : LatestKind::Drop;
+        },
+        Emit);
+  }
+
+  /// place() collected into one block's plan.
   BlockPlan plan(BlockId B) const;
 
   /// Raw delayability facts (greatest solution), for tests.
@@ -379,10 +475,11 @@ public:
 private:
   const FlowGraph *G = nullptr;
   std::unique_ptr<FlushUniverse> UniversePtr;
-  std::unique_ptr<DataflowProblem> DelayProblem;
-  std::unique_ptr<DataflowProblem> UsableProblem;
-  DataflowResult Delay;
-  DataflowResult Usable;
+  std::unique_ptr<DataflowProblem> DelayProblem, UsableProblem;
+  // Declared before the results that read their storage, so the results
+  // die first and nothing is copied out.
+  std::unique_ptr<DataflowSolver> DelaySolver, UsableSolver;
+  DataflowResult Delay, Usable;
 };
 
 } // namespace am

@@ -44,8 +44,11 @@ Keyword classify(std::string_view S) {
   return S == KeywordSpellings[static_cast<size_t>(K)] ? K : Keyword::None;
 }
 
-// ASCII character classes; the lexer never consults the locale.
-enum : uint8_t { Digit = 1, IdentStart = 2 };
+// ASCII character classes; the lexer never consults the locale.  `$`
+// continues an identifier but cannot start one: it spells the structured
+// parser's decomposition variables (`t$0`), which the structured syntax
+// reserves and the CFG syntax reads back.
+enum : uint8_t { Digit = 1, IdentStart = 2, IdentPart = 3 };
 constexpr std::array<uint8_t, 256> CharClass = [] {
   std::array<uint8_t, 256> T{};
   for (int C = '0'; C <= '9'; ++C)
@@ -53,6 +56,7 @@ constexpr std::array<uint8_t, 256> CharClass = [] {
   for (int C = 'a'; C <= 'z'; ++C)
     T[C] = T[C - 'a' + 'A'] = IdentStart;
   T['_'] = IdentStart;
+  T['$'] = IdentPart;
   return T;
 }();
 

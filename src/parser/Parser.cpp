@@ -244,6 +244,7 @@ private:
       First = false;
     }
     advance(); // consume '}'
+    expect(TokKind::Eof, "end of input after '}'");
   }
 
   /// blockdef := name ':' instr* terminator
@@ -497,13 +498,22 @@ public:
   ParseResult run() {
     ParseResult R;
     FlowGraph &G = R.Graph;
+    // `$` spells the decomposition variables only (freshDecompVar), so
+    // no source name can collide with one.
+    for (const Token &T : Toks)
+      if (T.K == TokKind::Ident && T.Text.find('$') != std::string_view::npos) {
+        fail(T, "'" + std::string(T.Text) +
+                    "': '$' is reserved for decomposition variables");
+        break;
+      }
     if (!failed()) {
       if (expectIdent(Keyword::Program) && expect(TokKind::LBrace, "'{'")) {
         BlockId Start = G.addBlock();
         G.setStart(Start);
         BlockId Tail = parseStmtList(G, Start, TokKind::RBrace);
         if (!failed()) {
-          expect(TokKind::RBrace, "'}'");
+          if (expect(TokKind::RBrace, "'}'"))
+            expect(TokKind::Eof, "end of input after '}'");
           G.setEnd(Tail);
         }
       }

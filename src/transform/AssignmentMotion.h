@@ -11,6 +11,11 @@
 /// hoisting-elimination, hoisting-hoisting, elimination-hoisting and
 /// elimination-elimination.
 ///
+/// Also the motion core aht, PDE sinking and the final flush share: the
+/// stable pattern table and the one block rebuild.  Each decides
+/// placements against a frozen graph, then rebuilds every block from a
+/// sorted insert list, a removal test and an optional rewrite.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef AM_TRANSFORM_ASSIGNMENTMOTION_H
@@ -20,37 +25,26 @@
 #include "dfa/Dataflow.h"
 #include "ir/FlowGraph.h"
 #include "ir/Patterns.h"
+#include "ir/Printer.h"
+#include "support/Remarks.h"
+
+#include <iterator>
+#include <span>
+#include <type_traits>
+#include <vector>
 
 namespace am {
 
-/// State shared across the rae/aht rounds of one AM fixpoint so each
-/// round pays only for what the previous round changed:
-///
-///  * one AssignPatternTable, rebuilt (arena-reusing) only when the graph
-///    tick moved.  Its numbering is stable for the context's binding: rae
-///    only deletes occurrences and aht only moves copies of existing
-///    ones, so the universe AP is fixed for the whole fixpoint and every
-///    pattern keeps its bit.  The generation number advances only when
-///    the universe grows, so unchanged instructions keep their composed
-///    transfers and every tick-stamped solver cache stays valid;
-///  * one DataflowSolver per analysis (redundancy, hoistability), whose
-///    transfer caches and previous solutions persist across rounds;
-///  * the hoistability analysis' block-local predicates, read from the
-///    hoistability solver's transfers.
-///
-/// Where index order was observable — aht's insertion order and the
-/// recorder's fact tables — consumers use the table's first-occurrence
-/// rank, so the output is what a fresh numbering would give.
-///
-/// A context lives for one pass: it is bound to the one live graph the
-/// phase mutates and is never reused for a different graph.  The plain
-/// entry points construct a throwaway context, so one-shot callers are
-/// unaffected.
-class AmContext {
+/// A stably numbered pattern table bound to one live graph, rebuilt
+/// (arena-reusing) only when the graph tick moved.  A pattern keeps its
+/// index, and the generation advances only when the universe grows, so
+/// unchanged instructions keep their composed transfers and every
+/// tick-stamped solver cache stays valid.  Where index order is
+/// observable, consumers use the table's first-occurrence rank, so the
+/// output is what a fresh numbering would give.
+class PatternContext {
 public:
-  /// Rebuilds the pattern table if the graph changed since the last
-  /// refresh; advances the pattern generation only if the rebuild grew
-  /// the universe.
+  /// Rebuilds the table if the graph changed since the last refresh.
   void refreshPatterns(const FlowGraph &G) {
     if (PatsValid && !G.instrsChangedSince(PatsTick))
       return;
@@ -62,18 +56,131 @@ public:
 
   const AssignPatternTable &patterns() const { return Pats; }
   uint64_t patternGeneration() const { return PatsGen; }
+
+private:
+  AssignPatternTable Pats;
+  Tick PatsTick = 0;
+  bool PatsValid = false;
+  uint64_t PatsGen = 0;
+};
+
+/// A remark of kind \p K about instruction \p I, index \p Idx of block
+/// \p B, citing solve \p Solve; the caller adds the rest.
+inline remarks::Remark describe(remarks::Kind K, const FlowGraph &G,
+                                BlockId B, size_t Idx, const Instr &I,
+                                uint64_t Solve) {
+  remarks::Remark R;
+  R.K = K;
+  R.InstrId = I.Id;
+  R.Block = B;
+  R.InstrIndex = static_cast<uint32_t>(Idx);
+  R.Pattern = printInstr(I, G.Vars);
+  if (I.isAssign())
+    R.Var = G.Vars.name(I.Lhs);
+  R.Solve = Solve;
+  return R;
+}
+
+/// The one block rebuild.  It commits only if the instruction list
+/// changed, and only then accepts the remarks buffered during it: a
+/// remove+reinsert that reproduces the identical list is a no-op whose
+/// old instructions, and old ids, survive.
+class BlockRebuilder {
+public:
+  /// (instruction index, pattern or temporary): an insertion before that
+  /// instruction, or at the block's end for the block's size.
+  using Insert = std::pair<uint32_t, uint32_t>;
+
+  /// A buffered remark's part in lineage: an Insert remark descends from
+  /// the committed Remove remarks of its key (pattern or temporary).
+  enum class Role : uint8_t { Insert, Remove, Other };
+
+  /// \p Keys keys link lineage; 0 with remarks off.
+  explicit BlockRebuilder(size_t Keys = 0) : RemovedIds(Keys) {}
+
+  /// Rebuilds block \p B: before instruction i, appends Make(k, NewIdx)
+  /// for each insert k at i (NewIdx: its position in the new list); drops
+  /// instruction i if Remove(i), else keeps it, through Rewrite(i, Instr &)
+  /// if given.  Commits, stamping the block, only if the list changed.
+  template <typename MakeFn, typename RemoveFn,
+            typename RewriteFn = std::nullptr_t>
+  bool rebuild(FlowGraph &G, BlockId B, std::span<const Insert> Inserts,
+               MakeFn Make, RemoveFn Remove, RewriteFn Rewrite = nullptr) {
+    BasicBlock &BB = G.block(B);
+    NewInstrs.clear();
+    size_t K = 0;
+    auto InsertUpTo = [&](size_t Idx) {
+      for (; K < Inserts.size() && Inserts[K].first <= Idx; ++K)
+        NewInstrs.push_back(Make(K, NewInstrs.size()));
+    };
+    for (size_t Idx = 0; Idx < BB.Instrs.size(); ++Idx) {
+      InsertUpTo(Idx);
+      if (Remove(Idx))
+        continue;
+      NewInstrs.push_back(BB.Instrs[Idx]);
+      if constexpr (!std::is_null_pointer_v<RewriteFn>)
+        Rewrite(Idx, NewInstrs.back());
+    }
+    InsertUpTo(BB.Instrs.size());
+    bool Commit = NewInstrs != BB.Instrs;
+    if (Commit) {
+      // The block keeps its own storage, laid out as later passes walk it.
+      BB.Instrs.assign(std::make_move_iterator(NewInstrs.begin()),
+                       std::make_move_iterator(NewInstrs.end()));
+      G.touchBlock(B);
+      for (Pending &P : Buffered) {
+        if (P.Part == Role::Remove)
+          RemovedIds[P.Key].push_back(P.R.InstrId);
+        Accepted.push_back(std::move(P));
+      }
+    }
+    Buffered.clear();
+    return Commit;
+  }
+
+  /// Buffers a remark of the block being rebuilt; returns it.
+  remarks::Remark &remark(remarks::Remark R, size_t Key, Role Part) {
+    assert((Part == Role::Other || Key < RemovedIds.size()) && "unkeyed");
+    return Buffered.emplace_back(Pending{std::move(R), Key, Part}).R;
+  }
+
+  /// Publishes the committed remarks in order, with lineage.
+  void publish() {
+    for (Pending &P : Accepted) {
+      if (P.Part == Role::Insert)
+        P.R.Parents = RemovedIds[P.Key];
+      remarks::Sink::get().add(std::move(P.R));
+    }
+    Accepted.clear();
+  }
+
+private:
+  struct Pending {
+    remarks::Remark R;
+    size_t Key;
+    Role Part;
+  };
+  std::vector<Instr> NewInstrs;
+  std::vector<Pending> Buffered, Accepted;
+  std::vector<std::vector<uint32_t>> RemovedIds;
+};
+
+/// State shared across the rae/aht rounds of one AM fixpoint, bound to
+/// the one live graph the phase mutates: the pattern table (rae only
+/// deletes occurrences and aht only moves copies of existing ones, so the
+/// universe AP is fixed), one solver per analysis whose caches and
+/// previous solutions persist across rounds, and the hoistability
+/// analysis' block-local predicates.
+class AmContext : public PatternContext {
+public:
   DataflowSolver &redundancySolver() { return RedundancySolver; }
   DataflowSolver &hoistSolver() { return HoistSolver; }
   HoistLocalPredicates &hoistLocals() { return HoistLocals; }
 
 private:
-  AssignPatternTable Pats;
   DataflowSolver RedundancySolver;
   DataflowSolver HoistSolver;
   HoistLocalPredicates HoistLocals;
-  Tick PatsTick = 0;
-  bool PatsValid = false;
-  uint64_t PatsGen = 0;
 };
 
 /// Statistics from one run of the AM phase, used by the complexity

@@ -7,8 +7,8 @@
 #include "transform/Initialization.h"
 #include "ir/InstrNumbering.h"
 #include "ir/Printer.h"
-#include "support/Remarks.h"
 #include "support/Telemetry.h"
+#include "transform/AssignmentMotion.h"
 
 using namespace am;
 
@@ -39,14 +39,9 @@ unsigned am::runInitializationPhase(FlowGraph &G) {
           Instr &Copy = NewInstrs.back();
           Init.Id = remarks::Sink::get().freshId();
           Copy.Id = remarks::Sink::get().freshId();
-          remarks::Remark R;
-          R.K = remarks::Kind::Decompose;
-          R.InstrId = I.Id;
-          R.Block = B;
-          R.InstrIndex = static_cast<uint32_t>(Idx);
+          remarks::Remark R =
+              describe(remarks::Kind::Decompose, G, B, Idx, I, 0);
           R.Terminal = true; // the composite assignment leaves the program
-          R.Pattern = printInstr(I, G.Vars);
-          R.Var = G.Vars.name(I.Lhs);
           R.NewIds = {Init.Id, Copy.Id};
           R.fact("non_trivial_rhs", "1")
               .fact("temp", G.Vars.name(H))
@@ -68,14 +63,9 @@ unsigned am::runInitializationPhase(FlowGraph &G) {
           if (AM_REMARKS_ENABLED()) {
             Instr &Init = NewInstrs.back();
             Init.Id = remarks::Sink::get().freshId();
-            remarks::Remark R;
-            R.K = remarks::Kind::Decompose;
-            R.InstrId = I.Id;
-            R.Block = B;
-            R.InstrIndex = static_cast<uint32_t>(Idx);
             // The branch itself survives (with the operand rewritten).
-            R.Terminal = false;
-            R.Pattern = printInstr(I, G.Vars);
+            remarks::Remark R =
+                describe(remarks::Kind::Decompose, G, B, Idx, I, 0);
             R.Var = G.Vars.name(H);
             R.NewIds = {Init.Id};
             R.fact("non_trivial_operand", Which)

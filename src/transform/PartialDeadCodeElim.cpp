@@ -33,120 +33,6 @@ bool changed(const WordRow &Row, std::vector<uint64_t> &Prev, BlockId B,
 
 } // namespace
 
-void SinkingContext::decide(const FlowGraph &G, BlockId B,
-                            BlockWalker &DelayWalk, BlockWalker &LiveWalk) {
-  BlockDecision &D = Decisions[B];
-  D.Before.clear();
-  D.AtExit.clear();
-  // N-LATEST = N-DELAY* · BLOCKED: the delayable facts the instruction
-  // kills.
-  Latest.clear();
-  DelayWalk.walk(B, [&](size_t Idx, const BitVector &NDelay,
-                        const LocalEffect &E) {
-    E.forEachKilled(NDelay, [&](size_t Pat) {
-      if (occurs(Pat))
-        Latest.push_back({static_cast<uint32_t>(Idx),
-                          static_cast<uint32_t>(Pat)});
-    });
-  });
-
-  // Guard each latest point by liveness of the left-hand side
-  // immediately before the blocking instruction.
-  if (!Latest.empty()) {
-    const auto &Instrs = G.block(B).Instrs;
-    Keep.assign(Latest.size(), false);
-    size_t Next = Latest.size();
-    LiveWalk.walk(B, [&](size_t Idx, const BitVector &LiveAfter,
-                         const LocalEffect &) {
-      const Instr &I = Instrs[Idx];
-      for (; Next > 0 && Latest[Next - 1].first == Idx; --Next) {
-        VarId Lhs = Pats.pattern(Latest[Next - 1].second).Lhs;
-        Keep[Next - 1] = I.usesVar(Lhs) || (LiveAfter.test(index(Lhs)) &&
-                                            I.definedVar() != Lhs);
-      }
-    });
-    for (size_t Ev = 0; Ev < Latest.size(); ++Ev)
-      if (Keep[Ev])
-        D.Before.push_back(Latest[Ev]);
-  }
-
-  // X-LATEST = X-DELAY* · ∃succ ¬N-DELAY*, guarded by liveness at exit.
-  const auto &Succs = G.block(B).Succs;
-  if (Succs.empty())
-    return;
-  WordRow XDelay = Delay.exitRow(B);
-  WordRow LiveOut = Live.result().exitRow(B);
-  SuccIn.clear();
-  for (BlockId S : Succs)
-    SuccIn.push_back(Delay.entryRow(S));
-  for (size_t W = 0, E = (Pats.size() + 63) / 64; W != E; ++W) {
-    uint64_t AnySuccStops = 0;
-    for (const WordRow &In : SuccIn)
-      AnySuccStops |= ~In.word(W);
-    for (uint64_t Hit = XDelay.word(W) & AnySuccStops; Hit; Hit &= Hit - 1) {
-      size_t Pat = W * 64 + static_cast<size_t>(__builtin_ctzll(Hit));
-      if (occurs(Pat) && LiveOut.test(index(Pats.pattern(Pat).Lhs)))
-        D.AtExit.push_back(static_cast<uint32_t>(Pat));
-    }
-  }
-}
-
-bool SinkingContext::stillOccurs(const BlockDecision &D) const {
-  return std::all_of(D.Before.begin(), D.Before.end(),
-                     [&](const auto &P) { return occurs(P.second); }) &&
-         std::all_of(D.AtExit.begin(), D.AtExit.end(),
-                     [&](uint32_t Pat) { return occurs(Pat); });
-}
-
-bool SinkingContext::sortByRank(BlockDecision &D) const {
-  auto Rank = [&](uint32_t Pat) { return Pats.rank(Pat); };
-  auto BeforeLess = [&](const auto &A, const auto &Z) {
-    return A.first != Z.first ? A.first < Z.first
-                              : Rank(A.second) < Rank(Z.second);
-  };
-  auto ExitLess = [&](uint32_t A, uint32_t Z) { return Rank(A) < Rank(Z); };
-  bool Moved = false;
-  if (!std::is_sorted(D.Before.begin(), D.Before.end(), BeforeLess)) {
-    std::sort(D.Before.begin(), D.Before.end(), BeforeLess);
-    Moved = true;
-  }
-  if (!std::is_sorted(D.AtExit.begin(), D.AtExit.end(), ExitLess)) {
-    std::sort(D.AtExit.begin(), D.AtExit.end(), ExitLess);
-    Moved = true;
-  }
-  return Moved;
-}
-
-bool SinkingContext::rebuild(FlowGraph &G, BlockId B) {
-  BasicBlock &BB = G.block(B);
-  const BlockDecision &D = Decisions[B];
-  NewInstrs.clear();
-  auto Emit = [&](size_t Pat) {
-    NewInstrs.push_back(
-        Instr::assign(Pats.pattern(Pat).Lhs, Pats.pattern(Pat).Rhs));
-  };
-  auto Ins = D.Before.begin();
-  for (size_t Idx = 0; Idx < BB.Instrs.size(); ++Idx) {
-    for (; Ins != D.Before.end() && Ins->first == Idx; ++Ins)
-      Emit(Ins->second);
-    if (Pats.occurrenceAt(B, Idx) == AssignPatternTable::npos)
-      NewInstrs.push_back(BB.Instrs[Idx]);
-  }
-  // Exit insertions at multi-successor blocks cannot occur (each
-  // successor has a unique predecessor after edge splitting, so
-  // delayability never stops at such an exit).
-  assert((D.AtExit.empty() || !BB.branchInstr()) &&
-         "exit insertion at a branching block");
-  for (uint32_t Pat : D.AtExit)
-    Emit(Pat);
-  if (NewInstrs == BB.Instrs)
-    return false;
-  // The old list becomes the next rebuild's scratch.
-  BB.Instrs.swap(NewInstrs);
-  G.touchBlock(B);
-  return true;
-}
-
 bool SinkingContext::round(FlowGraph &G) {
   assert(!G.hasCriticalEdges() &&
          "assignment sinking requires split critical edges");
@@ -154,22 +40,22 @@ bool SinkingContext::round(FlowGraph &G) {
   bool All = false;
   {
     AM_SPAN(Span, "pde.solve");
-    if (Pats.build(G)) {
-      // Only the first round grows the universe: sinking re-materializes
-      // existing patterns.  A grown universe re-decides everything.
-      ++PatsGen;
-      All = true;
-    }
-    if (Pats.size() == 0)
+    // Only the first round grows the universe: sinking re-materializes
+    // existing patterns.  A grown universe re-decides everything.
+    uint64_t Gen = Table.patternGeneration();
+    Table.refreshPatterns(G);
+    All = Table.patternGeneration() != Gen;
+    if (patterns().size() == 0)
       return false;
     // Release the previous round's results before their solvers move on,
     // so nothing is copied out.
     Delay = DataflowResult();
     Live = LivenessAnalysis();
-    Delay = DelaySolver.solve(G, DelayProblem, PatsGen);
+    Delay = DelaySolver.solve(G, DelayProblem, Table.patternGeneration());
     Live = LivenessAnalysis::run(G, LiveSolver);
   }
 
+  const AssignPatternTable &Pats = patterns();
   size_t PatWords = (Pats.size() + 63) / 64;
   size_t VarWords = (G.Vars.size() + 63) / 64;
   All |= Decisions.size() != NumBlocks ||
@@ -195,21 +81,53 @@ bool SinkingContext::round(FlowGraph &G) {
           changed(Live.result().exitRow(B), PrevLiveOut, B, VarWords);
       Rebuild[B] = Touched[B] || InChanged[B] || LiveChanged;
     }
+    // Only patterns that still occur are patterns of this program: a dead
+    // slot of the stable numbering is delayable nowhere a path reaches.
+    auto Occurs = [&](size_t Pat) {
+      return Pats.rank(Pat) != AssignPatternTable::NoRank;
+    };
+    // A latest point is kept where its left-hand side is live: read by
+    // the blocking instruction itself, or live after it and not redefined
+    // by it; at the exit, live-out.
+    auto Guard = [&](const Instr *I, size_t Pat, const auto &LiveAfter) {
+      VarId Lhs = Pats.pattern(Pat).Lhs;
+      bool IsLive = LiveAfter.test(index(Lhs));
+      bool Keep =
+          I ? I->usesVar(Lhs) || (IsLive && I->definedVar() != Lhs) : IsLive;
+      return Keep ? LatestKind::Place : LatestKind::Drop;
+    };
+    // Sorts a decision into the current rank order, the order a fresh
+    // numbering gives; returns true if the order moved.
+    auto SortByRank = [&](BlockDecision &D) {
+      auto Less = [&](const auto &A, const auto &Z) {
+        return A.first != Z.first ? A.first < Z.first
+                                  : Pats.rank(A.second) < Pats.rank(Z.second);
+      };
+      if (std::is_sorted(D.begin(), D.end(), Less))
+        return false;
+      std::sort(D.begin(), D.end(), Less);
+      return true;
+    };
     size_t Redecided = 0;
-    BlockWalker DelayWalk(Delay), LiveWalk(Live.result());
+    LatestPlacement Walk(Delay, Live.result());
     for (BlockId B = 0; B < NumBlocks; ++B) {
+      BlockDecision &D = Decisions[B];
       bool Again = Rebuild[B];
       for (BlockId S : G.block(B).Succs)
         Again |= InChanged[S];
       // A kept decision naming a pattern that no longer occurs is
       // re-derived; any other is re-sorted into the current rank order
       // and rebuilt only if that order moved.
-      if (!Again && stillOccurs(Decisions[B])) {
-        Rebuild[B] = sortByRank(Decisions[B]);
+      if (!Again && std::all_of(D.begin(), D.end(), [&](const auto &P) {
+            return Occurs(P.second);
+          })) {
+        Rebuild[B] = SortByRank(D);
         continue;
       }
-      decide(G, B, DelayWalk, LiveWalk);
-      sortByRank(Decisions[B]);
+      D.clear();
+      Walk.decide(G, B, Occurs, Guard,
+                  [&](const LatestPoint &P) { D.push_back({P.Idx, P.Bit}); });
+      SortByRank(D);
       Rebuild[B] = true;
       ++Redecided;
     }
@@ -221,7 +139,17 @@ bool SinkingContext::round(FlowGraph &G) {
   AM_SPAN(Span, "pde.rebuild");
   bool Changed = false;
   for (BlockId B = 0; B < NumBlocks; ++B) {
-    Touched[B] = Rebuild[B] && rebuild(G, B);
+    Touched[B] =
+        Rebuild[B] &&
+        Rebuilder.rebuild(
+            G, B, Decisions[B],
+            [&](size_t K, size_t) {
+              const AssignPat &P = Pats.pattern(Decisions[B][K].second);
+              return Instr::assign(P.Lhs, P.Rhs);
+            },
+            [&](size_t Idx) {
+              return Pats.occurrenceAt(B, Idx) != AssignPatternTable::npos;
+            });
     Changed |= Touched[B];
   }
   return Changed;

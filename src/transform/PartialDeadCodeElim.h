@@ -39,13 +39,9 @@
 #define AM_TRANSFORM_PARTIALDEADCODEELIM_H
 
 #include "analysis/Liveness.h"
-#include "analysis/PaperAnalyses.h"
-#include "dfa/Dataflow.h"
-#include "ir/FlowGraph.h"
-#include "ir/Patterns.h"
+#include "transform/AssignmentMotion.h"
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 namespace am {
@@ -83,41 +79,20 @@ public:
   /// The last round's pattern table and facts, for tests.  The facts
   /// describe the graph the round decided on and stay valid until the
   /// next round.
-  const AssignPatternTable &patterns() const { return Pats; }
+  const AssignPatternTable &patterns() const { return Table.patterns(); }
   const DataflowResult &delayability() const { return Delay; }
   const DataflowResult &liveness() const { return Live.result(); }
 
 private:
-  /// A block's last decision.  The removals need no storage: every
-  /// occurrence is deleted, and a kept decision belongs to a block the
-  /// previous round left unchanged, whose occurrences the table records.
-  struct BlockDecision {
-    /// (instruction, pattern) of each guarded N-LATEST point, by
-    /// instruction, co-located patterns in rank order.
-    std::vector<std::pair<uint32_t, uint32_t>> Before;
-    /// X-LATEST patterns guarded by liveness at exit, in rank order.
-    std::vector<uint32_t> AtExit;
-  };
+  /// A block's last decision: its guarded latest points as inserts, the
+  /// X-LATEST ones at the block's size, co-located patterns in rank
+  /// order.  The removals need no storage: every occurrence is deleted,
+  /// and a kept decision belongs to a block the previous round left
+  /// unchanged, whose occurrences the table records.
+  using BlockDecision = std::vector<BlockRebuilder::Insert>;
 
-  /// Only patterns that still occur are patterns of this program: a dead
-  /// slot of the stable numbering is delayable nowhere a path reaches.
-  bool occurs(size_t Pat) const {
-    return Pats.rank(Pat) != AssignPatternTable::NoRank;
-  }
-  /// Derives block \p B's decision, co-located inserts in index order.
-  void decide(const FlowGraph &G, BlockId B, BlockWalker &DelayWalk,
-              BlockWalker &LiveWalk);
-  /// True if every pattern \p D inserts still occurs in the graph.
-  bool stillOccurs(const BlockDecision &D) const;
-  /// Sorts \p D's co-located inserts into the current rank order, the
-  /// order a fresh numbering gives; returns true if the order moved.
-  bool sortByRank(BlockDecision &D) const;
-  /// Applies block \p B's decision; returns true if the block changed.
-  bool rebuild(FlowGraph &G, BlockId B);
-
-  AssignPatternTable Pats;
-  uint64_t PatsGen = 0;
-  BlockingProblem DelayProblem{Pats, Direction::Forward};
+  PatternContext Table;
+  BlockingProblem DelayProblem{Table.patterns(), Direction::Forward};
   DataflowSolver DelaySolver;
   DataflowSolver LiveSolver;
   // The results read their solvers' storage; declared after the solvers
@@ -133,10 +108,7 @@ private:
   std::vector<uint64_t> PrevDelayIn, PrevLiveOut;
   // Per-round scratch.
   std::vector<bool> InChanged, Rebuild;
-  std::vector<std::pair<uint32_t, uint32_t>> Latest;
-  std::vector<bool> Keep;
-  std::vector<WordRow> SuccIn;
-  std::vector<Instr> NewInstrs;
+  BlockRebuilder Rebuilder;
 };
 
 /// Iterates sinking rounds on one SinkingContext to a fixpoint, capturing

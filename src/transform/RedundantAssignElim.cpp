@@ -7,9 +7,7 @@
 #include "transform/RedundantAssignElim.h"
 #include "analysis/PaperAnalyses.h"
 #include "ir/InstrNumbering.h"
-#include "ir/Printer.h"
 #include "report/Recorder.h"
-#include "support/Remarks.h"
 #include "support/Telemetry.h"
 #include "transform/AssignmentMotion.h"
 #include "verify/FaultInjector.h"
@@ -80,16 +78,10 @@ unsigned am::runRedundantAssignmentElimination(FlowGraph &G, AmContext &Ctx) {
       if (AM_REMARKS_ENABLED()) {
         // A removal always commits (the list shrinks), so the remark can
         // be emitted directly.
-        remarks::Remark R;
-        R.K = remarks::Kind::Eliminate;
-        R.InstrId = Instrs[Idx].Id;
-        R.Block = B;
-        R.InstrIndex = static_cast<uint32_t>(Idx);
+        remarks::Remark R =
+            describe(remarks::Kind::Eliminate, G, B, Idx, Instrs[Idx],
+                     Redundancy.solveSerial());
         R.Terminal = true;
-        R.Pattern = printInstr(Instrs[Idx], G.Vars);
-        if (Instrs[Idx].isAssign())
-          R.Var = G.Vars.name(Instrs[Idx].Lhs);
-        R.Solve = Redundancy.solveSerial();
         R.fact("N-REDUNDANT", "1")
             .fact("defined_by",
                   describeDefiner(G, B, Idx, Pat, Pats, Redundancy));

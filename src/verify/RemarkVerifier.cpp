@@ -311,14 +311,11 @@ private:
     // rebuilt block, so the justification is checked at the temp level:
     // the cited placement predicate must fire for this temp somewhere in
     // the recorded block of the pre-stage plan.
-    BlockId B = R.Block;
-    if (B >= Before.numBlocks()) {
-      // The fallback FromPred path writes into a successor; the plan to
-      // consult is the predecessor's.
+    if (R.Block >= Before.numBlocks()) {
       fail(Stage, R, "block out of range in pre-stage graph");
       return;
     }
-    FlushAnalysis::BlockPlan Plan = Fresh.plan(B);
+    FlushAnalysis::BlockPlan Plan = Fresh.plan(R.Block);
     if (Via == "N-INIT" || Via == "RECONSTRUCT-multi-use") {
       for (SparseRows::Row Bits :
            Via == "N-INIT" ? Plan.InitBefore : Plan.Reconstruct)
@@ -329,12 +326,6 @@ private:
       return;
     }
     if (Via == "X-INIT") {
-      if (R.Place == Placement::FromPred) {
-        if (R.FromBlock >= Before.numBlocks() ||
-            !Fresh.plan(R.FromBlock).InitAtExit.test(TempIdx))
-          fail(Stage, R, "X-INIT not set at the branching predecessor");
-        return;
-      }
       if (!Plan.InitAtExit.test(TempIdx))
         fail(Stage, R, "X-INIT not set in a fresh flush analysis");
       return;

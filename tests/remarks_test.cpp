@@ -21,6 +21,7 @@
 #include "support/Json.h"
 #include "support/Remarks.h"
 #include "support/Stats.h"
+#include "transform/Pipeline.h"
 #include "transform/UniformEmAm.h"
 #include "verify/RemarkVerifier.h"
 
@@ -52,6 +53,20 @@ FlowGraph runCollected(const FlowGraph &G) {
   Sink::get().clear();
   ensureInstrIds(Input);
   return runUniformEmAm(Input);
+}
+
+/// The lcm,cp,pde outputs of irreducible CFGs 1-40: initializations
+/// that read other temporaries, the only inputs on which the flush's
+/// commit-gated remarks see temporaries as operands.
+const std::vector<FlowGraph> &temporaryOperandCorpus() {
+  static const std::vector<FlowGraph> Corpus = [] {
+    std::vector<FlowGraph> Out;
+    for (uint64_t Seed = 1; Seed <= 40; ++Seed)
+      Out.push_back(
+          runPipeline(generateIrreducibleCfg(Seed), "lcm,cp,pde").Graph);
+    return Out;
+  }();
+  return Corpus;
 }
 
 /// Every instruction id present in \p G.
@@ -177,6 +192,28 @@ TEST(RemarksCoherence, CountsMatchStatCountersOnCorpus) {
   }
 }
 
+TEST(RemarksCoherence, CountsMatchStatCountersOnTemporaryOperands) {
+  CollectionScope On;
+  unsigned Sunk = 0;
+  for (size_t Idx = 0; Idx < temporaryOperandCorpus().size(); ++Idx) {
+    stats::Registry::get().resetAll();
+    runCollected(temporaryOperandCorpus()[Idx]);
+    auto Count = [](const char *Name) -> uint64_t {
+      const stats::Counter *C = stats::Registry::get().findCounter(Name);
+      return C ? C->get() : 0;
+    };
+    EXPECT_EQ(Sink::get().countKind(Kind::Eliminate), Count("am.eliminated"))
+        << "seed " << Idx + 1;
+    EXPECT_EQ(Sink::get().countKind(Kind::DeleteInit),
+              Count("flush.inits_deleted"))
+        << "seed " << Idx + 1;
+    EXPECT_EQ(Sink::get().countKind(Kind::SinkInit), Count("flush.inits_sunk"))
+        << "seed " << Idx + 1;
+    Sunk += Sink::get().countKind(Kind::SinkInit);
+  }
+  EXPECT_GT(Sunk, 0u);
+}
+
 // Every assignment that enters or is created by the pipeline either
 // survives to the output or is the subject of *exactly one* terminal
 // remark — nothing disappears unexplained, nothing is deleted twice.
@@ -291,6 +328,21 @@ TEST(RemarksVerifier, RandomCorpusReplaysClean) {
     EXPECT_TRUE(Report.ok())
         << "seed " << Seed << ": "
         << (Report.Failures.empty() ? "" : Report.Failures.front());
+  }
+  EXPECT_GT(Checked, 0u);
+}
+
+TEST(RemarksVerifier, TemporaryOperandCorpusReplaysClean) {
+  unsigned Checked = 0;
+  for (size_t Idx = 0; Idx < temporaryOperandCorpus().size(); ++Idx) {
+    const FlowGraph &G = temporaryOperandCorpus()[Idx];
+    RemarkVerifyReport Report = verifyUniformRemarks(G);
+    Checked += Report.Checked;
+    EXPECT_TRUE(Report.ok())
+        << "seed " << Idx + 1 << ": "
+        << (Report.Failures.empty() ? "" : Report.Failures.front());
+    EXPECT_EQ(printGraph(Report.Output), printGraph(runUniformEmAm(G)))
+        << "seed " << Idx + 1;
   }
   EXPECT_GT(Checked, 0u);
 }
