@@ -203,21 +203,32 @@ size_t FlushUniverse::instanceOf(const Instr &I) const {
 //===----------------------------------------------------------------------===//
 
 FlushAnalysis FlushAnalysis::run(const FlowGraph &G) {
+  auto Delay = std::make_unique<DataflowSolver>();
+  auto Usable = std::make_unique<DataflowSolver>();
+  FlushAnalysis A = run(G, *Delay, *Usable);
+  A.OwnedDelay = std::move(Delay);
+  A.OwnedUsable = std::move(Usable);
+  return A;
+}
+
+FlushAnalysis FlushAnalysis::run(const FlowGraph &G,
+                                 DataflowSolver &DelaySolver,
+                                 DataflowSolver &UsableSolver) {
   FlushAnalysis A;
   A.G = &G;
   A.UniversePtr = std::make_unique<FlushUniverse>();
   A.UniversePtr->build(G);
   A.DelayProblem = std::make_unique<DelayabilityProblem>(*A.UniversePtr);
   A.UsableProblem = std::make_unique<UsabilityProblem>(*A.UniversePtr);
-  A.DelaySolver = std::make_unique<DataflowSolver>();
-  A.UsableSolver = std::make_unique<DataflowSolver>();
+  DelaySolver.handOver();
+  UsableSolver.handOver();
   {
     AM_SPAN(Span, "analysis.delayability");
-    A.Delay = A.DelaySolver->solve(G, *A.DelayProblem);
+    A.Delay = DelaySolver.solve(G, *A.DelayProblem);
   }
   {
     AM_SPAN(Span, "analysis.usability");
-    A.Usable = A.UsableSolver->solve(G, *A.UsableProblem);
+    A.Usable = UsableSolver.solve(G, *A.UsableProblem);
   }
   return A;
 }

@@ -37,7 +37,9 @@
 #include "ir/Patterns.h"
 #include "support/SparseRows.h"
 
+#include <algorithm>
 #include <memory>
+#include <type_traits>
 #include <utility>
 
 namespace am {
@@ -222,20 +224,20 @@ public:
   /// node's entry is the hoisting frontier when hoistability reaches it.
   BitVector entryInsert(BlockId B) const {
     BitVector Out(Problem->numBits());
-    forEachInsert(B, [&](size_t Pat) { Out.set(Pat); }, [](size_t) {});
+    forEachInsert(B, [&](size_t Pat) { Out.set(Pat); }, nullptr);
     return Out;
   }
 
   /// X-INSERT: patterns to insert at the exit of \p B.
   BitVector exitInsert(BlockId B) const {
     BitVector Out(Problem->numBits());
-    forEachInsert(B, [](size_t) {}, [&](size_t Pat) { Out.set(Pat); });
+    forEachInsert(B, nullptr, [&](size_t Pat) { Out.set(Pat); });
     return Out;
   }
 
   /// Calls \p Entry(Pat) for every N-INSERT bit and \p Exit(Pat) for
   /// every X-INSERT bit of block \p B, computed word by word from the
-  /// solver's rows.
+  /// solver's rows.  A null callback skips its predicate's reads.
   template <typename EntryFn, typename ExitFn>
   void forEachInsert(BlockId B, EntryFn Entry, ExitFn Exit) const;
 
@@ -268,23 +270,40 @@ void HoistabilityAnalysis::forEachInsert(BlockId B, EntryFn Entry,
   // without one (every join, after edge splitting) inserts nothing at
   // its entry.  The start node's entry is the frontier for everything
   // still hoistable there.
+  constexpr bool WantEntry = !std::is_null_pointer_v<EntryFn>;
+  constexpr bool WantExit = !std::is_null_pointer_v<ExitFn>;
   bool Start = B == G->start();
   Stops.clear();
-  for (BlockId P : G->block(B).Preds)
-    if (G->block(P).Succs.size() > 1)
-      Stops.push_back(Result.exitRow(P));
+  if (WantEntry)
+    for (BlockId P : G->block(B).Preds)
+      if (G->block(P).Succs.size() > 1)
+        Stops.push_back(Result.exitRow(P));
   WordRow N = Result.entryRow(B), X = Result.exitRow(B),
           Blocked = Locals->locBlocked(B);
-  for (size_t W = 0, E = (N.size() + 63) / 64; W != E; ++W) {
-    if (Start || !Stops.empty()) {
-      uint64_t Stop = Start ? ~uint64_t(0) : 0;
-      for (const WordRow &S : Stops)
-        Stop |= ~S.word(W);
-      Emit(Entry, W, N.word(W) & Stop);
+  bool EntryCanFire = WantEntry && (Start || !Stops.empty());
+  // Both predicates need a hoistable bit, so a run (one slice group's
+  // words) whose N-HOISTABLE* and X-HOISTABLE* words are all zero is
+  // skipped on the engine's live flags without reading it.
+  for (size_t C = 0, E = (N.size() + 63) / 64; C < E;
+       C += WordRow::ChunkWords) {
+    bool NLive = EntryCanFire && N.chunkLive(C);
+    bool XLive = WantExit && X.chunkLive(C);
+    if (!NLive && !XLive)
+      continue;
+    for (size_t W = C, CE = std::min(C + WordRow::ChunkWords, E); W != CE;
+         ++W) {
+      if constexpr (WantEntry)
+        if (uint64_t NW = NLive ? N.word(W) : 0) {
+          uint64_t Stop = Start ? ~uint64_t(0) : 0;
+          for (const WordRow &S : Stops)
+            Stop |= ~S.word(W);
+          Emit(Entry, W, NW & Stop);
+        }
+      // X-INSERT = X-HOISTABLE* · LOC-BLOCKED.
+      if constexpr (WantExit)
+        if (uint64_t XW = XLive ? X.word(W) : 0)
+          Emit(Exit, W, XW & Blocked.word(W));
     }
-    // X-INSERT = X-HOISTABLE* · LOC-BLOCKED.
-    if (uint64_t XW = X.word(W))
-      Emit(Exit, W, XW & Blocked.word(W));
   }
 }
 
@@ -427,11 +446,19 @@ void LatestPlacement::decide(const FlowGraph &G, BlockId B,
   }
 }
 
-/// Delayability + usability facts (Table 3), solved on solvers the
-/// analysis owns so the results are read as rows, never copied out.
+/// Delayability + usability facts (Table 3), read as rows of the solvers
+/// that solved them, never copied out.
 class FlushAnalysis {
 public:
+  /// Solves on solvers the analysis owns.
   static FlushAnalysis run(const FlowGraph &G);
+
+  /// Hands \p DelaySolver and \p UsableSolver to the two problems (see
+  /// DataflowSolver::handOver) and solves on them, so planes an earlier
+  /// phase left in their arenas are reused.  Both must outlive the
+  /// analysis, and neither may solve again while its facts are read.
+  static FlushAnalysis run(const FlowGraph &G, DataflowSolver &DelaySolver,
+                           DataflowSolver &UsableSolver);
 
   const FlushUniverse &universe() const { return *UniversePtr; }
 
@@ -476,9 +503,9 @@ private:
   const FlowGraph *G = nullptr;
   std::unique_ptr<FlushUniverse> UniversePtr;
   std::unique_ptr<DataflowProblem> DelayProblem, UsableProblem;
-  // Declared before the results that read their storage, so the results
-  // die first and nothing is copied out.
-  std::unique_ptr<DataflowSolver> DelaySolver, UsableSolver;
+  // One-shot run() only.  Declared before the results that read their
+  // storage, so the results die first and nothing is copied out.
+  std::unique_ptr<DataflowSolver> OwnedDelay, OwnedUsable;
   DataflowResult Delay, Usable;
 };
 

@@ -66,6 +66,12 @@ void am::setSolveObserver(void (*Fn)(const SolveInfo &, void *), void *Ctx) {
 DataflowSolver::DataflowSolver() = default;
 DataflowSolver::~DataflowSolver() { detach(); }
 
+void DataflowSolver::handOver() {
+  detach();
+  HaveSolution = false;
+  Engine.handOver();
+}
+
 bool DataflowSolver::solutionValid(const FlowGraph &G,
                                    const DataflowProblem &P,
                                    uint64_t ProblemGen) const {

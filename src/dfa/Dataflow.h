@@ -220,6 +220,12 @@ public:
   DataflowResult solve(const FlowGraph &G, const DataflowProblem &P,
                        uint64_t ProblemGen = 0);
 
+  /// Hands the solver to a new problem: drops the cached transfers and
+  /// solution, so the next solve is a full one whatever its problem
+  /// generation, and keeps the engine's arenas, so a problem whose planes
+  /// fit them allocates none.  A result still held is copied out first.
+  void handOver();
+
   /// The composed transfer of block \p B from the last solve, as word
   /// views (Gen / Kill sides).
   void transferRows(BlockId B, WordRow &Gen, WordRow &Kill) const;

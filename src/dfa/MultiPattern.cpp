@@ -37,12 +37,10 @@ bool MultiPatternTransfers::refresh(const FlowGraph &G,
   // change, because both the iteration order and the position-space edge
   // lists derive from the structure.  Block splitting and edge rewiring
   // happen before the fixpoint rounds; steady-state refreshes see a
-  // stable structure and stay incremental.  (The engine reshapes Lanes
-  // before calling in, so matching cached dimensions also mean the
-  // gen/kill lanes were not wiped.)
+  // stable structure and stay incremental.  (A reshape of Lanes, whose
+  // lanes it leaves unwritten, invalidates this cache first.)
   bool Incremental = Valid && CachedG == &G && CachedGen == ProblemGen &&
                      CachedBits == Bits && CachedForward == Forward &&
-                     Lanes.rows() == NumBlocks && Lanes.bits() == Bits &&
                      CachedStruct == G.structTick();
 
   uint64_t Recomposed = 0;
@@ -133,6 +131,7 @@ uint64_t TransposedEngine::drainGroupImpl(size_t Gr, const SolveRequest &R,
   uint64_t *Lane = LaneM.groupLanes(Gr);
   uint64_t *Out = OutM.groupRow(Gr);
   uint64_t *InP = InM.groupRow(Gr);
+  uint8_t *LiveP = Live + Gr * NumPos;
   const size_t NumSlices = LaneM.slices();
   uint64_t InitW[GW], BoundaryW[GW];
   for (size_t W = 0; W < GW; ++W) {
@@ -152,7 +151,8 @@ uint64_t TransposedEngine::drainGroupImpl(size_t Gr, const SolveRequest &R,
   // what keeps them cache hits even when the gen/kill stream is far too
   // large to be resident.  Dead tail words of a partial final group
   // carry the identity transfer over an all-zero meet, so they never
-  // report a change.
+  // report a change.  The position's live flags are written here too,
+  // so they describe whatever the runs last became.
   auto Eval = [&](size_t I) {
     const uint64_t *L = Lane + I * 2 * GW;
     uint64_t NewIn[GW];
@@ -181,13 +181,16 @@ uint64_t TransposedEngine::drainGroupImpl(size_t Gr, const SolveRequest &R,
     }
     uint64_t *InRow = InP + I * GW;
     uint64_t *OutRow = Out + I * GW;
-    uint64_t Changed = 0;
+    uint64_t Changed = 0, AnyIn = 0, AnyOut = 0;
     for (size_t W = 0; W < GW; ++W) {
       uint64_t NewOut = L[W] | (NewIn[W] & ~L[GW + W]);
       InRow[W] = NewIn[W];
       Changed |= NewOut ^ OutRow[W];
       OutRow[W] = NewOut;
+      AnyIn |= NewIn[W];
+      AnyOut |= NewOut;
     }
+    LiveP[I] = (AnyIn ? InLive : 0) | (AnyOut ? OutLive : 0);
     return Changed != 0;
   };
 
@@ -262,14 +265,18 @@ uint64_t TransposedEngine::solve(const SolveRequest &R) {
   assert(NumPos == G.numBlocks() && "the iteration order covers every block");
   size_t BoundaryPos = (*R.OrderIndex)[R.BoundaryBlock];
 
-  // Reshape before refreshing the transfers: a wiped lane matrix must
-  // never pass the refresh's incremental check (its cached dimensions
-  // would mismatch, forcing the full rebuild that repopulates gen/kill).
+  // Reshape before refreshing the transfers, which a reshape invalidates:
+  // its planes are unwritten until the full compose and the full solve
+  // below write them (see PackedLaneMatrix::reshape).
   if (LaneM.rows() != NumPos || LaneM.bits() != Bits) {
     AM_SPAN(Span, "dfa.reshape");
-    LaneM.reshape(NumPos, Bits);
-    OutM.reshape(NumPos, Bits);
-    InM.reshape(NumPos, Bits);
+    assert(!R.Incremental && "an incremental solve over fresh planes");
+    bool Reused = LaneM.reshape(NumPos, Bits);
+    Reused &= OutM.reshape(NumPos, Bits);
+    Reused &= InM.reshape(NumPos, Bits);
+    Reused &= reallocate(LiveMem, Live, NumPos * LaneM.groups());
+    Transfers.invalidate();
+    Span.arg("reused", Reused ? 1 : 0);
   }
   {
     AM_SPAN(Span, "dfa.compose");
@@ -354,9 +361,10 @@ uint64_t TransposedEngine::solve(const SolveRequest &R) {
 
 WordRow TransposedEngine::row(BlockId B, bool MeetSide) const {
   size_t GW = LaneM.groupWidth();
+  size_t Pos = (*SolOrderIndex)[B];
   const PackedGroupPlane &Plane = MeetSide ? InM : OutM;
-  return WordRow(Plane.groupRow(0) + (*SolOrderIndex)[B] * GW, SolBits,
-                 Plane.groupStride());
+  return WordRow(Plane.groupRow(0) + Pos * GW, SolBits, Plane.groupStride(),
+                 Live + Pos, LaneM.rows(), MeetSide ? InLive : OutLive);
 }
 
 void TransposedEngine::transferRows(BlockId B, WordRow &Gen,

@@ -64,6 +64,16 @@ inline size_t groupWidthFor(size_t Bits) {
                                  : std::bit_ceil(std::max<size_t>(Slices, 1));
 }
 
+/// Points \p Data at \p N unwritten elements of \p Mem, dropping what it
+/// held; returns true if the slab the arena kept was large enough.
+template <typename T>
+bool reallocate(support::Arena &Mem, T *&Data, size_t N) {
+  Mem.reset();
+  size_t Kept = Mem.capacity();
+  Data = N ? Mem.allocate<T>(N) : nullptr;
+  return Mem.capacity() == Kept;
+}
+
 /// The transfer side of the solve-loop working set, interleaved and
 /// grouped: slices come in groups of groupWidth(), and per (group, row)
 /// the matrix stores one contiguous {gen[GW], kill[GW]} lane pair.  One
@@ -88,18 +98,26 @@ public:
   size_t groups() const { return NumGroups; }
   size_t groupWidth() const { return GW; }
 
-  /// Resizes to \p Rows x \p Bits and zero-fills all lanes.
-  void reshape(size_t Rows, size_t Bits) {
+  /// Resizes to \p Rows x \p Bits, leaving every lane unwritten; returns
+  /// true if the arena's kept slab held the lanes (no new allocation).
+  ///
+  /// Nothing here or in the engine's other planes is pre-zeroed.  After
+  /// a reshape the first solve is a full one (the transfers are
+  /// invalidated, and the solver's solution no longer matches the width
+  /// or the structure), and every word is written before it is read:
+  ///  * the full compose writes every gen/kill lane of every row, dead
+  ///    tail words of a partial final group included (setTransferTile);
+  ///  * the full solve resets every out row to the optimistic value
+  ///    before any meet reads it;
+  ///  * the first sweep evaluates every position, which writes its in
+  ///    row and its live flags.
+  bool reshape(size_t Rows, size_t Bits) {
     NumRows = Rows;
     NumBits = Bits;
     NumSlices = (Bits + 63) / 64;
     GW = groupWidthFor(Bits);
     NumGroups = (NumSlices + GW - 1) / GW;
-    Mem.reset();
-    size_t Total = NumRows * NumGroups * 2 * GW;
-    Data = Total ? Mem.allocate<uint64_t>(Total) : nullptr;
-    for (size_t I = 0; I < Total; ++I)
-      Data[I] = 0;
+    return reallocate(Mem, Data, NumRows * NumGroups * 2 * GW);
   }
 
   /// The lane array of group \p Gr: row B's pair starts at index
@@ -170,15 +188,12 @@ private:
 /// and read back only by the result's queries.
 class PackedGroupPlane {
 public:
-  void reshape(size_t Rows, size_t Bits) {
+  /// As PackedLaneMatrix::reshape: nothing is written.
+  bool reshape(size_t Rows, size_t Bits) {
     NumRows = Rows;
     GW = groupWidthFor(Bits);
     size_t NumGroups = ((Bits + 63) / 64 + GW - 1) / GW;
-    Mem.reset();
-    size_t Total = NumRows * NumGroups * GW;
-    Data = Total ? Mem.allocate<uint64_t>(Total) : nullptr;
-    for (size_t I = 0; I < Total; ++I)
-      Data[I] = 0;
+    return reallocate(Mem, Data, NumRows * NumGroups * GW);
   }
 
   uint64_t *groupRow(size_t Gr) { return Data + Gr * groupStride(); }
@@ -233,6 +248,9 @@ public:
   const uint32_t *depOff() const { return DepOff.data(); }
   const uint32_t *depPos() const { return DepPos.data(); }
 
+  /// Forces the next refresh to compose every row.
+  void invalidate() { Valid = false; }
+
 private:
   std::vector<uint32_t> MeetOff, MeetPos, DepOff, DepPos;
   const FlowGraph *CachedG = nullptr;
@@ -277,8 +295,12 @@ public:
   /// Slices per group of the last solve (groupWidthFor its width).
   size_t groupWidth() const { return LaneM.groupWidth(); }
 
+  /// Drops the composed transfers, so the next solve composes every row;
+  /// the planes' storage is kept for whatever problem comes next.
+  void handOver() { Transfers.invalidate(); }
+
   /// Word view of block \p B's converged meet side (\p MeetSide) or
-  /// transferred side.
+  /// transferred side, with its live runs (WordRow::chunkLive).
   WordRow row(BlockId B, bool MeetSide) const;
 
   /// Word views of block \p B's packed gen/kill transfer.
@@ -304,6 +326,12 @@ private:
   /// The meet side, written once per evaluation and read back only by
   /// the result's queries — kept out of the hot loop's read set.
   PackedGroupPlane InM;
+  /// Live runs: per (group, position), group-major, one byte whose
+  /// InLive / OutLive bits say whether the in / out run is nonzero.
+  /// Written by every evaluation, next to the runs themselves.
+  support::Arena LiveMem{4096};
+  uint8_t *Live = nullptr;
+  static constexpr uint8_t InLive = 1, OutLive = 2;
   std::vector<WorklistRing> GroupWork;
   /// The incremental restart's dirty closure as ascending positions.
   std::vector<uint32_t> ClosurePos;

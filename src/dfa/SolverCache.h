@@ -86,8 +86,9 @@ private:
 /// planes, one run of ChunkWords words per slice group, Stride words
 /// apart.  ChunkWords is the engine's widest group width; a narrower
 /// group width only occurs when a problem has a single group, whose run
-/// is the whole row — contiguous, so the same view reads it.  Valid until
-/// the owning storage changes.
+/// is the whole row — contiguous, so the same view reads it.  A fact row
+/// of the engine also knows which runs hold a set bit (chunkLive), so a
+/// scan can skip the rest.  Valid until the owning storage changes.
 class WordRow {
 public:
   static constexpr size_t ChunkWords = 16;
@@ -95,10 +96,19 @@ public:
   WordRow() = default;
   explicit WordRow(const BitVector &V)
       : Base(V.data()), Bits(V.size()), Stride(ChunkWords) {}
-  WordRow(const uint64_t *Base, size_t Bits, size_t Stride)
-      : Base(Base), Bits(Bits), Stride(Stride) {}
+  WordRow(const uint64_t *Base, size_t Bits, size_t Stride,
+          const uint8_t *Live = nullptr, size_t LiveStride = 0,
+          uint8_t LiveBit = 0)
+      : Base(Base), Bits(Bits), Stride(Stride), Live(Live),
+        LiveStride(LiveStride), LiveBit(LiveBit) {}
 
   size_t size() const { return Bits; }
+  /// False only if chunk(\p W) is all zero, as the engine recorded when
+  /// it last evaluated the row; always true for a materialized row and
+  /// for a transfer row.
+  bool chunkLive(size_t W) const {
+    return !Live || (Live[W / ChunkWords * LiveStride] & LiveBit);
+  }
   /// Words [W, W + ChunkWords) for \p W a multiple of ChunkWords; they
   /// are contiguous in either layout.
   const uint64_t *chunk(size_t W) const {
@@ -136,6 +146,9 @@ private:
   const uint64_t *Base = nullptr;
   size_t Bits = 0;
   size_t Stride = 0;
+  const uint8_t *Live = nullptr;
+  size_t LiveStride = 0;
+  uint8_t LiveBit = 0;
 };
 
 /// A flat, index-ordered bucket ring over a solver iteration order of

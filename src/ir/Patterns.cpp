@@ -14,16 +14,19 @@ static size_t hashAssignPat(VarId Lhs, const Term &Rhs) {
   return hashTerm(Rhs) * 31u + index(Lhs);
 }
 
-bool AssignPatternTable::build(const FlowGraph &G) {
+bool AssignPatternTable::build(const FlowGraph &G, Tick Since) {
   size_t Known = Pats.size();
+  bool Rescan = Since == 0 || Occ.numBlocks() != G.numBlocks();
+  std::swap(Occ, PrevOcc);
   Occ.clear();
-  Ranks.assign(Known, NoRank);
-  ByRank.clear();
 
-  // Number new patterns and rank every pattern in deterministic
-  // first-occurrence order, recording each instruction's occurrence on
-  // the way.
+  // Record each instruction's occurrence, numbering new patterns; a block
+  // not stamped since the last build keeps its recorded occurrences.
   for (BlockId B = 0; B < G.numBlocks(); ++B) {
+    if (!Rescan && G.blockTick(B) <= Since) {
+      Occ.appendBlock(PrevOcc, B);
+      continue;
+    }
     for (const Instr &I : G.block(B).Instrs) {
       uint32_t Pat = NoPat;
       if (I.isAssign() && !I.Rhs.isVarAtom(I.Lhs)) {
@@ -31,18 +34,24 @@ bool AssignPatternTable::build(const FlowGraph &G) {
         if (Idx == npos) {
           Idx = Pats.size();
           Pats.push_back({I.Lhs, I.Rhs});
-          Ranks.push_back(NoRank);
           Index.emplace(hashAssignPat(I.Lhs, I.Rhs), Idx);
         }
         Pat = static_cast<uint32_t>(Idx);
-        if (Ranks[Pat] == NoRank) {
-          Ranks[Pat] = static_cast<uint32_t>(ByRank.size());
-          ByRank.push_back(Pat);
-        }
       }
       Occ.push(Pat);
     }
     Occ.endBlock();
+  }
+
+  // Rank every pattern in deterministic (block-index, instruction-index)
+  // first-occurrence order, straight from the recorded occurrences.
+  Ranks.assign(Pats.size(), NoRank);
+  ByRank.clear();
+  for (uint32_t Pat : Occ.values()) {
+    if (Pat != NoPat && Ranks[Pat] == NoRank) {
+      Ranks[Pat] = static_cast<uint32_t>(ByRank.size());
+      ByRank.push_back(Pat);
+    }
   }
   if (Pats.size() == Known)
     return false;
@@ -71,6 +80,7 @@ void AssignPatternTable::clear() {
   ByRank.clear();
   Index.clear();
   Occ.clear();
+  PrevOcc.clear();
   DefMasks.reset(0, 0);
   LhsMasks.reset(0, 0);
   RedundancyOk.clearAndResize(0);

@@ -90,6 +90,17 @@ public:
   void push(const T &V) { Vals.push_back(V); }
   void endBlock() { Off.push_back(static_cast<uint32_t>(Vals.size())); }
 
+  /// Appends block \p B of \p From as the next block.
+  void appendBlock(const PerInstr &From, BlockId B) {
+    Vals.insert(Vals.end(), From.Vals.begin() + From.Off[B],
+                From.Vals.begin() + From.Off[B + 1]);
+    endBlock();
+  }
+
+  size_t numBlocks() const { return Off.size() - 1; }
+  /// Every value, block by block in instruction order.
+  const std::vector<T> &values() const { return Vals; }
+
   const T &at(BlockId B, size_t Idx) const {
     assert(B + 1 < Off.size() && Off[B] + Idx < Off[B + 1] &&
            "instruction position outside the snapshot");
@@ -132,7 +143,14 @@ public:
   /// the universe grew — only then do the indices of an unchanged
   /// instruction's effects change meaning, so only then must caches keyed
   /// on them be dropped.  Rebuilding reuses the table's existing storage.
-  bool build(const FlowGraph &G);
+  bool build(const FlowGraph &G) { return build(G, 0); }
+
+  /// As build(G), for a table last built from \p G at tick \p Since, with
+  /// no block added since: only the blocks \p G stamped after \p Since
+  /// are looked up again, the others keep their recorded occurrences, and
+  /// the ranks are recomputed from the occurrences.  \p Since 0 scans
+  /// every block.
+  bool build(const FlowGraph &G, Tick Since);
 
   /// Forgets the numbering: the next build numbers from scratch.
   void clear();
@@ -200,7 +218,7 @@ private:
   std::vector<uint32_t> Ranks;  // pattern -> rank in the last build
   std::vector<uint32_t> ByRank; // rank -> pattern
   std::unordered_multimap<size_t, size_t> Index; // hash -> pattern idx
-  PerInstr<uint32_t> Occ;                        // occurrence per instruction
+  PerInstr<uint32_t> Occ, PrevOcc; // occurrence per instruction; scratch
   VarMasks DefMasks;
   VarMasks LhsMasks;
   BitVector RedundancyOk;

@@ -12,6 +12,12 @@
 /// everything at once.  Only trivially-destructible element types are
 /// allowed — nothing is ever destroyed element-wise.
 ///
+/// Storage is never zeroed: a slab comes from make_unique_for_overwrite,
+/// and the callers write every word before reading it (see
+/// PackedLaneMatrix::reshape).  Builds with assertions fill new slabs,
+/// and a slab reset() keeps, with a nonzero byte, so a word read before
+/// it is written changes results instead of reading a lucky zero.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef AM_SUPPORT_ARENA_H
@@ -19,6 +25,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <type_traits>
 #include <vector>
@@ -46,13 +53,24 @@ public:
       Slabs.front() = std::move(Slabs.back());
       Slabs.resize(1);
     }
-    if (!Slabs.empty())
+    if (!Slabs.empty()) {
       Slabs.front().Used = 0;
+      poison(Slabs.front());
+    }
     TotalUsed = 0;
   }
 
   /// Bytes handed out since the last reset (excluding alignment pad).
   size_t bytesUsed() const { return TotalUsed; }
+
+  /// Bytes of slab storage held; unchanged across a reset() and a rebuild
+  /// that fits the kept slab.
+  size_t capacity() const {
+    size_t Bytes = 0;
+    for (const Slab &S : Slabs)
+      Bytes += S.Size;
+    return Bytes;
+  }
 
 private:
   struct Slab {
@@ -79,13 +97,20 @@ private:
     if (!Slabs.empty() && Slabs.back().Size * 2 > NewSize)
       NewSize = Slabs.back().Size * 2;
     Slab S;
-    S.Mem = std::make_unique<char[]>(NewSize);
+    S.Mem = std::make_unique_for_overwrite<char[]>(NewSize);
     S.Size = NewSize;
+    poison(S);
     uintptr_t Base = reinterpret_cast<uintptr_t>(S.Mem.get());
     size_t Pad = (Align - (Base & (Align - 1))) & (Align - 1);
     S.Used = Pad + Bytes;
     Slabs.push_back(std::move(S));
     return Slabs.back().Mem.get() + Pad;
+  }
+
+  static void poison([[maybe_unused]] Slab &S) {
+#ifndef NDEBUG
+    std::memset(S.Mem.get(), 0xA5, S.Size);
+#endif
   }
 
   size_t SlabBytes;

@@ -89,7 +89,7 @@ bool am::runAssignmentHoisting(FlowGraph &G, AmContext &Ctx,
     BlockId Pred = BB.Preds.size() == 1 ? BB.Preds[0] : NoBlock;
     if (const Instr *Br =
             Pred == NoBlock ? nullptr : G.block(Pred).branchInstr()) {
-      Hoist.forEachInsert(Pred, [](size_t) {}, [&](size_t Pat) {
+      Hoist.forEachInsert(Pred, nullptr, [&](size_t Pat) {
         if (Keep(Pat) && Pats.blocks(*Br, Pat))
           FromPred.push_back(Pat);
       });
@@ -228,6 +228,8 @@ bool am::runAssignmentHoisting(FlowGraph &G, AmContext &Ctx,
     Changed |= Rebuild.rebuild(G, B, Inserts, Make, Remove);
   }
   Rebuild.publish();
+  InsertSpan.arg("committed", Rebuild.commits());
+  InsertSpan.arg("noop", Rebuild.noops());
   return Changed;
 }
 

@@ -36,19 +36,23 @@
 namespace am {
 
 /// A stably numbered pattern table bound to one live graph, rebuilt
-/// (arena-reusing) only when the graph tick moved.  A pattern keeps its
-/// index, and the generation advances only when the universe grows, so
-/// unchanged instructions keep their composed transfers and every
-/// tick-stamped solver cache stays valid.  Where index order is
-/// observable, consumers use the table's first-occurrence rank, so the
-/// output is what a fresh numbering would give.
+/// (arena-reusing) only when the graph tick moved, and then only over the
+/// blocks stamped since.  A pattern keeps its index, and the generation
+/// advances only when the universe grows, so unchanged instructions keep
+/// their composed transfers and every tick-stamped solver cache stays
+/// valid.  Where index order is observable, consumers use the table's
+/// first-occurrence rank, so the output is what a fresh numbering would
+/// give.
 class PatternContext {
 public:
-  /// Rebuilds the table if the graph changed since the last refresh.
+  /// Rebuilds the table if the graph changed since the last refresh: a
+  /// structural change rescans every block, otherwise only the blocks
+  /// stamped since.
   void refreshPatterns(const FlowGraph &G) {
     if (PatsValid && !G.instrsChangedSince(PatsTick))
       return;
-    if (Pats.build(G))
+    bool Local = PatsValid && G.structTick() <= PatsTick;
+    if (Pats.build(G, Local ? PatsTick : 0))
       ++PatsGen;
     PatsTick = G.modTick();
     PatsValid = true;
@@ -56,6 +60,12 @@ public:
 
   const AssignPatternTable &patterns() const { return Pats; }
   uint64_t patternGeneration() const { return PatsGen; }
+
+  /// Frees the table's storage; the next refresh numbers from scratch.
+  void releasePatterns() {
+    Pats = AssignPatternTable();
+    PatsValid = false;
+  }
 
 private:
   AssignPatternTable Pats;
@@ -84,11 +94,13 @@ inline remarks::Remark describe(remarks::Kind K, const FlowGraph &G,
 /// The one block rebuild.  It commits only if the instruction list
 /// changed, and only then accepts the remarks buffered during it: a
 /// remove+reinsert that reproduces the identical list is a no-op whose
-/// old instructions, and old ids, survive.
+/// old instructions, and old ids, survive.  The new list is built only
+/// once it leaves the old one, so such a no-op copies no instruction.
 class BlockRebuilder {
 public:
   /// (instruction index, pattern or temporary): an insertion before that
-  /// instruction, or at the block's end for the block's size.
+  /// instruction, or at the block's end for the block's size; likewise a
+  /// rewrite of that instruction.
   using Insert = std::pair<uint32_t, uint32_t>;
 
   /// A buffered remark's part in lineage: an Insert remark descends from
@@ -100,30 +112,74 @@ public:
 
   /// Rebuilds block \p B: before instruction i, appends Make(k, NewIdx)
   /// for each insert k at i (NewIdx: its position in the new list); drops
-  /// instruction i if Remove(i), else keeps it, through Rewrite(i, Instr &)
-  /// if given.  Commits, stamping the block, only if the list changed.
+  /// instruction i if Remove(i), else keeps it, through Rewrite(r, Instr &)
+  /// for each rewrite r at i, in order.  Every callback runs whether or
+  /// not the rebuild commits; it commits, stamping the block, only if the
+  /// list changed.
   template <typename MakeFn, typename RemoveFn,
             typename RewriteFn = std::nullptr_t>
   bool rebuild(FlowGraph &G, BlockId B, std::span<const Insert> Inserts,
-               MakeFn Make, RemoveFn Remove, RewriteFn Rewrite = nullptr) {
+               MakeFn Make, RemoveFn Remove,
+               std::span<const Insert> Rewrites = {},
+               RewriteFn Rewrite = nullptr) {
     BasicBlock &BB = G.block(B);
+    const std::vector<Instr> &Old = BB.Instrs;
+    // While the new list reproduces a prefix of the old one it is not
+    // built: Size counts that prefix.  An entry of it equals the old
+    // instruction in all but its id (operator== ignores ids), so Ids
+    // keeps the ids that differ, which the new list carries.
+    size_t Size = 0;
+    bool Built = false;
     NewInstrs.clear();
-    size_t K = 0;
+    Ids.clear();
+    auto Build = [&] {
+      Built = true;
+      NewInstrs.assign(Old.begin(), Old.begin() + Size);
+      for (auto [Pos, Id] : Ids)
+        NewInstrs[Pos].Id = Id;
+    };
+    auto Emit = [&](Instr I) {
+      if (!Built && Size < Old.size() && Old[Size] == I) {
+        if (I.Id != Old[Size].Id)
+          Ids.emplace_back(Size, I.Id);
+        ++Size;
+        return;
+      }
+      if (!Built)
+        Build();
+      NewInstrs.push_back(std::move(I));
+      ++Size;
+    };
+    size_t K = 0, R = 0;
     auto InsertUpTo = [&](size_t Idx) {
       for (; K < Inserts.size() && Inserts[K].first <= Idx; ++K)
-        NewInstrs.push_back(Make(K, NewInstrs.size()));
+        Emit(Make(K, Size));
     };
-    for (size_t Idx = 0; Idx < BB.Instrs.size(); ++Idx) {
+    for (size_t Idx = 0; Idx < Old.size(); ++Idx) {
       InsertUpTo(Idx);
-      if (Remove(Idx))
+      size_t REnd = R;
+      while (REnd < Rewrites.size() && Rewrites[REnd].first == Idx)
+        ++REnd;
+      if (Remove(Idx)) {
+        R = REnd;
         continue;
-      NewInstrs.push_back(BB.Instrs[Idx]);
+      }
+      if (R == REnd && !Built && Idx == Size) {
+        ++Size; // the old instruction, in its old place
+        continue;
+      }
+      Instr I = Old[Idx];
       if constexpr (!std::is_null_pointer_v<RewriteFn>)
-        Rewrite(Idx, NewInstrs.back());
+        for (; R < REnd; ++R)
+          Rewrite(R, I);
+      R = REnd;
+      Emit(std::move(I));
     }
-    InsertUpTo(BB.Instrs.size());
-    bool Commit = NewInstrs != BB.Instrs;
-    if (Commit) {
+    InsertUpTo(Old.size());
+    if (!Built && Size != Old.size())
+      Build();
+    ++(Built ? Commits : Noops);
+    if (Built) {
       // The block keeps its own storage, laid out as later passes walk it.
       BB.Instrs.assign(std::make_move_iterator(NewInstrs.begin()),
                        std::make_move_iterator(NewInstrs.end()));
@@ -135,8 +191,12 @@ public:
       }
     }
     Buffered.clear();
-    return Commit;
+    return Built;
   }
+
+  /// Rebuilds that committed, and that reproduced their block.
+  size_t commits() const { return Commits; }
+  size_t noops() const { return Noops; }
 
   /// Buffers a remark of the block being rebuilt; returns it.
   remarks::Remark &remark(remarks::Remark R, size_t Key, Role Part) {
@@ -161,6 +221,8 @@ private:
     Role Part;
   };
   std::vector<Instr> NewInstrs;
+  std::vector<std::pair<size_t, uint32_t>> Ids;
+  size_t Commits = 0, Noops = 0;
   std::vector<Pending> Buffered, Accepted;
   std::vector<std::vector<uint32_t>> RemovedIds;
 };

@@ -35,6 +35,11 @@ bool reconstructUse(Instr &I, VarId H, const Term &Expr) {
 } // namespace
 
 bool am::runFinalFlush(FlowGraph &G) {
+  AmContext Ctx;
+  return runFinalFlush(G, Ctx);
+}
+
+bool am::runFinalFlush(FlowGraph &G, AmContext &Ctx) {
   assert(!G.hasCriticalEdges() &&
          "the final flush requires split critical edges");
   AM_SPAN(Span, "flush");
@@ -47,7 +52,8 @@ bool am::runFinalFlush(FlowGraph &G) {
   AM_STAT_COUNTER(NumInitsSunk, "flush.inits_sunk");
   AM_STAT_INC(NumFlushes);
 
-  FlushAnalysis Analysis = FlushAnalysis::run(G);
+  FlushAnalysis Analysis =
+      FlushAnalysis::run(G, Ctx.redundancySolver(), Ctx.hoistSolver());
   const FlushUniverse &U = Analysis.universe();
   Span.arg("temps", U.size());
   if (report::RecorderSession *Rec = report::RecorderSession::current())
@@ -150,23 +156,20 @@ bool am::runFinalFlush(FlowGraph &G) {
       }
       return true;
     };
-    size_t Next = 0;
-    auto Rewrite = [&](size_t Idx, Instr &I) {
-      for (; Next < Rewrites.size() && Rewrites[Next].first == Idx; ++Next) {
-        size_t T = Rewrites[Next].second;
-        reconstructUse(I, U.temp(T), U.expr(T));
-        if (Remarks) {
-          // The rewritten instruction keeps its id.
-          remarks::Remark &R = Rebuild.remark(
-              describe(remarks::Kind::Reconstruct, G, B, Idx, Instrs[Idx],
-                       Analysis.usability().SolveSerial),
-              T, BlockRebuilder::Role::Other);
-          R.Var = G.Vars.name(U.temp(T));
-          R.fact("RECONSTRUCT", "1").fact("rewritten", printInstr(I, G.Vars));
-        }
+    auto Rewrite = [&](size_t K, Instr &I) {
+      auto [Idx, T] = Rewrites[K];
+      reconstructUse(I, U.temp(T), U.expr(T));
+      if (Remarks) {
+        // The rewritten instruction keeps its id.
+        remarks::Remark &R = Rebuild.remark(
+            describe(remarks::Kind::Reconstruct, G, B, Idx, Instrs[Idx],
+                     Analysis.usability().SolveSerial),
+            T, BlockRebuilder::Role::Other);
+        R.Var = G.Vars.name(U.temp(T));
+        R.fact("RECONSTRUCT", "1").fact("rewritten", printInstr(I, G.Vars));
       }
     };
-    if (Rebuild.rebuild(G, B, Inits, Make, Remove, Rewrite)) {
+    if (Rebuild.rebuild(G, B, Inits, Make, Remove, Rewrites, Rewrite)) {
       Changed = true;
       InitsSunk += Inits.size();
       InitsDeleted += BlockDeleted;

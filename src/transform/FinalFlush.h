@@ -21,9 +21,15 @@
 
 namespace am {
 
+class AmContext;
+
 /// Runs the final flush in place (critical edges must be split).
 /// Returns true if the program changed.
 bool runFinalFlush(FlowGraph &G);
+
+/// As above, solving Table 3 on \p Ctx's two solvers, whose arenas still
+/// hold the AM phase's planes (see FlushAnalysis::run).
+bool runFinalFlush(FlowGraph &G, AmContext &Ctx);
 
 } // namespace am
 

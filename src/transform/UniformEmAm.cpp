@@ -38,10 +38,16 @@ FlowGraph am::runUniformEmAm(const FlowGraph &G, const UniformOptions &Options,
     if (Rec)
       Rec->snapshot(Work, "init");
 
-    S.AmPhase = runAssignmentMotionPhase(Work, Options.MaxAmIterations);
+    // One context for the AM phase and the flush: the flush solves on
+    // the AM solvers, in the arenas their planes already occupy.
+    AmContext Ctx;
+    S.AmPhase = runAssignmentMotionPhase(Work, Ctx, Options.MaxAmIterations);
 
+    // The flush needs the solvers only: the pattern table's masks make
+    // room for its universe.
+    Ctx.releasePatterns();
     if (Options.RunFinalFlush)
-      S.FlushChanged = runFinalFlush(Work);
+      S.FlushChanged = runFinalFlush(Work, Ctx);
     if (Rec)
       Rec->snapshot(Work, "flush");
   }

@@ -308,6 +308,42 @@ inline DenseProblem denseLiveness(size_t NumVars) {
           }};
 }
 
+/// A synthetic problem of any width: instruction Idx of block B gens and
+/// kills bits picked by a hash of (B, Idx, \p Salt), and every eighth one
+/// also kills a mask striped across all slices — so every slice of every
+/// group carries facts, whatever the width.  Probes that differ only in
+/// \p Salt are different problems of the same width.
+class WidthProbe : public DataflowProblem {
+public:
+  WidthProbe(size_t Bits, Direction Dir, Meet M, uint64_t Salt = 0)
+      : Bits(Bits), Dir(Dir), M(M), Salt(Salt), Stripes(Bits) {
+    for (size_t Bit = 0; Bit < Bits; Bit += 3)
+      Stripes.set(Bit);
+  }
+  Direction direction() const override { return Dir; }
+  Meet meet() const override { return M; }
+  size_t numBits() const override { return Bits; }
+  void effect(BlockId B, size_t Idx, const Instr &,
+              LocalEffect &E) const override {
+    uint64_t H = (B + 1) * 0x9E3779B97F4A7C15ull ^
+                 (Idx + 1) * 0xBF58476D1CE4E5B9ull ^
+                 Salt * 0x94D049BB133111EBull;
+    H ^= H >> 31;
+    E.gen(H % Bits);
+    E.gen((H >> 17) % Bits);
+    E.kill((H >> 34) % Bits);
+    if ((H >> 51) % 8 == 0)
+      E.killMask(&Stripes);
+  }
+
+private:
+  size_t Bits;
+  Direction Dir;
+  Meet M;
+  uint64_t Salt;
+  BitVector Stripes;
+};
+
 /// Block-boundary agreement of a production result with the oracle.
 inline void expectMatchesDense(const FlowGraph &G, const DataflowResult &R,
                                const DenseSolution &S,

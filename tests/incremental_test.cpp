@@ -29,6 +29,7 @@
 #include "transform/Initialization.h"
 #include "transform/Normalize.h"
 #include "transform/RedundantAssignElim.h"
+#include "support/Profiler.h"
 #include "support/Stats.h"
 #include "support/Telemetry.h"
 
@@ -113,6 +114,64 @@ void expectIncrementalMatchesFresh(FlowGraph G, const std::string &Context) {
   FAIL() << Context << ": AM fixpoint did not stabilize within 64 rounds";
 }
 
+/// The context's table, refreshed over the blocks stamped since its last
+/// refresh, must equal a full build of the same graph on a table with the
+/// same history (\p Full, generation \p FullGen): the same occurrences,
+/// ranks, rank order, masks, eligibility and generation.
+void expectRefreshMatchesFullBuild(const FlowGraph &G, AmContext &Ctx,
+                                   AssignPatternTable &Full,
+                                   uint64_t &FullGen,
+                                   const std::string &Where) {
+  Ctx.refreshPatterns(G);
+  if (Full.build(G))
+    ++FullGen;
+  const AssignPatternTable &Pats = Ctx.patterns();
+  EXPECT_EQ(Ctx.patternGeneration(), FullGen) << Where;
+  ASSERT_EQ(Pats.size(), Full.size()) << Where;
+  for (BlockId B = 0; B < G.numBlocks(); ++B)
+    for (size_t Idx = 0; Idx < G.block(B).Instrs.size(); ++Idx)
+      ASSERT_EQ(Pats.occurrenceAt(B, Idx), Full.occurrenceAt(B, Idx))
+          << Where << ": b" << B << " instruction " << Idx;
+  for (size_t Pat = 0; Pat < Pats.size(); ++Pat) {
+    ASSERT_TRUE(Pats.pattern(Pat) == Full.pattern(Pat)) << Where;
+    ASSERT_EQ(Pats.rank(Pat), Full.rank(Pat)) << Where << ": pattern " << Pat;
+  }
+  EXPECT_EQ(Pats.byRank(), Full.byRank()) << Where;
+  EXPECT_EQ(Pats.redundancyEligible(), Full.redundancyEligible()) << Where;
+  auto SameMask = [](const BitVector *A, const BitVector *B) {
+    return A == B || (A && B && *A == *B);
+  };
+  for (uint32_t V = 0; V < G.Vars.size(); ++V) {
+    EXPECT_TRUE(SameMask(Pats.defMask(makeVarId(V)), Full.defMask(makeVarId(V))))
+        << Where << ": def mask of " << G.Vars.name(makeVarId(V));
+    EXPECT_TRUE(SameMask(Pats.lhsMask(makeVarId(V)), Full.lhsMask(makeVarId(V))))
+        << Where << ": lhs mask of " << G.Vars.name(makeVarId(V));
+  }
+}
+
+/// The AM rounds of expectSameFinalProgram once more, checking the
+/// context's refreshed table after every rae and every aht; returns the
+/// final program.
+FlowGraph runCheckingRefreshes(const FlowGraph &Base,
+                               const std::string &Context) {
+  FlowGraph G = Base;
+  G.splitCriticalEdges();
+  AmContext Ctx;
+  AssignPatternTable Full;
+  uint64_t FullGen = 0;
+  for (unsigned Round = 1; Round < 256 && !::testing::Test::HasFailure();
+       ++Round) {
+    std::string Where = Context + ", round " + std::to_string(Round);
+    unsigned Eliminated = runRedundantAssignmentElimination(G, Ctx);
+    expectRefreshMatchesFullBuild(G, Ctx, Full, FullGen, Where + " rae");
+    bool Hoisted = runAssignmentHoisting(G, Ctx);
+    expectRefreshMatchesFullBuild(G, Ctx, Full, FullGen, Where + " aht");
+    if (Eliminated == 0 && !Hoisted)
+      break;
+  }
+  return G;
+}
+
 /// Runs the AM phase once with a persistent context (stable pattern
 /// numbering) and once as a pure from-scratch alternation of the one-shot
 /// entry points (a fresh first-occurrence numbering every call); the
@@ -145,6 +204,9 @@ void expectSameFinalProgram(const FlowGraph &Base, const std::string &Context) {
   }
 
   EXPECT_EQ(printGraph(WithCtx), printGraph(Scratch)) << Context;
+  EXPECT_EQ(printGraph(runCheckingRefreshes(Base, Context)),
+            printGraph(Scratch))
+      << Context;
   EXPECT_EQ(StatsCtx.Iterations, StatsScratch.Iterations) << Context;
   EXPECT_EQ(StatsCtx.Eliminated, StatsScratch.Eliminated) << Context;
   EXPECT_EQ(StatsCtx.HoistRounds, StatsScratch.HoistRounds) << Context;
@@ -434,6 +496,117 @@ TEST(IncrementalAm, PhaseProducesIdenticalFinalPrograms) {
   for (uint64_t Seed = 200; Seed < 205; ++Seed)
     expectSameFinalProgram(generateIrreducibleCfg(Seed),
                            "irreducible seed " + std::to_string(Seed));
+}
+
+//===----------------------------------------------------------------------===//
+// Motion planes: live runs, and the flush on the AM phase's solvers
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A program whose pattern universe spans several slice groups.
+FlowGraph wideProgram() {
+  GenOptions Opts;
+  Opts.TargetStmts = 3000;
+  Opts.NumVars = 24;
+  Opts.PatternPoolSize = 320;
+  return amInput(generateStructuredProgram(61, Opts));
+}
+
+/// At every round of the AM phase, forEachInsert — which skips the runs
+/// the live flags call dead — must give what the N-INSERT / X-INSERT
+/// formulas give over the materialized entry() / exit() vectors.
+void expectInsertsMatchVectors(FlowGraph G, const std::string &Context) {
+  G.splitCriticalEdges();
+  AmContext Ctx;
+  for (unsigned Round = 1; Round < 256; ++Round) {
+    std::string Where = Context + ", round " + std::to_string(Round);
+    Ctx.refreshPatterns(G);
+    const AssignPatternTable &Pats = Ctx.patterns();
+    if (Pats.size() == 0)
+      return;
+    {
+      HoistabilityAnalysis H =
+          HoistabilityAnalysis::run(G, Pats, Ctx.hoistSolver(),
+                                    Ctx.hoistLocals(), Ctx.patternGeneration());
+      // Collected before anything materializes the facts.
+      std::vector<BitVector> Entry(G.numBlocks(), Pats.makeVector());
+      std::vector<BitVector> Exit(G.numBlocks(), Pats.makeVector());
+      for (BlockId B = 0; B < G.numBlocks(); ++B)
+        H.forEachInsert(
+            B, [&](size_t Pat) { Entry[B].set(Pat); },
+            [&](size_t Pat) { Exit[B].set(Pat); });
+      for (BlockId B = 0; B < G.numBlocks(); ++B) {
+        BitVector WantEntry = H.entryHoistable(B);
+        if (B != G.start()) {
+          BitVector AnyPredStops = Pats.makeVector();
+          for (BlockId P : G.block(B).Preds)
+            AnyPredStops |= ~H.exitHoistable(P);
+          WantEntry &= AnyPredStops;
+        }
+        ASSERT_EQ(Entry[B], WantEntry) << Where << ": N-INSERT b" << B;
+        ASSERT_EQ(Exit[B], H.exitHoistable(B) & H.locBlocked(B))
+            << Where << ": X-INSERT b" << B;
+      }
+    }
+    unsigned Eliminated = runRedundantAssignmentElimination(G, Ctx);
+    bool Hoisted = runAssignmentHoisting(G, Ctx);
+    if (Eliminated == 0 && !Hoisted)
+      return;
+  }
+  FAIL() << Context << ": AM fixpoint did not stabilize";
+}
+
+} // namespace
+
+TEST(LiveRuns, ForEachInsertMatchesVectorReference) {
+  for (uint64_t Seed = 0; Seed < 30 && !HasFailure(); ++Seed)
+    expectInsertsMatchVectors(amInput(generateStructuredProgram(Seed)),
+                              "structured seed " + std::to_string(Seed));
+  for (uint64_t Seed = 0; Seed < 10 && !HasFailure(); ++Seed)
+    expectInsertsMatchVectors(amInput(generateIrreducibleCfg(Seed)),
+                              "irreducible seed " + std::to_string(Seed));
+  for (const auto &[Name, G] : examplePrograms())
+    expectInsertsMatchVectors(amInput(G), Name);
+  expectInsertsMatchVectors(wideProgram(), "wide program");
+}
+
+/// Heap bytes requested under the flush's two solves (the
+/// `analysis.delayability` and `analysis.usability` spans) of \p Run.
+template <typename RunFn> uint64_t flushSolveBytes(RunFn Run) {
+  telemetry::Session S;
+  telemetry::SessionScope Scope(S);
+  S.profiler().setEnabled(true);
+  Run();
+  uint64_t Bytes = 0;
+  for (uint32_t Id = 0; Id < S.profiler().numNodes(); ++Id) {
+    const prof::Profiler::Node &N = S.profiler().node(Id);
+    if (N.Name == "analysis.delayability" || N.Name == "analysis.usability")
+      Bytes += N.AllocBytes;
+  }
+  return Bytes;
+}
+
+/// The uniform pipeline runs the flush on the AM phase's solvers, whose
+/// arenas already hold planes as wide as the flush's: its two solves
+/// must allocate less than one flush plane, where fresh solvers allocate
+/// at least two.
+TEST(MotionPlanes, FlushOnAmSolversAllocatesLessThanOnePlane) {
+  if (!prof::allocTrackingAvailable())
+    GTEST_SKIP() << "operator new is not interposed in this build";
+  FlowGraph G = wideProgram();
+  AmContext Ctx;
+  runAssignmentMotionPhase(G, Ctx);
+  size_t Temps = 0;
+  uint64_t Reused = flushSolveBytes([&] {
+    FlushAnalysis F =
+        FlushAnalysis::run(G, Ctx.redundancySolver(), Ctx.hoistSolver());
+    Temps = F.universe().size();
+  });
+  ASSERT_GT(Temps, 64u);
+  uint64_t Plane = G.numBlocks() * ((Temps + 63) / 64) * sizeof(uint64_t);
+  EXPECT_LT(Reused, Plane);
+  EXPECT_GE(flushSolveBytes([&] { FlushAnalysis::run(G); }), 2 * Plane);
 }
 
 //===----------------------------------------------------------------------===//

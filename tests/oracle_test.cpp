@@ -28,6 +28,7 @@
 #include "analysis/Liveness.h"
 #include "analysis/PaperAnalyses.h"
 #include "ir/Patterns.h"
+#include "support/Stats.h"
 #include "transform/AssignmentMotion.h"
 #include "transform/Initialization.h"
 #include "transform/Normalize.h"
@@ -440,4 +441,55 @@ TEST(DenseOracle, GeneratorShapes) {
     for (uint64_t Seed = 0; Seed < 10 && !HasFatalFailure(); ++Seed)
       checkProgram(generateStructuredProgram(Seed, S.Opts),
                    std::string(S.Name) + " seed " + std::to_string(Seed));
+}
+
+/// One solver handed from problem to problem, its arenas first filled by
+/// a wide problem, must solve each of them as a fresh solver would: the
+/// planes it reuses hold the previous problem's words (or the arena's
+/// poison in builds with assertions), so a word read before it is
+/// written shows up here.  Each width solves full, then incrementally
+/// after a stamped edit; a different problem of the same width and
+/// generation, handed the same solver, must restart full.
+TEST(DenseOracle, HandedOverSolverMatchesOnEveryWidth) {
+  FlowGraph G = generateStructuredProgram(5);
+  auto Incremental = [] {
+    return stats::Registry::get().counterValue("dfa.solves.incremental");
+  };
+  DataflowSolver Solver;
+  WidthProbe Wide(3000, Direction::Backward, Meet::Any);
+  expectMatchesDense(G, Solver.solve(G, Wide, 1), denseSolve(G, Wide),
+                     "wide");
+  BlockId Target = G.numBlocks() / 2;
+  // 1, 2, 4, 8 and 16 slices, and two groups with a partial final one.
+  for (size_t Bits : {64u, 128u, 256u, 512u, 1024u, 1500u}) {
+    for (Direction Dir : {Direction::Forward, Direction::Backward}) {
+      for (Meet M : {Meet::All, Meet::Any}) {
+        std::string Ctx = std::to_string(Bits) + " bits" +
+                          (Dir == Direction::Forward ? ", fwd" : ", bwd") +
+                          (M == Meet::All ? ", all" : ", any");
+        WidthProbe P(Bits, Dir, M);
+        Solver.handOver();
+        uint64_t Inc0 = Incremental();
+        expectMatchesDense(G, Solver.solve(G, P, 1), denseSolve(G, P),
+                           Ctx + ", full");
+        EXPECT_EQ(Incremental(), Inc0) << Ctx;
+
+        G.block(Target).Instrs.insert(G.block(Target).Instrs.begin(),
+                                      Instr::skip());
+        G.touchBlock(Target);
+        expectMatchesDense(G, Solver.solve(G, P, 1), denseSolve(G, P),
+                           Ctx + ", incremental");
+        EXPECT_EQ(Incremental(), Inc0 + 1) << Ctx;
+
+        WidthProbe Other(Bits, Dir, M, /*Salt=*/1);
+        Solver.handOver();
+        expectMatchesDense(G, Solver.solve(G, Other, 1), denseSolve(G, Other),
+                           Ctx + ", other problem");
+        EXPECT_EQ(Incremental(), Inc0 + 1)
+            << Ctx << ": a handed-over solver restarted incrementally";
+        if (HasFatalFailure())
+          return;
+      }
+    }
+  }
 }

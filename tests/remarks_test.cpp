@@ -21,6 +21,8 @@
 #include "support/Json.h"
 #include "support/Remarks.h"
 #include "support/Stats.h"
+#include "parser/Parser.h"
+#include "transform/AssignmentMotion.h"
 #include "transform/Pipeline.h"
 #include "transform/UniformEmAm.h"
 #include "verify/RemarkVerifier.h"
@@ -144,6 +146,81 @@ TEST(RemarksSink, JsonPayloadValidates) {
   ASSERT_GT(Sink::get().size(), 0u);
   std::string Err;
   EXPECT_TRUE(json::validate(Sink::get().toJsonString(), &Err)) << Err;
+}
+
+/// Rebuilds block 0 of \p G with aht's remark pattern: removes the
+/// instructions \p Removed, inserts `x := a + b` (key 0) at each of
+/// \p At; returns whether it committed.
+bool rebuildWithRemarks(FlowGraph &G, BlockRebuilder &Rebuild,
+                        std::vector<uint32_t> Removed,
+                        std::vector<uint32_t> At) {
+  const Instr Pattern = G.block(0).Instrs[0];
+  std::vector<BlockRebuilder::Insert> Inserts;
+  for (uint32_t Idx : At)
+    Inserts.push_back({Idx, 0});
+  auto Make = [&](size_t, size_t NewIdx) {
+    Instr New = Pattern;
+    New.Id = Sink::get().freshId();
+    Rebuild.remark(describe(Kind::Hoist, G, 0, NewIdx, New, 1), 0,
+                   BlockRebuilder::Role::Insert);
+    return New;
+  };
+  auto Remove = [&](size_t Idx) {
+    if (std::find(Removed.begin(), Removed.end(), Idx) == Removed.end())
+      return false;
+    Rebuild.remark(describe(Kind::Hoist, G, 0, Idx, G.block(0).Instrs[Idx], 1),
+                   0, BlockRebuilder::Role::Remove);
+    return true;
+  };
+  return Rebuild.rebuild(G, 0, Inserts, Make, Remove);
+}
+
+std::vector<uint32_t> idsOf(const FlowGraph &G) {
+  std::vector<uint32_t> Ids;
+  for (const Instr &I : G.block(0).Instrs)
+    Ids.push_back(I.Id);
+  return Ids;
+}
+
+/// A rebuild that reproduces its block — moving an occurrence onto an
+/// equal neighbour's place, or removing one and inserting its copy where
+/// it was — commits nothing: the block keeps its instructions, their ids
+/// and its tick, no remark is published, and the fresh ids the inserts
+/// drew are spent exactly as on a commit, so later ids do not move.  A
+/// rebuild that changes the list carries each kept instruction's own id.
+TEST(RemarksRebuild, NoOpRebuildKeepsIdsAndPublishesNothing) {
+  CollectionScope On;
+  Sink::get().clear();
+  FlowGraph G =
+      parseProgram("program { x := a + b; x := a + b; out(x); }").Graph;
+  ensureInstrIds(G);
+  std::vector<uint32_t> Ids = idsOf(G);
+  Tick Before = G.blockTick(0);
+  uint32_t NextId = Ids.back() + 1;
+
+  BlockRebuilder Rebuild(1);
+  // Remove the first, insert a copy before the last: [x1, x2, out] again.
+  EXPECT_FALSE(rebuildWithRemarks(G, Rebuild, {0}, {2}));
+  // Remove the second, insert a copy in its place.
+  EXPECT_FALSE(rebuildWithRemarks(G, Rebuild, {1}, {1}));
+  EXPECT_EQ(idsOf(G), Ids);
+  EXPECT_EQ(G.blockTick(0), Before);
+  EXPECT_EQ(Rebuild.noops(), 2u);
+  EXPECT_EQ(Rebuild.commits(), 0u);
+  Rebuild.publish();
+  EXPECT_EQ(Sink::get().size(), 0u);
+  NextId += 2;
+  EXPECT_EQ(Sink::get().freshId(), NextId++);
+
+  // Remove the first, insert a copy after the last: [x2, out, new].
+  EXPECT_TRUE(rebuildWithRemarks(G, Rebuild, {0}, {3}));
+  EXPECT_EQ(idsOf(G), (std::vector<uint32_t>{Ids[1], Ids[2], NextId}));
+  EXPECT_GT(G.blockTick(0), Before);
+  EXPECT_EQ(Rebuild.commits(), 1u);
+  Rebuild.publish();
+  ASSERT_EQ(Sink::get().size(), 2u);
+  EXPECT_EQ(Sink::get().remarks()[1].Parents,
+            (std::vector<uint32_t>{Ids[0]}));
 }
 
 TEST(RemarksCoherence, CountsMatchStatCountersOnFigures) {

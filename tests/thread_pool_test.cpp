@@ -13,6 +13,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
+#include "analysis/PaperAnalyses.h"
 #include "dfa/Dataflow.h"
 #include "gen/RandomProgram.h"
 #include "ir/Printer.h"
@@ -22,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <map>
 #include <stdexcept>
@@ -274,39 +276,6 @@ TEST(ThreadsDifferential, WideUniverseIdenticalAcrossThreads) {
   }
 }
 
-/// A synthetic problem of any width: instruction Idx of block B gens and
-/// kills bits picked by a hash of (B, Idx), and every eighth one also
-/// kills a mask striped across all slices — so every slice of every group
-/// carries facts, whatever the width.
-class WidthProbe : public DataflowProblem {
-public:
-  WidthProbe(size_t Bits, Direction Dir, Meet M)
-      : Bits(Bits), Dir(Dir), M(M), Stripes(Bits) {
-    for (size_t Bit = 0; Bit < Bits; Bit += 3)
-      Stripes.set(Bit);
-  }
-  Direction direction() const override { return Dir; }
-  Meet meet() const override { return M; }
-  size_t numBits() const override { return Bits; }
-  void effect(BlockId B, size_t Idx, const Instr &,
-              LocalEffect &E) const override {
-    uint64_t H = (B + 1) * 0x9E3779B97F4A7C15ull ^
-                 (Idx + 1) * 0xBF58476D1CE4E5B9ull;
-    H ^= H >> 31;
-    E.gen(H % Bits);
-    E.gen((H >> 17) % Bits);
-    E.kill((H >> 34) % Bits);
-    if ((H >> 51) % 8 == 0)
-      E.killMask(&Stripes);
-  }
-
-private:
-  size_t Bits;
-  Direction Dir;
-  Meet M;
-  BitVector Stripes;
-};
-
 TEST(ThreadsDifferential, GroupWidthEdgesMatchDenseOracle) {
   PolicyGuard Guard;
   // One slice, a partial and a full single word, one bit past it, five
@@ -324,7 +293,7 @@ TEST(ThreadsDifferential, GroupWidthEdgesMatchDenseOracle) {
                               (Dir == Direction::Forward ? ", fwd" : ", bwd") +
                               (M == Meet::All ? ", all" : ", any");
             FlowGraph G = generateIrreducibleCfg(Seed);
-            WidthProbe P(Bits, Dir, M);
+            test::WidthProbe P(Bits, Dir, M);
             DataflowSolver Solver;
             test::expectMatchesDense(G, Solver.solve(G, P),
                                      test::denseSolve(G, P), Ctx + ", full");
@@ -350,6 +319,91 @@ TEST(ThreadsDifferential, GroupWidthEdgesMatchDenseOracle) {
       }
     }
   }
+}
+
+/// chunkLive(W) must say exactly whether run W of the row holds a set
+/// bit.  Checked before anything materializes the result, which would
+/// make every run read live.  Returns the number of runs read as dead.
+size_t expectLiveRunsExact(const FlowGraph &G, const DataflowResult &R,
+                           const std::string &Ctx) {
+  size_t Dead = 0;
+  for (BlockId B = 0; B < G.numBlocks(); ++B) {
+    for (bool Entry : {true, false}) {
+      WordRow Row = Entry ? R.entryRow(B) : R.exitRow(B);
+      size_t Words = (Row.size() + 63) / 64;
+      for (size_t C = 0; C < Words; C += WordRow::ChunkWords) {
+        bool Nonzero = false;
+        for (size_t W = C; W < std::min(C + WordRow::ChunkWords, Words); ++W)
+          Nonzero |= Row.word(W) != 0;
+        Dead += !Nonzero;
+        EXPECT_EQ(Row.chunkLive(C), Nonzero)
+            << Ctx << ": " << (Entry ? "entry" : "exit") << " of b" << B
+            << ", run " << C / WordRow::ChunkWords;
+        if (::testing::Test::HasFailure())
+          return Dead;
+      }
+    }
+  }
+  return Dead;
+}
+
+/// Full, incremental (after a stamped edit, then \p AfterEdit) and
+/// cached solves of \p P on one solver; returns the dead runs seen.
+size_t expectLiveRunsOnEveryPath(FlowGraph &G, const DataflowProblem &P,
+                                 const std::string &Ctx,
+                                 const std::function<void()> &AfterEdit = {}) {
+  DataflowSolver Solver;
+  size_t Dead = expectLiveRunsExact(G, Solver.solve(G, P), Ctx + ", full");
+  BlockId Target = G.numBlocks() / 2;
+  G.block(Target).Instrs.insert(G.block(Target).Instrs.begin(),
+                                Instr::skip());
+  G.touchBlock(Target);
+  if (AfterEdit)
+    AfterEdit();
+  Dead += expectLiveRunsExact(G, Solver.solve(G, P), Ctx + ", incremental");
+  Dead += expectLiveRunsExact(G, Solver.solve(G, P), Ctx + ", cached");
+  return Dead;
+}
+
+TEST(LiveRuns, FlagsMatchNonzeroRunsOnEveryPath) {
+  PolicyGuard Guard;
+  // The flags of different groups are written by different workers.
+  threads::setGlobalThreadCount(4);
+  size_t Dead = 0;
+  // 1, 2, 4, 8 and 16 slices, a partial second group, and four groups.
+  for (size_t Bits : {40u, 128u, 256u, 512u, 1024u, 1500u, 4096u}) {
+    for (Direction Dir : {Direction::Forward, Direction::Backward}) {
+      for (Meet M : {Meet::All, Meet::Any}) {
+        FlowGraph G = generateStructuredProgram(Bits);
+        test::WidthProbe P(Bits, Dir, M);
+        Dead += expectLiveRunsOnEveryPath(
+            G, P,
+            std::to_string(Bits) + " bits" +
+                (Dir == Direction::Forward ? ", fwd" : ", bwd") +
+                (M == Meet::All ? ", all" : ", any"));
+        if (HasFailure())
+          return;
+      }
+    }
+  }
+  // Hoisting and sinking over a universe of several groups, whose facts
+  // are sparse: most runs are dead.
+  GenOptions Opts;
+  Opts.TargetStmts = 6000;
+  Opts.NumVars = 24;
+  Opts.PatternPoolSize = 320;
+  FlowGraph G = generateStructuredProgram(61, Opts);
+  G.splitCriticalEdges();
+  AssignPatternTable Pats;
+  Pats.build(G);
+  ASSERT_GT(Pats.size(), 1024u);
+  for (Direction Dir : {Direction::Forward, Direction::Backward}) {
+    BlockingProblem P(Pats, Dir);
+    Dead += expectLiveRunsOnEveryPath(
+        G, P, Dir == Direction::Forward ? "sinking" : "hoisting",
+        [&] { Pats.build(G); }); // same universe: the edit adds a skip
+  }
+  EXPECT_GT(Dead, 0u) << "no dead run was ever checked";
 }
 
 } // namespace
